@@ -2,7 +2,7 @@
 """Run the whole verification suite and print a per-case summary table.
 
 Equivalent to ``lovaszgap verify suite`` plus a human-readable digest;
-``--full`` adds the slow 61-vertex q=5 separation case.
+``--full`` adds the 61-vertex q=5 and 109-vertex q=6 separation cases.
 """
 
 import argparse

@@ -24,6 +24,7 @@ from .graphs import (
     GadgetResult,
     GadgetSpec,
     Graph,
+    biconnected_components,
     build_corollary_graph,
     build_gadget,
     complete_bipartite,

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 success/verified, 1 a verification clause failed, 2 usage or
-input error, 3 face budget exceeded.  Errors go to stderr as one line with
-the machine-greppable prefix ``error:<kind>:``.
+input error, 3 face budget exceeded, 4 internal error (an unexpected
+exception, i.e. a bug).  Errors go to stderr as one line with the
+machine-greppable prefix ``error:<kind>:``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full",
         action="store_true",
-        help="include the slow q=5 separation case",
+        help="also run the larger q=5 and q=6 separation cases",
     )
     _add_limit(p)
     p.add_argument("--json", metavar="FILE", help="write the suite report")
@@ -387,6 +389,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         _err("input", exc)
         return EXIT_USAGE
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"error:internal: {type(exc).__name__}: {message}\n")
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

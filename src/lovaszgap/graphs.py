@@ -317,6 +317,61 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def biconnected_components(g: Graph) -> list[tuple[int, ...]]:
+    """Blocks of the graph as sorted vertex tuples: its maximal 2-connected
+    subgraphs, its bridges (two vertices each) and its isolated vertices
+    (one each).  Every edge lies in exactly one block.
+
+    Iterative Hopcroft–Tarjan: depth-first from each root in id order,
+    neighbors in sorted order, so the result is deterministic.  Blocks are
+    listed parents first in the block–cut tree (reversed completion order),
+    so each block meets the union of the blocks before it in at most one
+    vertex, its cut vertex towards the root."""
+    disc = [-1] * g.n
+    low = [0] * g.n
+    nbrs = [sorted(s) for s in g.adj]
+    blocks: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(g.n):
+        if disc[root] != -1:
+            continue
+        if not nbrs[root]:
+            blocks.append((root,))
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        pending = [root]  # vertices not yet assigned to a block
+        frames = [(root, -1, iter(nbrs[root]))]
+        while frames:
+            v, parent, it = frames[-1]
+            for w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    pending.append(w)
+                    frames.append((w, v, iter(nbrs[w])))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                frames.pop()
+                if parent == -1:
+                    continue
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    # parent separates v's subtree: close the block
+                    block = [parent]
+                    while True:
+                        u = pending.pop()
+                        block.append(u)
+                        if u == v:
+                            break
+                    blocks.append(tuple(sorted(block)))
+    blocks.reverse()
+    return blocks
+
+
 def is_connected(g: Graph) -> bool:
     """True iff the graph has at most one component (empty graph counts as
     connected)."""

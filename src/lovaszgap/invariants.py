@@ -1,6 +1,7 @@
 """Exact chromatic number, clique number, and certificate checks.
 
-The coloring solver is an exhaustive DSATUR branch-and-bound on the
+The chromatic number is solved block by block (biconnected components),
+each distinct block once, by an exhaustive DSATUR branch-and-bound on the
 k-colorability decision problem, with the maximum clique precolored and
 new colors introduced in order (0, 1, 2, ...) to break color symmetry.
 The clique solver is a branch-and-bound with greedy-coloring upper bounds
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, ParameterError
-from .graphs import Graph
+from .graphs import Graph, biconnected_components
 
 
 @dataclass(frozen=True)
@@ -159,18 +160,20 @@ def verify_biclique_certificate(g: Graph, a, b) -> bool:
 
 
 def _select_dsatur(
-    g: Graph, colors: list[int], neighbor_colors: list[int]
+    colors: list[int], neighbor_colors: list[int], degrees: list[int]
 ) -> int:
-    """Uncolored vertex with maximum saturation; ties by degree, then id."""
+    """Uncolored vertex with maximum saturation; ties by degree, then id.
+    ``degrees`` is the graph's degree list, computed once per search."""
+    n = len(colors)
     chosen = -1
-    key = (-1, -1)
-    for v in range(g.n):
+    best = -1
+    for v in range(n):
         if colors[v] != -1:
             continue
-        sat = neighbor_colors[v].bit_count()
-        cand = (sat, g.degree(v))
-        if chosen == -1 or cand > key:
-            chosen, key = v, cand
+        # degree < n, so this integer orders by (saturation, degree)
+        key = neighbor_colors[v].bit_count() * n + degrees[v]
+        if key > best:
+            chosen, best = v, key
     return chosen
 
 
@@ -179,11 +182,12 @@ def greedy_dsatur_bound(g: Graph) -> tuple[int, ColoringWitness]:
     number."""
     if g.n == 0:
         return 0, ColoringWitness(0, ())
+    degrees = [len(s) for s in g.adj]
     colors = [-1] * g.n
     neighbor_colors = [0] * g.n
     used = 0
     for _ in range(g.n):
-        v = _select_dsatur(g, colors, neighbor_colors)
+        v = _select_dsatur(colors, neighbor_colors, degrees)
         c = 0
         while neighbor_colors[v] >> c & 1:
             c += 1
@@ -200,7 +204,11 @@ def is_k_colorable(
 ) -> ColoringWitness | None:
     """Exhaustive k-colorability decision.  Returns a proper coloring
     (normalized so that exactly its ``k`` colors are used) or None when no
-    proper k-coloring exists."""
+    proper k-coloring exists.
+
+    Depth-first DSATUR over an explicit stack, so the depth is not bounded
+    by Python's recursion limit.  A fresh color may only be introduced as
+    the next unused one (symmetry breaking)."""
     if k < 0:
         raise ParameterError(f"color count must be >= 0, got {k}")
     if g.n == 0:
@@ -215,62 +223,112 @@ def is_k_colorable(
     if len(clique) > k:
         return None
 
+    adj = g.adj
+    degrees = [len(s) for s in adj]
     colors = [-1] * g.n
     neighbor_colors = [0] * g.n
     for c, v in enumerate(clique):
         colors[v] = c
-        for u in g.adj[v]:
+        for u in adj[v]:
             neighbor_colors[u] |= 1 << c
     uncolored = g.n - len(clique)
 
-    def assign(v: int, c: int) -> list[int]:
+    # frame: [vertex, next color to try, neighbors whose saturation the
+    # current color raised (None while uncolored), colors in use before it]
+    frames: list[list] = []
+    if uncolored:
+        v = _select_dsatur(colors, neighbor_colors, degrees)
+        frames.append([v, 0, None, len(clique)])
+    while frames:
+        frame = frames[-1]
+        v, c, changed, palette = frame
+        if changed is not None:
+            bit = ~(1 << colors[v])
+            for u in changed:
+                neighbor_colors[u] &= bit
+            colors[v] = -1
+        top = min(k, palette + 1)
+        blocked = neighbor_colors[v]
+        while c < top and blocked >> c & 1:
+            c += 1
+        if c == top:
+            frames.pop()
+            continue
         colors[v] = c
-        changed = []
         bit = 1 << c
-        for u in g.adj[v]:
+        changed = []
+        for u in adj[v]:
             if colors[u] == -1 and not neighbor_colors[u] & bit:
                 neighbor_colors[u] |= bit
                 changed.append(u)
-        return changed
-
-    def unassign(v: int, c: int, changed: list[int]) -> None:
-        colors[v] = -1
-        bit = 1 << c
-        for u in changed:
-            neighbor_colors[u] &= ~bit
-
-    def search(remaining: int, palette: int) -> bool:
-        # palette = number of colors in use; a fresh color may only be
-        # introduced as palette itself (symmetry breaking)
-        if remaining == 0:
-            return True
-        v = _select_dsatur(g, colors, neighbor_colors)
-        top = min(k, palette + 1)
-        for c in range(top):
-            if neighbor_colors[v] >> c & 1:
-                continue
-            changed = assign(v, c)
-            if search(remaining - 1, max(palette, c + 1)):
-                return True
-            unassign(v, c, changed)
-        return False
-
-    if not search(uncolored, len(clique)):
+        frame[1] = c + 1
+        frame[2] = changed
+        if len(frames) == uncolored:
+            break
+        v = _select_dsatur(colors, neighbor_colors, degrees)
+        frames.append([v, 0, None, max(palette, c + 1)])
+    if len(frames) != uncolored:  # the stack ran empty: no k-coloring
         return None
     used = max(colors) + 1
     return ColoringWitness(used, tuple(colors))
 
 
+def _color_block(
+    g: Graph, clique: CliqueWitness, floor: int
+) -> ColoringWitness:
+    """Fewest-color coloring of one block among k >= ``floor``: k runs
+    upward from max(clique size, floor) with the clique precolored, and the
+    DSATUR greedy bound closes the interval from above.  The witness uses
+    exactly chi colors when chi > floor, and at most ``floor`` otherwise."""
+    upper, greedy_witness = greedy_dsatur_bound(g)
+    for k in range(max(len(clique.vertices), floor), upper):
+        witness = is_k_colorable(g, k, clique=clique.vertices)
+        if witness is not None:
+            return witness
+    return greedy_witness
+
+
 def chromatic_number(g: Graph) -> tuple[int, ColoringWitness]:
-    """Exact chromatic number with a proper coloring as witness.  Searches
-    k upward from the clique number; the DSATUR greedy bound closes the
-    interval from above."""
+    """Exact chromatic number with a proper coloring as witness.
+
+    chi(G) is the maximum of chi over the blocks of G (its biconnected
+    components), since block colorings can be permuted to agree at the cut
+    vertices.  Each block is relabelled onto 0..b-1 in id order and each
+    distinct edge list is solved once, largest clique first, so that a
+    later block only has to be searched above the colors already needed.
+    The witness is assembled parents first along the block–cut tree,
+    swapping two colors of each block so that it agrees with the coloring
+    so far at its cut vertex."""
     if g.n == 0:
         return 0, ColoringWitness(0, ())
-    size, cw = max_clique(g)
-    upper, greedy_witness = greedy_dsatur_bound(g)
-    for k in range(size, upper):
-        witness = is_k_colorable(g, k, clique=cw.vertices)
-        if witness is not None:
-            return witness.k, witness
-    return upper, greedy_witness
+    blocks = biconnected_components(g)
+    keys = []
+    distinct: dict[tuple, Graph] = {}
+    for block in blocks:
+        index = {v: i for i, v in enumerate(block)}
+        edges = tuple(
+            (i, index[u]) for i, v in enumerate(block) for u in sorted(g.adj[v])
+            if u in index and i < index[u]
+        )
+        key = (len(block), edges)
+        if key not in distinct:
+            distinct[key] = Graph.from_edges(len(block), edges)
+        keys.append(key)
+    cliques = {key: max_clique(h)[1] for key, h in distinct.items()}
+    chi = 0
+    local: dict[tuple, tuple[int, ...]] = {}
+    for key in sorted(distinct, key=lambda key: -len(cliques[key].vertices)):
+        witness = _color_block(distinct[key], cliques[key], chi)
+        local[key] = witness.assignment
+        chi = max(chi, witness.k)
+    colors = [-1] * g.n
+    for block, key in zip(blocks, keys):
+        perm = list(range(chi))
+        for v, c in zip(block, local[key]):
+            if colors[v] != -1:
+                # the one vertex already colored: swap its local color in
+                perm[c], perm[colors[v]] = colors[v], c
+                break
+        for v, c in zip(block, local[key]):
+            colors[v] = perm[c]
+    return chi, ColoringWitness(chi, tuple(colors))

@@ -415,7 +415,7 @@ SUITE_COROLLARY_PARAMS: tuple[tuple[int, int, int, int], ...] = (
     (2, 3, 3, 4),
 )
 
-FULL_COROLLARY_PARAMS = SUITE_COROLLARY_PARAMS + ((2, 2, 3, 5),)
+FULL_COROLLARY_PARAMS = SUITE_COROLLARY_PARAMS + ((2, 2, 3, 5), (2, 2, 3, 6))
 
 
 def _named_graph(name: str) -> Graph:

@@ -6,7 +6,14 @@ import sys
 import pytest
 
 import lovaszgap.verify
-from lovaszgap import CorollaryParams, complete_graph, kneser_graph, verify_corollary
+import lovaszgap.cli
+from lovaszgap import (
+    CorollaryParams,
+    complete_graph,
+    cycle_graph,
+    kneser_graph,
+    verify_corollary,
+)
 from lovaszgap.cli import main
 from lovaszgap.dimacs import read_graph, write_graph
 
@@ -103,6 +110,15 @@ def test_chromatic_and_clique_commands(tmp_path, capsys):
     assert "omega=2" in capsys.readouterr().out
 
 
+def test_chromatic_long_cycle_exit_zero(tmp_path, capsys):
+    graph = tmp_path / "c1201.col"
+    write_graph(cycle_graph(1201), str(graph))
+    assert main(["chromatic", str(graph)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "chi=3\n"
+    assert captured.err == ""
+
+
 def test_bounds_command_json(tmp_path):
     graph = tmp_path / "c5.col"
     report = tmp_path / "c5.json"
@@ -176,6 +192,17 @@ def test_budget_exit_three(tmp_path, capsys):
     rc = main(["homology", "--complex", str(facets), "--max-dim", "2", "--limit", "3"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error:budget:")
+
+
+def test_unexpected_exception_exit_four(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(lovaszgap.cli, "_cmd_clique", crash)
+    assert main(["clique", "no-such-file.col"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error:internal: RuntimeError: boom second line\n"
+    assert captured.out == ""
 
 
 def test_cli_subprocess_smoke(tmp_path):

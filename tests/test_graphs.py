@@ -8,6 +8,7 @@ from lovaszgap import (
     GadgetSpec,
     Graph,
     ParameterError,
+    biconnected_components,
     build_corollary_graph,
     build_gadget,
     complete_bipartite,
@@ -220,3 +221,67 @@ def test_graph_validation_errors():
 def test_corpus_graphs_validate(corpus):
     for g in corpus.values():
         g.validate()
+
+
+def test_biconnected_components_fixed_graph():
+    # triangles {0,1,2} and {2,3,4} share the cut vertex 2; {4,5} is a
+    # pendant edge; 6 is isolated
+    g = Graph.from_edges(
+        7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]
+    )
+    blocks = biconnected_components(g)
+    assert sorted(blocks) == [(0, 1, 2), (2, 3, 4), (4, 5), (6,)]
+    assert blocks == biconnected_components(g)
+
+
+def _connected_without(g, keep) -> bool:
+    keep = set(keep)
+    start = min(keep)
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in g.adj[v]:
+            if u in keep and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen == keep
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_biconnected_components_properties(g):
+    blocks = biconnected_components(g)
+    # every edge in exactly one block, every vertex in some block
+    owners = {e: [b for b in blocks if e[0] in b and e[1] in b] for e in g.edges()}
+    assert all(len(found) == 1 for found in owners.values())
+    assert set().union(*map(set, blocks)) == set(range(g.n))
+    seen: set[int] = set()
+    for block in blocks:
+        assert list(block) == sorted(set(block))
+        # parents first: at most one vertex shared with earlier blocks
+        assert len(seen & set(block)) <= 1
+        seen |= set(block)
+        if len(block) == 1:
+            assert not g.adj[block[0]]
+        elif len(block) >= 3:
+            # 2-connected: no single vertex disconnects the block
+            assert all(
+                _connected_without(g, set(block) - {v}) for v in block
+            )
+        else:
+            assert g.has_edge(*block)
+    # maximality: the block-vertex incidence graph is a forest, so no
+    # cycle of g runs through two blocks
+    parent = list(range(g.n + len(blocks)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, block in enumerate(blocks):
+        for v in block:
+            a, b = find(v), find(g.n + i)
+            assert a != b
+            parent[a] = b

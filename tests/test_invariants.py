@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lovaszgap import (
     CertificateError,
     GadgetSpec,
+    Graph,
     build_gadget,
     chromatic_number,
     complete_bipartite,
@@ -88,8 +90,6 @@ def test_greedy_bound_examples():
 
 
 def test_empty_and_trivial_graphs():
-    from lovaszgap import Graph
-
     empty = Graph.from_edges(0, [])
     assert chromatic_number(empty) == (0, is_k_colorable(empty, 0))
     assert max_clique(empty)[0] == 0
@@ -107,6 +107,49 @@ def test_solvers_match_brute_force(g):
     size, qw = max_clique(g)
     assert size == brute_force_max_clique(g)
     qw.validate(g)
+
+
+def test_chromatic_long_odd_cycle():
+    # deeper than Python's recursion limit: the search must be iterative
+    g = cycle_graph(1201)
+    chi, witness = chromatic_number(g)
+    assert chi == 3
+    witness.validate(g)
+
+
+@st.composite
+def block_graphs(draw):
+    """2-4 small random graphs (up to 7 vertices each, 12 in all, so that
+    the brute-force oracle stays fast), each glued to the graph so far at a
+    shared cut vertex, joined to it by a bridge edge, or left disjoint;
+    then a few isolated vertices, and all ids shuffled."""
+    n = 0
+    budget = 12
+    edges: list[tuple[int, int]] = []
+    for _ in range(draw(st.integers(2, 4))):
+        part = draw(graphs(max_n=max(1, min(7, budget))))
+        budget -= part.n
+        how = draw(st.sampled_from(["glue", "bridge", "disjoint"])) if n else "disjoint"
+        ids = list(range(n, n + part.n))
+        if how == "glue":
+            shared = draw(st.integers(0, part.n - 1))
+            ids = ids[:shared] + [draw(st.integers(0, n - 1))] + ids[shared:-1]
+        elif how == "bridge":
+            edges.append((draw(st.integers(0, n - 1)), draw(st.sampled_from(ids))))
+        edges.extend((ids[u], ids[v]) for u, v in part.edges())
+        n += part.n - (how == "glue")
+    n += draw(st.integers(0, 2))
+    relabel = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+@given(block_graphs())
+@settings(max_examples=150, deadline=None)
+def test_block_split_matches_brute_force(g):
+    chi, witness = chromatic_number(g)
+    assert chi == brute_force_chromatic(g)
+    witness.validate(g)
+    assert witness.k == chi
 
 
 @given(graphs(max_n=9))
