@@ -41,9 +41,11 @@ from .graphs import (
 from .homology import (
     ConnectivityCertificate,
     HomologyGroup,
+    HomologyPass,
     boundary_matrix,
     certify_conn_zero,
     homological_connectivity,
+    homology_pass,
     homology_profile,
     reduced_homology,
 )

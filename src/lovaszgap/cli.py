@@ -28,7 +28,7 @@ from .graphs import (
     mycielskian,
     triangle_free_chromatic,
 )
-from .homology import certify_conn_zero, homology_profile
+from .homology import homology_pass
 from .invariants import chromatic_number, max_clique
 
 EXIT_OK = 0
@@ -48,9 +48,15 @@ def _err(kind: str, exc: BaseException) -> None:
     sys.stderr.write(f"error:{kind}: {exc}\n")
 
 
-def _dump_json(obj, path: str | None) -> None:
+def _say(line: str, json_path: str | None) -> None:
+    """Print the human summary line, on stderr when the JSON report goes to
+    stdout, so that stdout stays one JSON document."""
+    print(line, file=sys.stderr if json_path == "-" else sys.stdout)
+
+
+def _dump_json(obj, path: str) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
@@ -130,24 +136,16 @@ def _cmd_ncomplex(args) -> int:
 def _cmd_homology(args) -> int:
     start = time.monotonic()
     c = complexes.read_facets(args.complex)
-    groups = homology_profile(c, args.max_dim, args.limit)
-    certificate = certify_conn_zero(c, args.limit)
+    topology = homology_pass(c, args.max_dim, args.limit)
     payload = {
         "case": f"homology({args.complex})",
-        "homology": [
-            {
-                "dimension": g.dimension,
-                "betti": g.betti,
-                "torsion": [str(t) for t in g.torsion],
-            }
-            for g in groups
-        ],
-        "certificate": verify._certificate_json(certificate),
+        "homology": verify._homology_json(topology.profile),
+        "certificate": verify._certificate_json(topology.certificate),
         "wall_time_ms": _timer(start, args.timings),
     }
-    for g in groups:
+    for g in topology.profile:
         torsion = ",".join(str(t) for t in g.torsion)
-        print(f"H~{g.dimension}: betti={g.betti} torsion=[{torsion}]")
+        _say(f"H~{g.dimension}: betti={g.betti} torsion=[{torsion}]", args.json)
     if args.json is not None:
         _dump_json(payload, args.json)
     return EXIT_OK
@@ -156,7 +154,7 @@ def _cmd_homology(args) -> int:
 def _cmd_chromatic(args) -> int:
     g = dimacs.read_graph(args.graph)
     chi, witness = chromatic_number(g)
-    print(f"chi={chi}")
+    _say(f"chi={chi}", args.json)
     if args.json is not None:
         _dump_json(
             {"chi": chi, "coloring": list(witness.assignment)}, args.json
@@ -167,7 +165,7 @@ def _cmd_chromatic(args) -> int:
 def _cmd_clique(args) -> int:
     g = dimacs.read_graph(args.graph)
     omega, witness = max_clique(g)
-    print(f"omega={omega}")
+    _say(f"omega={omega}", args.json)
     if args.json is not None:
         _dump_json(
             {"omega": omega, "clique": list(witness.vertices)}, args.json
@@ -183,10 +181,11 @@ def _cmd_bounds(args) -> int:
         f"bounds({args.graph})", g, report, _timer(start, args.timings)
     )
     certified = report.lovasz_certified
-    print(
+    _say(
         f"chi={report.chi} omega={report.omega} "
         f"lovasz_certified={'none' if certified is None else certified} "
-        f"greedy_upper={report.greedy_upper}"
+        f"greedy_upper={report.greedy_upper}",
+        args.json,
     )
     if args.json is not None:
         _dump_json(payload, args.json)
@@ -208,7 +207,7 @@ def _cmd_verify_theorem2(args) -> int:
     if args.json is not None:
         _dump_json(payload, args.json)
     if report.passed:
-        print("pass")
+        _say("pass", args.json)
         return EXIT_OK
     failing = [str(r.dim) for r in report.rows if not r.ok]
     if not report.certificate.certified_conn_zero:
@@ -226,9 +225,10 @@ def _cmd_verify_corollary(args) -> int:
     if args.json is not None:
         _dump_json(payload, args.json)
     if report.passed:
-        print(
+        _say(
             f"pass chi={report.bound.chi} omega={report.bound.omega} "
-            f"lovasz_certified={report.bound.lovasz_certified}"
+            f"lovasz_certified={report.bound.lovasz_certified}",
+            args.json,
         )
         return EXIT_OK
     _err(
@@ -242,10 +242,11 @@ def _cmd_verify_suite(args) -> int:
     result = verify.run_suite(
         seed=args.seed, full=args.full, limit=args.limit, jobs=args.jobs
     )
-    _dump_json(result, args.json)
+    json_path = args.json or "-"
+    _dump_json(result, json_path)
     n = len(result["cases"])
     failed = [c["case"] for c in result["cases"] if not c["pass"]]
-    print(f"suite: {n - len(failed)}/{n} cases passed")
+    _say(f"suite: {n - len(failed)}/{n} cases passed", json_path)
     if failed:
         _err("verify", RuntimeError(f"failing cases: {','.join(failed)}"))
         return EXIT_VERIFY_FAILED

@@ -8,6 +8,8 @@ certificate that the space's connectivity is exactly 0: path-connectedness
 plus H_1 != 0 forces a nontrivial loop, while nothing here ever claims the
 converse for higher degrees (homological connectivity can overshoot the
 homotopical one, and reports are flagged accordingly).
+``homology_pass`` derives all of it from one face table and one set of
+boundary SNFs; the other entry points are views of it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ class ConnectivityCertificate:
     flags: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class HomologyPass:
+    """Reduced homology in degrees 0..cap, the conn = 0 certificate, and the
+    homological connectivity through cap, from one pass over a complex."""
+
+    profile: tuple[HomologyGroup, ...]
+    certificate: ConnectivityCertificate
+    homological_connectivity: int | str
+
+
 class UnionFind:
     def __init__(self, items) -> None:
         self.parent = {x: x for x in items}
@@ -96,52 +108,12 @@ def boundary_matrix(table: FaceTable, i: int) -> IntegerMatrix:
     return IntegerMatrix.from_entries(len(lower), len(upper), entries)
 
 
-def _boundary_snfs(table: FaceTable, top: int) -> list[SnfResult]:
-    """SNF of every boundary operator up to degree ``top`` (1-indexed entry
-    i holds the SNF of the degree-i boundary)."""
-    snfs: list[SnfResult] = [SnfResult((), 0)]  # placeholder for degree 0
-    for i in range(1, top + 1):
-        if len(table.faces_of_dim(i)) == 0:
-            snfs.append(SnfResult((), 0))
-        else:
-            snfs.append(smith_normal_form(boundary_matrix(table, i)))
-    return snfs
-
-
-def homology_profile(
-    c: SimplicialComplex,
-    max_dim: int,
-    limit: int = DEFAULT_FACE_BUDGET,
-    table: FaceTable | None = None,
-) -> tuple[HomologyGroup, ...]:
-    """Reduced homology in degrees 0..max_dim.
-
-    betti_i = #(i-faces) - rank(boundary_i) - rank(boundary_{i+1}), with the
-    augmentation map standing in for the degree-0 boundary; torsion in
-    degree i comes from the invariant factors of boundary_{i+1}."""
-    if max_dim < 0:
-        raise ParameterError(f"max_dim must be >= 0, got {max_dim}")
-    if table is None or table.max_dim < max_dim + 1:
-        table = faces_up_to(c, max_dim + 1, limit)
-    counts = [len(table.faces_of_dim(i)) for i in range(max_dim + 2)]
-    snfs = _boundary_snfs(table, max_dim + 1)
-    rank_aug = 1 if counts[0] else 0
-    groups = []
-    for i in range(max_dim + 1):
-        lower_rank = rank_aug if i == 0 else snfs[i].rank
-        upper = snfs[i + 1]
-        groups.append(
-            HomologyGroup(i, counts[i] - lower_rank - upper.rank, upper.torsion)
-        )
-    return tuple(groups)
-
-
-def reduced_homology(
-    c: SimplicialComplex, i: int, limit: int = DEFAULT_FACE_BUDGET
-) -> HomologyGroup:
-    if i < 0:
-        raise ParameterError(f"homology degree must be >= 0, got {i}")
-    return homology_profile(c, i, limit)[i]
+def graph_boundary_snf(vertices: int, components: int) -> SnfResult:
+    """SNF of the degree-1 boundary, read off the 1-skeleton: that matrix is
+    the incidence matrix of a graph, which is totally unimodular, so its
+    rank is #vertices - #components and every invariant factor is 1."""
+    rank = vertices - components
+    return SnfResult((1,) * rank, rank)
 
 
 def skeleton_components(table: FaceTable) -> int:
@@ -153,47 +125,92 @@ def skeleton_components(table: FaceTable) -> int:
     return uf.count
 
 
-def certify_conn_zero(
-    c: SimplicialComplex, limit: int = DEFAULT_FACE_BUDGET
-) -> ConnectivityCertificate:
-    """Certify conn = 0 for the complex's realization.
+_EMPTY_CERTIFICATE = ConnectivityCertificate(
+    False, False, HomologyGroup(1, 0, ()), False, EMPTY_SENTINEL, (FLAG_EMPTY,)
+)
 
-    Connectedness is established by union-find over the 1-skeleton and the
-    nontrivial loop by H_1 != 0 (the abelianization shadow of a nontrivial
-    fundamental group)."""
-    zero_h1 = HomologyGroup(1, 0, ())
+
+def homology_pass(
+    c: SimplicialComplex, cap: int, limit: int = DEFAULT_FACE_BUDGET
+) -> HomologyPass:
+    """Reduced homology in degrees 0..cap, the conn = 0 certificate and the
+    homological connectivity, from faces through dimension max(cap, 1) + 1.
+
+    betti_i = #(i-faces) - rank(boundary_i) - rank(boundary_{i+1}), with the
+    augmentation map standing in for the degree-0 boundary; torsion in
+    degree i comes from the invariant factors of boundary_{i+1}.  Union-find
+    over the 1-skeleton gives the degree-1 SNF (``graph_boundary_snf``) and
+    connectedness; the higher boundaries go through ``smith_normal_form``.
+    The certificate's nontrivial loop is H_1 != 0 (the abelianization shadow
+    of a nontrivial fundamental group)."""
+    if cap < 0:
+        raise ParameterError(f"cap must be >= 0, got {cap}")
     if c.is_empty():
-        return ConnectivityCertificate(
-            nonempty=False,
-            connected=False,
-            h1=zero_h1,
-            certified_conn_zero=False,
-            homological_connectivity=EMPTY_SENTINEL,
-            flags=(FLAG_EMPTY,),
+        trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
+        return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
+    top = max(cap, 1)
+    table = faces_up_to(c, top + 1, limit)
+    counts = [len(table.faces_of_dim(i)) for i in range(top + 2)]
+    components = skeleton_components(table)
+    # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0
+    snfs = [SnfResult((1,), 1), graph_boundary_snf(counts[0], components)]
+    for i in range(2, top + 2):
+        if counts[i]:
+            snfs.append(smith_normal_form(boundary_matrix(table, i)))
+        else:
+            snfs.append(SnfResult((), 0))
+    groups = tuple(
+        HomologyGroup(
+            i, counts[i] - snfs[i].rank - snfs[i + 1].rank, snfs[i + 1].torsion
         )
-    table = faces_up_to(c, 2, limit)
-    connected = skeleton_components(table) == 1
-    h1 = homology_profile(c, 1, limit, table=table)[1]
-    certified = connected and not h1.is_trivial()
-    if certified:
-        conn: int | str = 0
-        flags: tuple[str, ...] = ()
-    elif not connected:
-        conn = -1
-        flags = (FLAG_NO_CERTIFICATE,)
-    else:
+        for i in range(top + 1)
+    )
+    connected = components == 1
+    h1 = groups[1]
+    if not connected:
+        conn, flags = -1, (FLAG_NO_CERTIFICATE,)
+    elif h1.is_trivial():
         # connected with trivial H_1: every reduced group vanishes through
         # degree 1, so homologically conn >= 1; homotopically unknown
-        conn = ">=1"
-        flags = (FLAG_NO_CERTIFICATE, FLAG_HOMOLOGICAL_ONLY)
-    return ConnectivityCertificate(
+        conn, flags = ">=1", (FLAG_NO_CERTIFICATE, FLAG_HOMOLOGICAL_ONLY)
+    else:
+        conn, flags = 0, ()
+    certificate = ConnectivityCertificate(
         nonempty=True,
         connected=connected,
         h1=h1,
-        certified_conn_zero=certified,
+        certified_conn_zero=conn == 0,
         homological_connectivity=conn,
         flags=flags,
     )
+    profile = groups[: cap + 1]
+    hom_conn = next(
+        (g.dimension - 1 for g in profile if not g.is_trivial()), f">={cap}"
+    )
+    return HomologyPass(profile, certificate, hom_conn)
+
+
+def homology_profile(
+    c: SimplicialComplex, max_dim: int, limit: int = DEFAULT_FACE_BUDGET
+) -> tuple[HomologyGroup, ...]:
+    """Reduced homology in degrees 0..max_dim (trivial groups for the empty
+    complex)."""
+    return homology_pass(c, max_dim, limit).profile
+
+
+def reduced_homology(
+    c: SimplicialComplex, i: int, limit: int = DEFAULT_FACE_BUDGET
+) -> HomologyGroup:
+    if i < 0:
+        raise ParameterError(f"homology degree must be >= 0, got {i}")
+    return homology_profile(c, i, limit)[i]
+
+
+def certify_conn_zero(
+    c: SimplicialComplex, limit: int = DEFAULT_FACE_BUDGET
+) -> ConnectivityCertificate:
+    """Certify conn = 0 for the complex's realization."""
+    return homology_pass(c, 1, limit).certificate
 
 
 def homological_connectivity(
@@ -202,11 +219,4 @@ def homological_connectivity(
     """(min degree i <= cap with nonvanishing reduced homology) - 1, or
     ">=cap" when all degrees through cap vanish; the empty complex reports
     the -2 sentinel."""
-    if cap < 0:
-        raise ParameterError(f"cap must be >= 0, got {cap}")
-    if c.is_empty():
-        return EMPTY_SENTINEL
-    for group in homology_profile(c, cap, limit):
-        if not group.is_trivial():
-            return group.dimension - 1
-    return f">={cap}"
+    return homology_pass(c, cap, limit).homological_connectivity

@@ -32,11 +32,11 @@ from .graphs import (
     is_connected,
 )
 from .homology import (
-    EMPTY_SENTINEL,
     FLAG_NO_CERTIFICATE,
     ConnectivityCertificate,
     HomologyGroup,
     certify_conn_zero,
+    homology_pass,
     homology_profile,
 )
 from .invariants import (
@@ -91,7 +91,7 @@ def verify_wedge_decomposition(
     _require_wedge_hypotheses(spec.h, "first")
     _require_wedge_hypotheses(spec.k, "second")
     built = build_gadget(spec)
-    gadget_profile = homology_profile(neighborhood_complex(built.graph), cap, limit)
+    gadget = homology_pass(neighborhood_complex(built.graph), cap, limit)
     first_profile = homology_profile(neighborhood_complex(spec.h), cap, limit)
     second_profile = homology_profile(neighborhood_complex(spec.k), cap, limit)
     rows = []
@@ -104,23 +104,22 @@ def verify_wedge_decomposition(
         expected_torsion = tuple(
             sorted(first_profile[i].torsion + second_profile[i].torsion)
         )
-        gadget_torsion = tuple(sorted(gadget_profile[i].torsion))
+        gadget_torsion = tuple(sorted(gadget.profile[i].torsion))
         rows.append(
             WedgeCheckRow(
                 dim=i,
-                gadget_betti=gadget_profile[i].betti,
+                gadget_betti=gadget.profile[i].betti,
                 first_betti=first_profile[i].betti,
                 second_betti=second_profile[i].betti,
                 expected_betti=expected_betti,
-                betti_ok=gadget_profile[i].betti == expected_betti,
+                betti_ok=gadget.profile[i].betti == expected_betti,
                 gadget_torsion=gadget_torsion,
                 expected_torsion=expected_torsion,
                 torsion_ok=gadget_torsion == expected_torsion,
             )
         )
-    certificate = certify_conn_zero(neighborhood_complex(built.graph), limit)
-    passed = all(r.ok for r in rows) and certificate.certified_conn_zero
-    return WedgeCheckReport(tuple(rows), certificate, built.graph, passed)
+    passed = all(r.ok for r in rows) and gadget.certificate.certified_conn_zero
+    return WedgeCheckReport(tuple(rows), gadget.certificate, built.graph, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +169,19 @@ def compare_bounds(
     """Compute every invariant and the connectivity certificate; report
     only, never assert."""
     nc = neighborhood_complex(g)
-    certificate = certify_conn_zero(nc, limit)
-    if nc.is_empty():
-        homology: tuple[HomologyGroup, ...] = ()
-        hom_conn: int | str = EMPTY_SENTINEL
-    else:
-        homology = homology_profile(nc, cap, limit)
-        hom_conn = f">={cap}"
-        for group in homology:
-            if not group.is_trivial():
-                hom_conn = group.dimension - 1
-                break
+    topology = homology_pass(nc, cap, limit)
     chi, coloring = chromatic_number(g)
     omega, clique = max_clique(g)
     upper, _ = greedy_dsatur_bound(g)
     report = BoundReport(
         chi=chi,
         omega=omega,
-        lovasz_certified=certified_bound(certificate),
+        lovasz_certified=certified_bound(topology.certificate),
         greedy_upper=upper,
-        flags=certificate.flags,
-        homology=homology,
-        certificate=certificate,
-        homological_connectivity=hom_conn,
+        flags=topology.certificate.flags,
+        homology=() if nc.is_empty() else topology.profile,
+        certificate=topology.certificate,
+        homological_connectivity=topology.homological_connectivity,
         coloring=coloring,
         clique=clique,
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -217,3 +218,67 @@ def test_suite_reports_byte_identical(tmp_path):
     assert main(["verify", "suite", "--seed", "0", "--json", str(a)]) == 0
     assert main(["verify", "suite", "--seed", "0", "--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `verify suite --seed 0 --json FILE`; a change to any report byte
+# must update this digest and say why
+SUITE_SEED0_SHA256 = "53115b4ea42419c972af1bd1d3b402fc262b3082bb638ff70c399b99b1ef36b9"
+
+
+def test_suite_report_matches_pinned_digest(tmp_path):
+    path = tmp_path / "suite.json"
+    assert main(["verify", "suite", "--seed", "0", "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_SEED0_SHA256
+
+
+@pytest.fixture
+def graph_files(tmp_path):
+    paths = {}
+    for name, g in (("k3", complete_graph(3)), ("c5", cycle_graph(5))):
+        paths[name] = tmp_path / f"{name}.col"
+        write_graph(g, str(paths[name]))
+    paths["facets"] = tmp_path / "n_c5.facets"
+    assert main(["ncomplex", str(paths["c5"]), "-o", str(paths["facets"])]) == 0
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize(
+    "argv,human,key,value",
+    [
+        (["chromatic", "{k3}"], "chi=3", "chi", 3),
+        (["clique", "{c5}"], "omega=2", "omega", 2),
+        (["homology", "--complex", "{facets}", "--max-dim", "1"], "H~1: betti=1", "case", None),
+        (["bounds", "{c5}"], "lovasz_certified=3", "chi", 3),
+        (["verify", "theorem2", "--h", "{k3}", "--k", "{c5}"], "pass", "pass", True),
+        (["verify", "corollary", "--l", "1", "--m", "2", "--p", "2", "--q", "3"],
+         "pass chi=3", "pass", True),
+        (["verify", "suite", "--seed", "0"], "suite: 28/28", "pass", True),
+    ],
+)
+def test_json_to_stdout_is_one_document(graph_files, capsys, argv, human, key, value):
+    argv = [arg.format(**graph_files) for arg in argv] + ["--json", "-"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert key in payload
+    if value is not None:
+        assert payload[key] == value
+    assert human in captured.err
+
+
+def test_homology_json_uses_dim(graph_files, tmp_path):
+    report = tmp_path / "h.json"
+    argv = ["homology", "--complex", graph_files["facets"], "--max-dim", "2",
+            "--json", str(report)]
+    assert main(argv) == 0
+    payload = json.loads(report.read_text())
+    assert [g["dim"] for g in payload["homology"]] == [0, 1, 2]
+    assert [g["betti"] for g in payload["homology"]] == [0, 1, 0]
+    assert payload["certificate"]["certified_conn_zero"] is True
+
+
+def test_bounds_max_dim_zero_lists_one_degree(graph_files, capsys):
+    assert main(["bounds", graph_files["c5"], "--max-dim", "0", "--json", "-"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [g["dim"] for g in payload["homology"]] == [0]
+    assert payload["lovasz"]["value"] == 3

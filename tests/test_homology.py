@@ -18,11 +18,21 @@ from lovaszgap import (
     euler_characteristic,
     faces_up_to,
     homological_connectivity,
+    homology_pass,
     homology_profile,
     neighborhood_complex,
     reduced_homology,
+    smith_normal_form,
 )
-from lovaszgap.homology import EMPTY_SENTINEL, FLAG_HOMOLOGICAL_ONLY, FLAG_NO_CERTIFICATE
+from lovaszgap.homology import (
+    EMPTY_SENTINEL,
+    FLAG_EMPTY,
+    FLAG_HOMOLOGICAL_ONLY,
+    FLAG_NO_CERTIFICATE,
+    HomologyGroup,
+    graph_boundary_snf,
+    skeleton_components,
+)
 
 from oracles import is_zero_matrix, mat_mult
 from test_complexes import complexes
@@ -203,3 +213,108 @@ def test_certificate_invariant(corpus):
         if cert.certified_conn_zero:
             assert cert.nonempty and cert.connected, name
             assert not cert.h1.is_trivial(), name
+
+
+# ---------------------------------------------------------------------------
+# the one-pass fast path against a reference that takes every boundary's SNF
+
+
+def reference_pass(c, cap):
+    """Profile, (connected, h1) and homological connectivity with the exact
+    SNF of every boundary, degree 1 included; connectedness is read off
+    reduced H_0 rather than union-find."""
+    top = max(cap, 1)
+    table = faces_up_to(c, top + 1)
+    counts = [len(table.faces_of_dim(i)) for i in range(top + 2)]
+    ranks = [1 if counts[0] else 0]
+    torsion = []
+    for i in range(1, top + 2):
+        snf = smith_normal_form(boundary_matrix(table, i))
+        ranks.append(snf.rank)
+        torsion.append(snf.torsion)
+    groups = [
+        HomologyGroup(i, counts[i] - ranks[i] - ranks[i + 1], torsion[i])
+        for i in range(top + 1)
+    ]
+    profile = tuple(groups[: cap + 1])
+    if c.is_empty():
+        return profile, (False, groups[1]), EMPTY_SENTINEL
+    nontrivial = [g.dimension - 1 for g in profile if not g.is_trivial()]
+    hom_conn = nontrivial[0] if nontrivial else f">={cap}"
+    return profile, (groups[0].is_trivial(), groups[1]), hom_conn
+
+
+def assert_pass_matches_reference(c, cap):
+    result = homology_pass(c, cap)
+    profile, (connected, h1), hom_conn = reference_pass(c, cap)
+    assert result.profile == profile
+    assert result.homological_connectivity == hom_conn
+    cert = result.certificate
+    assert (cert.nonempty, cert.connected, cert.h1) == (not c.is_empty(), connected, h1)
+    assert cert.certified_conn_zero == (connected and not h1.is_trivial())
+    if c.is_empty():
+        assert cert.flags == (FLAG_EMPTY,)
+    elif cert.certified_conn_zero:
+        assert (cert.homological_connectivity, cert.flags) == (0, ())
+    elif not connected:
+        assert (cert.homological_connectivity, cert.flags) == (-1, (FLAG_NO_CERTIFICATE,))
+    else:
+        assert cert.homological_connectivity == ">=1"
+        assert cert.flags == (FLAG_NO_CERTIFICATE, FLAG_HOMOLOGICAL_ONLY)
+    # the views agree with the pass
+    assert homology_profile(c, cap) == result.profile
+    assert certify_conn_zero(c) == homology_pass(c, 1).certificate
+    assert homological_connectivity(c, cap) == result.homological_connectivity
+
+
+def assert_union_find_rank_is_exact(c):
+    table = faces_up_to(c, 1)
+    exact = smith_normal_form(boundary_matrix(table, 1))
+    fast = graph_boundary_snf(len(table.faces_of_dim(0)), skeleton_components(table))
+    assert fast == exact
+    assert fast.invariant_factors == (1,) * fast.rank
+
+
+SMALL_COMPLEXES = {
+    "empty": SimplicialComplex.from_faces(3, []),
+    "point": SimplicialComplex.from_faces(1, [[0]]),
+    "two points": SimplicialComplex.from_faces(4, [[0], [3]]),
+    "point and circle": SimplicialComplex.from_faces(5, [[0], [1, 2], [2, 3], [1, 3]]),
+    "two circles": SimplicialComplex.from_faces(
+        6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
+    ),
+    "sphere and disk": SimplicialComplex.from_faces(
+        7, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [4, 5, 6]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_COMPLEXES))
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_pass_matches_reference_on_small_complexes(name, cap):
+    c = SMALL_COMPLEXES[name]
+    assert_union_find_rank_is_exact(c)
+    assert_pass_matches_reference(c, cap)
+
+
+def test_pass_rejects_negative_cap():
+    with pytest.raises(ParameterError):
+        homology_pass(SMALL_COMPLEXES["point"], -1)
+
+
+@given(complexes(), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_pass_matches_reference_on_random_complexes(c, cap):
+    assert_union_find_rank_is_exact(c)
+    assert_pass_matches_reference(c, cap)
+
+
+def test_pass_matches_reference_on_corpus(corpus):
+    for name, g in corpus.items():
+        c = neighborhood_complex(g)
+        assert_union_find_rank_is_exact(c)
+        if g.n <= 15:
+            for cap in (0, 1, 2):
+                assert_pass_matches_reference(c, cap)
+        else:
+            assert_pass_matches_reference(c, 1)
