@@ -92,6 +92,10 @@ def _cmd_construct(args) -> int:
         g = builders[family]()
         _write_graph_output(g, args.output)
         return EXIT_OK
+    if args.json == "-" and args.output in (None, "-"):
+        raise ParameterError(
+            "--json - needs -o FILE: the graph would share stdout with the JSON"
+        )
     if family == "gadget":
         spec = GadgetSpec(
             h=dimacs.read_graph(args.h), x=args.x, k=dimacs.read_graph(args.k), y=args.y

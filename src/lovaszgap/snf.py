@@ -1,14 +1,18 @@
 """Exact Smith normal form over the integers.
 
-Two elimination paths compute the same invariant factors:
+Invariant factors come from one sparse elimination with a dense residual:
 
-* a dense classical elimination (minimum-absolute-value pivot, Euclidean
-  row/column reduction, divisibility sweep) that can also track the
-  unimodular transforms U, V with U*M*V = diag(d_1..d_r);
-* a sparse fast path for the large, very sparse boundary matrices from
-  simplicial homology: entries of absolute value 1 are pivoted first,
-  picked by least Markowitz fill, and only the (typically tiny) residual
-  goes through the dense routine.
+* unit pivots first: the shortest live column that holds an entry of
+  absolute value 1 is eliminated on that entry, taking the shortest such
+  row (lowest row id on ties); a column without one waits until a later
+  pivot changes it;
+* whatever is left has no entry of absolute value 1 and is finished by a
+  dense classical elimination (minimum-absolute-value pivot, Euclidean
+  row/column reduction, divisibility sweep).
+
+Only the dense routine tracks the unimodular transforms U, V with
+U*M*V = diag(d_1..d_r), so ``want_transforms`` sends the whole matrix
+there.
 
 Everything is plain Python ints, so intermediate growth is exact.
 """
@@ -17,9 +21,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
-DENSE_CUTOFF = 4096  # rows*cols at or below this always uses the dense path
-
 
 @dataclass(frozen=True)
 class IntegerMatrix:
@@ -78,8 +79,8 @@ class SnfResult:
 
 
 def smith_normal_form(m: IntegerMatrix, want_transforms: bool = False) -> SnfResult:
-    if want_transforms or m.rows * m.cols <= DENSE_CUTOFF:
-        return _dense_snf(m, want_transforms)
+    if want_transforms:
+        return _dense_snf(m, track=True)
     return _sparse_snf(m)
 
 
@@ -214,40 +215,30 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
         rows.setdefault(r, {})[c] = val
         cols.setdefault(c, set()).add(r)
 
-    # lazy min-heap of (markowitz cost, row, col) over entries of value +-1;
-    # stale entries are revalidated on pop, so pivot choice is deterministic
-    heap: list[tuple[int, int, int]] = []
-
-    def cost(r: int, c: int) -> int:
-        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
-
-    for r, c, val in m.entries:
-        if val in (1, -1):
-            heap.append((cost(r, c), r, c))
+    # lazy min-heap of (column length, column): an entry whose length is out
+    # of date was pushed again when its column changed, so it is dropped
+    heap = [(len(col), c) for c, col in cols.items()]
     heapq.heapify(heap)
 
     unit_pivots = 0
     while heap:
-        popped_cost, r, c = heapq.heappop(heap)
-        row = rows.get(r)
-        if row is None:
+        length, c = heapq.heappop(heap)
+        col = cols.get(c)
+        if col is None or len(col) != length:
             continue
-        val = row.get(c)
-        if val not in (1, -1):
-            continue
-        current = cost(r, c)
-        if current != popped_cost:
-            heapq.heappush(heap, (current, r, c))
-            continue
+        units = [(len(rows[r]), r) for r in col if rows[r][c] in (1, -1)]
+        if not units:
+            continue  # comes back only if a later pivot changes the column
+        r = min(units)[1]
 
         unit_pivots += 1
         piv_row = rows.pop(r)
         p = piv_row.pop(c)
-        cols[c].discard(r)
+        col.discard(r)
         for c2 in piv_row:
             cols[c2].discard(r)
-        touched = sorted(cols.pop(c, ()))
-        for r2 in touched:
+        del cols[c]
+        for r2 in col:
             row2 = rows[r2]
             q = row2.pop(c) * p  # multiplier so that column c of r2 vanishes
             for c2, val2 in piv_row.items():
@@ -259,10 +250,10 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
                 else:
                     row2[c2] = new
                     cols[c2].add(r2)
-                    if new in (1, -1):
-                        heapq.heappush(heap, (cost(r2, c2), r2, c2))
             if not row2:
                 del rows[r2]
+        for c2 in piv_row:
+            heapq.heappush(heap, (len(cols[c2]), c2))
 
     if not rows:
         return SnfResult((1,) * unit_pivots, unit_pivots)

@@ -91,6 +91,33 @@ def test_construct_corollary_with_witnesses(tmp_path):
     assert read_graph(str(out)).n == 25
 
 
+@pytest.mark.parametrize("output", [[], ["-o", "-"]])
+def test_construct_json_to_stdout_needs_graph_file(output, capsys):
+    argv = ["construct", "corollary", "--l", "1", "--m", "2", "--p", "2", "--q", "3"]
+    assert main(argv + output + ["--json", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:parameter:")
+    assert captured.err.count("\n") == 1
+
+
+def test_construct_json_to_stdout_with_graph_file(tmp_path, capsys):
+    base = tmp_path / "k3.col"
+    assert main(["construct", "complete", "--p", "3", "-o", str(base)]) == 0
+    gadget = tmp_path / "gadget.col"
+    argv = ["construct", "gadget", "--h", str(base), "--k", str(base),
+            "-o", str(gadget), "--json", "-"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["z"] == 6
+    assert read_graph(str(gadget)).n == 7
+    corollary = tmp_path / "sep.col"
+    argv = ["construct", "corollary", "--l", "1", "--m", "2", "--p", "2", "--q", "3",
+            "-o", str(corollary), "--json", "-"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["clique"] == [0, 1]
+    assert read_graph(str(corollary)).n == 21
+
+
 def test_ncomplex_and_homology(tmp_path, capsys):
     graph = tmp_path / "c4.col"
     facets = tmp_path / "n_c4.facets"

@@ -20,6 +20,7 @@ from lovaszgap import (
     homological_connectivity,
     homology_pass,
     homology_profile,
+    kneser_graph,
     neighborhood_complex,
     reduced_homology,
     smith_normal_form,
@@ -115,6 +116,29 @@ def test_nc4_two_components():
 def test_nk4_is_a_two_sphere():
     profile = homology_profile(neighborhood_complex(complete_graph(4)), 2)
     assert [(g.betti, g.torsion) for g in profile] == [(0, ()), (0, ()), (1, ())]
+
+
+def test_projective_plane_has_two_torsion():
+    # the 6-vertex triangulation of RP^2: H~_1 = Z/2 is torsion, not betti
+    rp2 = SimplicialComplex.from_faces(
+        6,
+        [
+            [0, 1, 3], [0, 1, 5], [0, 2, 4], [0, 2, 5], [0, 3, 4],
+            [1, 2, 3], [1, 2, 4], [1, 4, 5], [2, 3, 5], [3, 4, 5],
+        ],
+    )
+    profile = homology_profile(rp2, 2)
+    assert [(g.betti, g.torsion) for g in profile] == [(0, ()), (0, (2,)), (0, ())]
+
+
+@pytest.mark.parametrize("n, k, cap, top_betti", [(7, 2, 3, 29), (8, 3, 2, 181)])
+def test_kneser_complex_profiles(n, k, cap, top_betti):
+    # N(KG(n,k)) is (n-2k-1)-connected (Lovasz), so homology vanishes below
+    # the cap; the top Betti numbers are the pinned values
+    profile = homology_profile(neighborhood_complex(kneser_graph(n, k)), cap)
+    assert [(g.betti, g.torsion) for g in profile] == [(0, ())] * cap + [
+        (top_betti, ())
+    ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -71,7 +71,6 @@ def test_transform_witnesses(dense):
 
 
 def test_sparse_and_dense_paths_agree():
-    # force the sparse path with a matrix above the dense cutoff
     import lovaszgap.snf as snf
 
     dense = [[0] * 80 for _ in range(70)]
@@ -82,11 +81,79 @@ def test_sparse_and_dense_paths_agree():
     for r, c, v in entries:
         dense[r][c] = v
     m = IntegerMatrix.from_dense(dense)
-    assert m.rows * m.cols > snf.DENSE_CUTOFF
-    via_sparse = smith_normal_form(m)
+    via_sparse = snf._sparse_snf(m)
     via_dense = snf._dense_snf(m, track=False)
     assert via_sparse.invariant_factors == via_dense.invariant_factors
     assert via_sparse.rank == via_dense.rank
+
+
+@st.composite
+def sparse_unit_matrices(draw, max_dim: int = 25):
+    """Sparse matrices, mostly +-1 with a few entries in {+-2, 3}, so that
+    unit pivots run out on some columns and leave a non-unit residual."""
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    values = st.sampled_from((1, -1, 1, -1, 1, -1, 2, -2, 3))
+    entries = draw(st.dictionaries(cells, values, max_size=2 * (rows + cols)))
+    return IntegerMatrix.from_entries(
+        rows, cols, ((r, c, v) for (r, c), v in entries.items())
+    )
+
+
+@given(sparse_unit_matrices())
+@settings(max_examples=400, deadline=None)
+def test_unit_pivot_rule_matches_dense(m):
+    import lovaszgap.snf as snf
+
+    via_sparse = snf._sparse_snf(m)
+    via_dense = snf._dense_snf(m, track=False)
+    assert via_sparse.invariant_factors == via_dense.invariant_factors
+    assert via_sparse.rank == via_dense.rank
+
+
+def _record_dense_residuals(monkeypatch) -> list:
+    import lovaszgap.snf as snf
+
+    residuals = []
+    dense_snf = snf._dense_snf
+
+    def recording_dense_snf(m, track):
+        residuals.append(m.to_dense())
+        return dense_snf(m, track)
+
+    monkeypatch.setattr(snf, "_dense_snf", recording_dense_snf)
+    return residuals
+
+
+def test_unit_pivots_run_out_into_torsion_residual(monkeypatch):
+    # an identity block eliminates by unit pivots; the [[2, 4], [6, 8]] block
+    # has no unit entry and is left for the dense residual
+    import lovaszgap.snf as snf
+
+    dense = [[0] * 5 for _ in range(5)]
+    for i in range(3):
+        dense[i][i] = 1
+    dense[3][3], dense[3][4], dense[4][3], dense[4][4] = 2, 4, 6, 8
+    dense[0][3] = -1  # couples the blocks without adding a unit to the residual
+    m = IntegerMatrix.from_dense(dense)
+    expected = snf._dense_snf(m, track=False)
+    residuals = _record_dense_residuals(monkeypatch)
+    result = snf._sparse_snf(m)
+    assert residuals == [[[2, 4], [6, 8]]]
+    assert result.invariant_factors == (1, 1, 1, 2, 4)
+    assert result == expected
+
+
+def test_skipped_column_returns_after_pivot(monkeypatch):
+    # column 0 is popped first and has no unit entry; pivoting column 1 on
+    # row 0 turns its 3 into 1, so it is eliminated without a dense residual
+    import lovaszgap.snf as snf
+
+    residuals = _record_dense_residuals(monkeypatch)
+    result = snf._sparse_snf(IntegerMatrix.from_dense([[2, 1], [3, 1]]))
+    assert residuals == []
+    assert result.invariant_factors == (1, 1)
 
 
 @given(small_matrices(max_dim=4))
