@@ -30,7 +30,6 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     connected_components,
-    construct_family,
     cycle_graph,
     is_bipartite,
     is_connected,

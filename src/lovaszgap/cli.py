@@ -17,16 +17,12 @@ from . import complexes, dimacs, verify
 from .complexes import DEFAULT_FACE_BUDGET
 from .errors import BudgetExceededError, ParameterError, ToolkitError
 from .graphs import (
+    FAMILIES,
     CorollaryParams,
     GadgetSpec,
     build_corollary_graph,
     build_gadget,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    kneser_graph,
     mycielskian,
-    triangle_free_chromatic,
 )
 from .homology import homology_pass
 from .invariants import chromatic_number, max_clique
@@ -79,18 +75,13 @@ def _timer(start: float, enabled: bool) -> int | None:
 
 
 def _cmd_construct(args) -> int:
-    builders = {
-        "complete": lambda: complete_graph(args.p),
-        "bipartite": lambda: complete_bipartite(args.l, args.m),
-        "cycle": lambda: cycle_graph(args.n),
-        "kneser": lambda: kneser_graph(args.n, args.k),
-        "mycielski": lambda: mycielskian(dimacs.read_graph(args.graph)),
-        "trianglefree": lambda: triangle_free_chromatic(args.q),
-    }
     family = args.family
-    if family in builders:
-        g = builders[family]()
-        _write_graph_output(g, args.output)
+    if family in FAMILIES:
+        build, params = FAMILIES[family]
+        _write_graph_output(build(*(getattr(args, p) for p in params)), args.output)
+        return EXIT_OK
+    if family == "mycielski":
+        _write_graph_output(mycielskian(dimacs.read_graph(args.graph)), args.output)
         return EXIT_OK
     if args.json == "-" and args.output in (None, "-"):
         raise ParameterError(
@@ -107,24 +98,23 @@ def _cmd_construct(args) -> int:
                 {"z": built.z, "x": built.x, "y": built.y}, args.json
             )
         return EXIT_OK
-    if family == "corollary":
-        built = build_corollary_graph(CorollaryParams(args.l, args.m, args.p, args.q))
-        _write_graph_output(built.graph, args.output)
-        if args.json is not None:
-            _dump_json(
-                {
-                    "biclique": {
-                        "left": list(built.biclique_left),
-                        "right": list(built.biclique_right),
-                    },
-                    "clique": list(built.clique),
-                    "designated": [built.s_first, built.s_second],
-                    "bridge": built.z,
+    # corollary
+    built = build_corollary_graph(CorollaryParams(args.l, args.m, args.p, args.q))
+    _write_graph_output(built.graph, args.output)
+    if args.json is not None:
+        _dump_json(
+            {
+                "biclique": {
+                    "left": list(built.biclique_left),
+                    "right": list(built.biclique_right),
                 },
-                args.json,
-            )
-        return EXIT_OK
-    raise ParameterError(f"unknown family {family!r}")
+                "clique": list(built.clique),
+                "designated": [built.s_first, built.s_second],
+                "bridge": built.z,
+            },
+            args.json,
+        )
+    return EXIT_OK
 
 
 def _cmd_ncomplex(args) -> int:
@@ -243,9 +233,7 @@ def _cmd_verify_corollary(args) -> int:
 
 
 def _cmd_verify_suite(args) -> int:
-    result = verify.run_suite(
-        seed=args.seed, full=args.full, limit=args.limit, jobs=args.jobs
-    )
+    result = verify.run_suite(seed=args.seed, full=args.full, limit=args.limit)
     json_path = args.json or "-"
     _dump_json(result, json_path)
     n = len(result["cases"])
@@ -282,16 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     construct = sub.add_parser("construct", help="build a graph and write DIMACS")
     csub = construct.add_subparsers(dest="family", required=True)
-    for name, flags in (
-        ("complete", (("--p", int),)),
-        ("bipartite", (("--l", int), ("--m", int))),
-        ("cycle", (("--n", int),)),
-        ("kneser", (("--n", int), ("--k", int))),
-        ("trianglefree", (("--q", int),)),
-    ):
+    for name, (_, params) in FAMILIES.items():
         p = csub.add_parser(name)
-        for flag, typ in flags:
-            p.add_argument(flag, type=typ, required=True)
+        for param in params:
+            p.add_argument(f"--{param}", type=int, required=True)
         p.add_argument("-o", "--output", metavar="FILE")
         p.set_defaults(func=_cmd_construct)
     p = csub.add_parser("mycielski")
@@ -364,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("suite", help="run the whole verification suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument(
         "--full",
         action="store_true",

@@ -9,6 +9,7 @@ composite.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -110,22 +111,6 @@ def kneser_graph(n: int, k: int) -> Graph:
     return Graph.from_edges(len(subsets), edges)
 
 
-def construct_family(family: str, **params: int) -> Graph:
-    """Dispatch helper mirroring the CLI's construct vocabulary."""
-    builders = {
-        "complete": lambda: complete_graph(params["p"]),
-        "complete_bipartite": lambda: complete_bipartite(params["l"], params["m"]),
-        "cycle": lambda: cycle_graph(params["n"]),
-        "kneser": lambda: kneser_graph(params["n"], params["k"]),
-    }
-    if family not in builders:
-        raise ParameterError(f"unknown family {family!r}")
-    try:
-        return builders[family]()
-    except KeyError as missing:
-        raise ParameterError(f"family {family!r} needs parameter {missing}")
-
-
 # ---------------------------------------------------------------------------
 # chromatic-number-raising constructions
 
@@ -156,6 +141,17 @@ def triangle_free_chromatic(q: int) -> Graph:
     for _ in range(q - 2):
         g = mycielskian(g)
     return g
+
+
+# CLI family name -> (builder, its integer parameters in call order); the
+# ``construct`` subcommands and their flags are made from this table
+FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "complete": (complete_graph, ("p",)),
+    "bipartite": (complete_bipartite, ("l", "m")),
+    "cycle": (cycle_graph, ("n",)),
+    "kneser": (kneser_graph, ("n", "k")),
+    "trianglefree": (triangle_free_chromatic, ("q",)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@ Invariant factors come from one sparse elimination with a dense residual:
   dense classical elimination (minimum-absolute-value pivot, Euclidean
   row/column reduction, divisibility sweep).
 
-Only the dense routine tracks the unimodular transforms U, V with
-U*M*V = diag(d_1..d_r), so ``want_transforms`` sends the whole matrix
-there.
+Only the invariant factors are computed; no unimodular transforms are kept.
 
 Everything is plain Python ints, so intermediate growth is exact.
 """
@@ -61,26 +59,17 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d_1 | d_2 | ... | d_r, all positive.
-
-    When transforms were requested, ``row_transform * M * col_transform``
-    equals the diagonal matrix of the factors and both transforms are
-    unimodular.
-    """
+    """Invariant factors d_1 | d_2 | ... | d_r, all positive, and the rank r."""
 
     invariant_factors: tuple[int, ...]
     rank: int
-    row_transform: tuple[tuple[int, ...], ...] | None = None
-    col_transform: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-def smith_normal_form(m: IntegerMatrix, want_transforms: bool = False) -> SnfResult:
-    if want_transforms:
-        return _dense_snf(m, track=True)
+def smith_normal_form(m: IntegerMatrix) -> SnfResult:
     return _sparse_snf(m)
 
 
@@ -88,27 +77,18 @@ def smith_normal_form(m: IntegerMatrix, want_transforms: bool = False) -> SnfRes
 # dense classical elimination
 
 
-def _dense_snf(m: IntegerMatrix, track: bool) -> SnfResult:
+def _dense_snf(m: IntegerMatrix) -> SnfResult:
     a = m.to_dense()
     nr, nc = m.rows, m.cols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)] if track else None
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)] if track else None
 
     def swap_rows(i: int, j: int) -> None:
-        if i == j:
-            return
         a[i], a[j] = a[j], a[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
         if i == j:
             return
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if track:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(dst: int, src: int, factor: int) -> None:
         # row[dst] += factor * row[src]
@@ -116,25 +96,11 @@ def _dense_snf(m: IntegerMatrix, track: bool) -> SnfResult:
         for j in range(nc):
             if srow[j]:
                 arow[j] += factor * srow[j]
-        if track:
-            urow, usrow = u[dst], u[src]
-            for j in range(nr):
-                if usrow[j]:
-                    urow[j] += factor * usrow[j]
 
     def add_col(dst: int, src: int, factor: int) -> None:
         for row in a:
             if row[src]:
                 row[dst] += factor * row[src]
-        if track:
-            for row in v:
-                if row[src]:
-                    row[dst] += factor * row[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < nr and t < nc:
@@ -191,17 +157,9 @@ def _dense_snf(m: IntegerMatrix, track: bool) -> SnfResult:
                 continue
             break
 
-        if a[t][t] < 0:
-            negate_row(t)
         t += 1
 
-    factors = tuple(a[i][i] for i in range(t))
-    return SnfResult(
-        invariant_factors=factors,
-        rank=t,
-        row_transform=tuple(tuple(row) for row in u) if track else None,
-        col_transform=tuple(tuple(row) for row in v) if track else None,
-    )
+    return SnfResult(tuple(abs(a[i][i]) for i in range(t)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +224,7 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
     for i, r in enumerate(row_ids):
         for c, val in rows[r].items():
             dense[i][col_pos[c]] = val
-    rest = _dense_snf(IntegerMatrix.from_dense(dense), track=False)
+    rest = _dense_snf(IntegerMatrix.from_dense(dense))
     return SnfResult(
         (1,) * unit_pivots + rest.invariant_factors,
         unit_pivots + rest.rank,

@@ -12,9 +12,7 @@ present, and the certified topological bound is stuck at 3.
 
 from __future__ import annotations
 
-import functools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import DEFAULT_FACE_BUDGET, neighborhood_complex
@@ -279,116 +277,124 @@ def _lovasz_json(certificate: ConnectivityCertificate) -> dict:
     }
 
 
+def _report_json(
+    case: str,
+    params: dict,
+    g: Graph,
+    certificate: ConnectivityCertificate,
+    homology,
+    witnesses: dict,
+    passed: bool,
+    wall_time_ms: int | None,
+    *,
+    chi: int | None = None,
+    omega: int | None = None,
+) -> dict:
+    """The fields every report carries; ``witnesses`` gains the
+    connectivity certificate."""
+    return {
+        "case": case,
+        "params": params,
+        "graph_stats": {"n": g.n, "m": g.m},
+        "chi": chi,
+        "omega": omega,
+        "lovasz": _lovasz_json(certificate),
+        "homology": _homology_json(homology),
+        "witnesses": dict(witnesses, certificate=_certificate_json(certificate)),
+        "pass": passed,
+        "wall_time_ms": wall_time_ms,
+    }
+
+
 def wedge_report_json(
     case: str, spec_names: dict, report: WedgeCheckReport, wall_time_ms: int | None = None
 ) -> dict:
-    g = report.gadget_graph
-    return {
-        "case": case,
-        "params": spec_names,
-        "graph_stats": {"n": g.n, "m": g.m},
-        "chi": None,
-        "omega": None,
-        "lovasz": _lovasz_json(report.certificate),
-        "homology": [
-            {
-                "dim": r.dim,
-                "betti": r.gadget_betti,
-                "torsion": [str(t) for t in r.gadget_torsion],
-            }
-            for r in report.rows
-        ],
-        "witnesses": {
-            "wedge": [
-                {
-                    "dim": r.dim,
-                    "gadget_betti": r.gadget_betti,
-                    "first_betti": r.first_betti,
-                    "second_betti": r.second_betti,
-                    "expected_betti": r.expected_betti,
-                    "expected_torsion": [str(t) for t in r.expected_torsion],
-                    "ok": r.ok,
-                }
-                for r in report.rows
-            ],
-            "certificate": _certificate_json(report.certificate),
-        },
-        "pass": report.passed,
-        "wall_time_ms": wall_time_ms,
-    }
+    rows = report.rows
+    wedge = [
+        {
+            "dim": r.dim,
+            "gadget_betti": r.gadget_betti,
+            "first_betti": r.first_betti,
+            "second_betti": r.second_betti,
+            "expected_betti": r.expected_betti,
+            "expected_torsion": [str(t) for t in r.expected_torsion],
+            "ok": r.ok,
+        }
+        for r in rows
+    ]
+    return _report_json(
+        case,
+        spec_names,
+        report.gadget_graph,
+        report.certificate,
+        [HomologyGroup(r.dim, r.gadget_betti, r.gadget_torsion) for r in rows],
+        {"wedge": wedge},
+        report.passed,
+        wall_time_ms,
+    )
 
 
 def corollary_report_json(
     report: CorollaryReport, wall_time_ms: int | None = None
 ) -> dict:
     p = report.params
-    g = report.built.graph
-    return {
-        "case": f"corollary(l={p.l},m={p.m},p={p.p},q={p.q})",
-        "params": {"l": p.l, "m": p.m, "p": p.p, "q": p.q},
-        "graph_stats": {"n": g.n, "m": g.m},
-        "chi": report.bound.chi,
-        "omega": report.bound.omega,
-        "lovasz": _lovasz_json(report.bound.certificate),
-        "homology": _homology_json(report.bound.homology),
-        "witnesses": {
-            "coloring": list(report.bound.coloring.assignment),
-            "clique": list(report.bound.clique.vertices),
+    built = report.built
+    bound = report.bound
+    payload = _report_json(
+        f"corollary(l={p.l},m={p.m},p={p.p},q={p.q})",
+        {"l": p.l, "m": p.m, "p": p.p, "q": p.q},
+        built.graph,
+        bound.certificate,
+        bound.homology,
+        {
+            "coloring": list(bound.coloring.assignment),
+            "clique": list(bound.clique.vertices),
             "biclique": {
-                "left": list(report.built.biclique_left),
-                "right": list(report.built.biclique_right),
+                "left": list(built.biclique_left),
+                "right": list(built.biclique_right),
             },
-            "designated": [report.built.s_first, report.built.s_second],
-            "bridge": report.built.z,
-            "certificate": _certificate_json(report.bound.certificate),
+            "designated": [built.s_first, built.s_second],
+            "bridge": built.z,
         },
-        "clauses": [
-            {
-                "clause": c.name,
-                "expected": c.expected,
-                "actual": c.actual,
-                "ok": c.ok,
-            }
-            for c in report.clauses
-        ],
-        "pass": report.passed,
-        "wall_time_ms": wall_time_ms,
-    }
+        report.passed,
+        wall_time_ms,
+        chi=bound.chi,
+        omega=bound.omega,
+    )
+    payload["clauses"] = [
+        {"clause": c.name, "expected": c.expected, "actual": c.actual, "ok": c.ok}
+        for c in report.clauses
+    ]
+    return payload
 
 
 def bounds_report_json(
     case: str, g: Graph, report: BoundReport, wall_time_ms: int | None = None
 ) -> dict:
-    return {
-        "case": case,
-        "params": {},
-        "graph_stats": {"n": g.n, "m": g.m},
-        "chi": report.chi,
-        "omega": report.omega,
-        "lovasz": _lovasz_json(report.certificate),
-        "homology": _homology_json(report.homology),
-        "witnesses": {
+    return _report_json(
+        case,
+        {},
+        g,
+        report.certificate,
+        report.homology,
+        {
             "coloring": list(report.coloring.assignment),
             "clique": list(report.clique.vertices),
             "greedy_upper": report.greedy_upper,
             "homological_connectivity": report.homological_connectivity,
-            "certificate": _certificate_json(report.certificate),
         },
-        "pass": True,
-        "wall_time_ms": wall_time_ms,
-    }
+        True,
+        wall_time_ms,
+        chi=report.chi,
+        omega=report.omega,
+    )
 
 
 # ---------------------------------------------------------------------------
 # the batch suite
 
 
-SUITE_FAMILIES: tuple[tuple[str, str], ...] = (
-    ("K3", "complete:3"),
-    ("K4", "complete:4"),
-    ("C5", "cycle:5"),
-    ("C7", "cycle:7"),
-)
+SUITE_FAMILIES: tuple[str, ...] = ("K3", "K4", "C5", "C7")
 
 CERTIFICATE_CASES: tuple[tuple[str, str], ...] = (
     ("K2", "certified-fails-disconnected"),
@@ -407,35 +413,22 @@ SUITE_COROLLARY_PARAMS: tuple[tuple[int, int, int, int], ...] = (
 FULL_COROLLARY_PARAMS = SUITE_COROLLARY_PARAMS + ((2, 2, 3, 5), (2, 2, 3, 6))
 
 
-def _named_graph(name: str) -> Graph:
-    kind, _, arg = name.partition(":")
-    if kind == "complete":
-        return complete_graph(int(arg))
-    if kind == "cycle":
-        return cycle_graph(int(arg))
-    raise ValueError(f"unknown suite graph {name!r}")
-
-
-_NAMED = {
-    "K2": "complete:2",
-    "K3": "complete:3",
-    "K4": "complete:4",
-    "C4": "cycle:4",
-    "C5": "cycle:5",
-    "C7": "cycle:7",
-}
+def _suite_graph(name: str) -> Graph:
+    """``K<p>`` is the complete graph on p vertices, ``C<n>`` the n-cycle."""
+    build = complete_graph if name[0] == "K" else cycle_graph
+    return build(int(name[1:]))
 
 
 def suite_cases(seed: int, full: bool = False) -> list[tuple]:
-    """Deterministic, picklable case descriptors.  Base points: vertex 0
-    for every pair plus one seeded random pair each."""
+    """Deterministic case descriptors.  Base points: vertex 0 for every
+    pair plus one seeded random pair each."""
     rng = random.Random(seed)
     cases: list[tuple] = []
-    for i, (name_h, spec_h) in enumerate(SUITE_FAMILIES):
-        for name_k, spec_k in SUITE_FAMILIES[i:]:
+    for i, name_h in enumerate(SUITE_FAMILIES):
+        for name_k in SUITE_FAMILIES[i:]:
             cap = 3 if "K4" in (name_h, name_k) else 2
-            h = _named_graph(spec_h)
-            k = _named_graph(spec_k)
+            h = _suite_graph(name_h)
+            k = _suite_graph(name_k)
             rx, ry = rng.randrange(h.n), rng.randrange(k.n)
             cases.append(("theorem2", name_h, 0, name_k, 0, cap))
             cases.append(("theorem2", name_h, rx, name_k, ry, cap))
@@ -450,9 +443,7 @@ def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
     kind = case[0]
     if kind == "theorem2":
         _, name_h, x, name_k, y, cap = case
-        spec = GadgetSpec(
-            h=_named_graph(_NAMED[name_h]), x=x, k=_named_graph(_NAMED[name_k]), y=y
-        )
+        spec = GadgetSpec(h=_suite_graph(name_h), x=x, k=_suite_graph(name_k), y=y)
         report = verify_wedge_decomposition(spec, cap=cap, limit=limit)
         key = f"theorem2(h={name_h},x={x},k={name_k},y={y})"
         return wedge_report_json(
@@ -462,7 +453,7 @@ def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
         )
     if kind == "certificate":
         _, name, expectation = case
-        g = _named_graph(_NAMED[name])
+        g = _suite_graph(name)
         cert = certify_conn_zero(neighborhood_complex(g), limit)
         if expectation == "certified":
             ok = cert.certified_conn_zero
@@ -475,18 +466,16 @@ def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
                 and cert.h1.is_trivial()
                 and FLAG_NO_CERTIFICATE in cert.flags
             )
-        return {
-            "case": f"certificate({name})",
-            "params": {"graph": name, "expect": expectation},
-            "graph_stats": {"n": g.n, "m": g.m},
-            "chi": None,
-            "omega": None,
-            "lovasz": _lovasz_json(cert),
-            "homology": _homology_json([cert.h1]),
-            "witnesses": {"certificate": _certificate_json(cert)},
-            "pass": ok,
-            "wall_time_ms": None,
-        }
+        return _report_json(
+            f"certificate({name})",
+            {"graph": name, "expect": expectation},
+            g,
+            cert,
+            [cert.h1],
+            {},
+            ok,
+            None,
+        )
     if kind == "corollary":
         _, l, m, p, q = case
         report = verify_corollary(CorollaryParams(l, m, p, q), limit)
@@ -495,20 +484,11 @@ def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
 
 
 def run_suite(
-    seed: int = 0,
-    full: bool = False,
-    limit: int = DEFAULT_FACE_BUDGET,
-    jobs: int = 1,
+    seed: int = 0, full: bool = False, limit: int = DEFAULT_FACE_BUDGET
 ) -> dict:
     """Run every suite case; the result dict is deterministic for a given
     seed (cases sorted by key, no wall-clock fields)."""
-    cases = suite_cases(seed, full)
-    if jobs > 1:
-        runner = functools.partial(run_suite_case, limit=limit)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(runner, cases))
-    else:
-        reports = [run_suite_case(case, limit) for case in cases]
+    reports = [run_suite_case(case, limit) for case in suite_cases(seed, full)]
     reports.sort(key=lambda r: r["case"])
     return {
         "seed": seed,

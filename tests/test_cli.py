@@ -258,6 +258,51 @@ def test_suite_report_matches_pinned_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_SEED0_SHA256
 
 
+# sha256 of the reports the suite does not write, each run from the
+# directory that holds its inputs so that the `case` string names them
+# relatively; a change to any report byte must update a digest and say why
+CLI_REPORT_SHA256 = {
+    "bounds-k3": "4955f7cc7340f15c8adc74c95673f23ccd7ab422eda8c48764a183337a37c2bc",
+    "bounds-c5": "d9135e74af7c51f539205db17da8ae859fbdcf97fb7a28c6311de4e2c4186984",
+    "bounds-empty": "c0a8e2b04eff3c93b48687300d9bf62f0bc0f872297e2339f2fa131c845c468b",
+    "theorem2": "12722cb2fb1da51ba0e3d6f8c5e9c3942712e03ecbaae373f9ad9cf27d679d57",
+    "homology": "c303d7529a43c0173abf3d6d60d7ccfd642a342292b4f370f2d8a5a7f1c63ee0",
+}
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("bounds-k3", ["bounds", "k3.col"]),
+        ("bounds-c5", ["bounds", "c5.col"]),
+        ("bounds-empty", ["bounds", "empty.col"]),
+        ("theorem2", ["verify", "theorem2", "--h", "k3.col", "--k", "c5.col"]),
+        ("homology", ["homology", "--complex", "n_c5.facets", "--max-dim", "2"]),
+    ],
+)
+def test_cli_reports_match_pinned_digests(tmp_path, monkeypatch, name, argv):
+    monkeypatch.chdir(tmp_path)
+    write_graph(complete_graph(3), "k3.col")
+    write_graph(cycle_graph(5), "c5.col")
+    (tmp_path / "empty.col").write_text("p edge 0 0\n")
+    assert main(["ncomplex", "c5.col", "-o", "n_c5.facets"]) == 0
+    assert main([*argv, "--json", "report.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == CLI_REPORT_SHA256[name]
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, lovaszgap; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 @pytest.fixture
 def graph_files(tmp_path):
     paths = {}

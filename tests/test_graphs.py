@@ -14,7 +14,6 @@ from lovaszgap import (
     complete_bipartite,
     complete_graph,
     connected_components,
-    construct_family,
     cycle_graph,
     is_bipartite,
     is_connected,
@@ -22,6 +21,9 @@ from lovaszgap import (
     mycielskian,
     triangle_free_chromatic,
 )
+from lovaszgap.cli import main
+from lovaszgap.dimacs import read_graph
+from lovaszgap.graphs import FAMILIES
 
 from conftest import graphs
 from oracles import brute_force_triangle_free
@@ -60,21 +62,30 @@ def test_kneser_degree_formula(n, k):
     "family,params",
     [
         ("complete", {"p": 0}),
-        ("complete_bipartite", {"l": 0, "m": 2}),
+        ("bipartite", {"l": 0, "m": 2}),
         ("cycle", {"n": 2}),
         ("kneser", {"n": 3, "k": 2}),
         ("kneser", {"n": 2, "k": 0}),
+        ("trianglefree", {"q": 1}),
     ],
 )
 def test_family_parameter_errors(family, params):
+    build, names = FAMILIES[family]
     with pytest.raises(ParameterError):
-        construct_family(family, **params)
+        build(*(params[name] for name in names))
 
 
-def test_construct_family_dispatch():
-    assert construct_family("cycle", n=5) == cycle_graph(5)
-    with pytest.raises(ParameterError):
-        construct_family("moebius", n=5)
+def test_construct_family_dispatch(tmp_path, capsys):
+    sample = {"p": 3, "l": 2, "m": 3, "n": 5, "k": 2, "q": 4}
+    for family, (build, names) in FAMILIES.items():
+        out = tmp_path / f"{family}.col"
+        flags = [arg for name in names for arg in (f"--{name}", str(sample[name]))]
+        assert main(["construct", family, *flags, "-o", str(out)]) == 0
+        assert read_graph(str(out)) == build(*(sample[name] for name in names))
+    capsys.readouterr()
+    assert main(["construct", "moebius", "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:") and err.count("\n") == 1
 
 
 def test_mycielskian_of_edge_is_five_cycle():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from lovaszgap import IntegerMatrix, smith_normal_form
 
-from oracles import determinant, mat_mult, minor_gcd_invariant_factors
+from oracles import minor_gcd_invariant_factors
 
 
 @st.composite
@@ -50,26 +50,6 @@ def test_divisibility_chain_and_minor_oracle(dense):
     assert factors == minor_gcd_invariant_factors(dense)
 
 
-@given(small_matrices())
-@settings(max_examples=80, deadline=None)
-def test_transform_witnesses(dense):
-    m = IntegerMatrix.from_dense(dense)
-    result = smith_normal_form(m, want_transforms=True)
-    u = [list(row) for row in result.row_transform]
-    v = [list(row) for row in result.col_transform]
-    assert abs(determinant(u)) == 1
-    assert abs(determinant(v)) == 1
-    product = mat_mult(mat_mult(u, m.to_dense()), v)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            expected = (
-                result.invariant_factors[i]
-                if i == j and i < len(result.invariant_factors)
-                else 0
-            )
-            assert product[i][j] == expected
-
-
 def test_sparse_and_dense_paths_agree():
     import lovaszgap.snf as snf
 
@@ -82,7 +62,7 @@ def test_sparse_and_dense_paths_agree():
         dense[r][c] = v
     m = IntegerMatrix.from_dense(dense)
     via_sparse = snf._sparse_snf(m)
-    via_dense = snf._dense_snf(m, track=False)
+    via_dense = snf._dense_snf(m)
     assert via_sparse.invariant_factors == via_dense.invariant_factors
     assert via_sparse.rank == via_dense.rank
 
@@ -107,7 +87,7 @@ def test_unit_pivot_rule_matches_dense(m):
     import lovaszgap.snf as snf
 
     via_sparse = snf._sparse_snf(m)
-    via_dense = snf._dense_snf(m, track=False)
+    via_dense = snf._dense_snf(m)
     assert via_sparse.invariant_factors == via_dense.invariant_factors
     assert via_sparse.rank == via_dense.rank
 
@@ -118,9 +98,9 @@ def _record_dense_residuals(monkeypatch) -> list:
     residuals = []
     dense_snf = snf._dense_snf
 
-    def recording_dense_snf(m, track):
+    def recording_dense_snf(m):
         residuals.append(m.to_dense())
-        return dense_snf(m, track)
+        return dense_snf(m)
 
     monkeypatch.setattr(snf, "_dense_snf", recording_dense_snf)
     return residuals
@@ -137,7 +117,7 @@ def test_unit_pivots_run_out_into_torsion_residual(monkeypatch):
     dense[3][3], dense[3][4], dense[4][3], dense[4][4] = 2, 4, 6, 8
     dense[0][3] = -1  # couples the blocks without adding a unit to the residual
     m = IntegerMatrix.from_dense(dense)
-    expected = snf._dense_snf(m, track=False)
+    expected = snf._dense_snf(m)
     residuals = _record_dense_residuals(monkeypatch)
     result = snf._sparse_snf(m)
     assert residuals == [[[2, 4], [6, 8]]]
@@ -162,13 +142,13 @@ def test_paths_agree_randomized(dense):
     import lovaszgap.snf as snf
 
     m = IntegerMatrix.from_dense(dense)
-    assert snf._sparse_snf(m).invariant_factors == snf._dense_snf(m, False).invariant_factors
+    assert snf._sparse_snf(m).invariant_factors == snf._dense_snf(m).invariant_factors
 
 
 def test_determinism():
     dense = [[3, 1, -4], [1, 5, 9], [-2, 6, 5]]
-    a = smith_normal_form(IntegerMatrix.from_dense(dense), want_transforms=True)
-    b = smith_normal_form(IntegerMatrix.from_dense(dense), want_transforms=True)
+    a = smith_normal_form(IntegerMatrix.from_dense(dense))
+    b = smith_normal_form(IntegerMatrix.from_dense(dense))
     assert a == b
 
 
