@@ -41,7 +41,6 @@ from .homology import (
     ConnectivityCertificate,
     HomologyGroup,
     HomologyPass,
-    boundary_matrix,
     certify_conn_zero,
     homological_connectivity,
     homology_pass,

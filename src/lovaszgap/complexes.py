@@ -1,10 +1,11 @@
 """Neighborhood complexes and facet-wise simplicial complexes.
 
 Complexes are stored by their maximal faces only; lower faces are
-enumerated on demand per dimension.  Certifying the degree-0 connectivity
-bound needs faces of dimension <= 2, which stays polynomial even when the
-full closure would be exponential (one side of the biclique complex alone
-has 2^m - 1 faces).
+enumerated on demand per dimension.  Certifying conn = 0 needs the
+vertices and edges plus the fan triangles {min F, a, b} of each facet F
+(see ``homology``), which stays polynomial even when the full closure
+would be exponential (one side of the biclique complex alone has 2^m - 1
+faces).
 """
 
 from __future__ import annotations

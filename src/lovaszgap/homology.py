@@ -8,16 +8,25 @@ certificate that the space's connectivity is exactly 0: path-connectedness
 plus H_1 != 0 forces a nontrivial loop, while nothing here ever claims the
 converse for higher degrees (homological connectivity can overshoot the
 homotopical one, and reports are flagged accordingly).
-``homology_pass`` derives all of it from one face table and one set of
-boundary SNFs; the other entry points are views of it.
+``homology_pass`` derives all of it from one face table through dimension
+max(cap, 1) and one set of boundary SNFs; the other entry points are views
+of it.
+
+Boundaries of degree 2 and up are taken over fan columns, never over every
+face of their degree.  Within a facet F, dd = 0 on {min F} + tau writes the
+boundary of any face tau avoiding min F as an integer sum of boundaries of
+faces containing min F, so those fan faces span the same column lattice:
+rank and invariant factors are those of the full boundary, and no face of
+dimension max(cap, 1) + 1 is ever enumerated.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .complexes import DEFAULT_FACE_BUDGET, FaceTable, SimplicialComplex, faces_up_to
-from .errors import ParameterError
+from .complexes import DEFAULT_FACE_BUDGET, Face, FaceTable, SimplicialComplex, faces_up_to
+from .errors import BudgetExceededError, ParameterError
 from .snf import IntegerMatrix, SnfResult, smith_normal_form
 
 EMPTY_SENTINEL = -2  # "connectivity" of the empty complex
@@ -87,25 +96,39 @@ class UnionFind:
             self.count -= 1
 
 
-def boundary_matrix(table: FaceTable, i: int) -> IntegerMatrix:
-    """Simplicial boundary in degree i >= 1: rows are (i-1)-faces, columns
-    are i-faces, and dropping the j-th vertex of a sorted face contributes
-    (-1)**j."""
-    if i < 1:
-        raise ParameterError(f"boundary degree must be >= 1, got {i}")
-    if i > table.max_dim:
-        raise ParameterError(
-            f"face table populated to dimension {table.max_dim}, need {i}"
-        )
-    lower = table.faces_of_dim(i - 1)
-    upper = table.faces_of_dim(i)
-    index = {face: pos for pos, face in enumerate(lower)}
+def fan_columns(
+    c: SimplicialComplex, top: int, used: int, limit: int = DEFAULT_FACE_BUDGET
+) -> list[tuple[Face, ...]]:
+    """The fan faces {min F} + tau, tau a subset of F minus min F, of each
+    dimension 2..top + 1, deduplicated across the facets F in one walk over
+    them; entry j lists the j-faces (empty below 2 and above c.dim).  They
+    count against ``limit`` on top of the ``used`` faces already held."""
+    levels: list[dict[Face, None]] = [{} for _ in range(top + 2)]
+    total = used
+    for facet in c.facets:
+        apex, rest = facet[:1], facet[1:]
+        for j in range(2, min(top + 1, len(rest)) + 1):
+            level = levels[j]
+            for tau in itertools.combinations(rest, j):
+                face = apex + tau
+                if face not in level:
+                    level[face] = None
+                    total += 1
+                    if total > limit:
+                        raise BudgetExceededError(dimension=j, limit=limit)
+    return [tuple(level) for level in levels]
+
+
+def fan_boundary(rows: tuple[Face, ...], columns: tuple[Face, ...]) -> IntegerMatrix:
+    """Boundary of the given faces over the given one-smaller faces: dropping
+    the j-th vertex of a sorted face contributes (-1)**j."""
+    index = {face: pos for pos, face in enumerate(rows)}
     entries = []
-    for col, face in enumerate(upper):
+    for col, face in enumerate(columns):
         for j in range(len(face)):
             sub = face[:j] + face[j + 1 :]
             entries.append((index[sub], col, -1 if j % 2 else 1))
-    return IntegerMatrix.from_entries(len(lower), len(upper), entries)
+    return IntegerMatrix.from_entries(len(rows), len(columns), entries)
 
 
 def graph_boundary_snf(vertices: int, components: int) -> SnfResult:
@@ -134,13 +157,15 @@ def homology_pass(
     c: SimplicialComplex, cap: int, limit: int = DEFAULT_FACE_BUDGET
 ) -> HomologyPass:
     """Reduced homology in degrees 0..cap, the conn = 0 certificate and the
-    homological connectivity, from faces through dimension max(cap, 1) + 1.
+    homological connectivity, from faces through dimension max(cap, 1).
 
     betti_i = #(i-faces) - rank(boundary_i) - rank(boundary_{i+1}), with the
     augmentation map standing in for the degree-0 boundary; torsion in
     degree i comes from the invariant factors of boundary_{i+1}.  Union-find
     over the 1-skeleton gives the degree-1 SNF (``graph_boundary_snf``) and
-    connectedness; the higher boundaries go through ``smith_normal_form``.
+    connectedness; boundaries 2..max(cap, 1) + 1 are built on fan columns
+    (``fan_columns``, counted against ``limit`` after the face table) and go
+    through ``smith_normal_form``.
     The certificate's nontrivial loop is H_1 != 0 (the abelianization shadow
     of a nontrivial fundamental group)."""
     if cap < 0:
@@ -149,14 +174,17 @@ def homology_pass(
         trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
         return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
     top = max(cap, 1)
-    table = faces_up_to(c, top + 1, limit)
-    counts = [len(table.faces_of_dim(i)) for i in range(top + 2)]
+    table = faces_up_to(c, top, limit)
+    counts = [len(table.faces_of_dim(i)) for i in range(top + 1)]
     components = skeleton_components(table)
+    fans = fan_columns(c, top, table.count(), limit)
     # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0
     snfs = [SnfResult((1,), 1), graph_boundary_snf(counts[0], components)]
     for i in range(2, top + 2):
-        if counts[i]:
-            snfs.append(smith_normal_form(boundary_matrix(table, i)))
+        if fans[i]:
+            snfs.append(
+                smith_normal_form(fan_boundary(table.faces_of_dim(i - 1), fans[i]))
+            )
         else:
             snfs.append(SnfResult((), 0))
     groups = tuple(

@@ -3,13 +3,18 @@
 Nothing here shares code paths with the library: the chromatic oracle
 enumerates partitions into independent sets, the clique oracle enumerates
 all vertex subsets, the SNF oracle goes through gcds of minors, and the
-determinant is a plain Laplace expansion.
+determinant is a plain Laplace expansion.  The boundary oracles build
+their matrices from every face of a degree, or from fans at the largest
+vertex of each facet (the library's fans sit at the smallest); only the
+matrix type and the Smith normal form are the library's.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd
+
+from lovaszgap import IntegerMatrix, ParameterError, smith_normal_form
 
 
 def brute_force_chromatic(g) -> int:
@@ -121,3 +126,65 @@ def mat_mult(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def is_zero_matrix(a: list[list[int]]) -> bool:
     return all(all(x == 0 for x in row) for row in a)
+
+
+def boundary_matrix(table, i: int) -> IntegerMatrix:
+    """Full simplicial boundary in degree i >= 1 over a face table: rows
+    are the (i-1)-faces, columns every i-face, and dropping the j-th vertex
+    of a sorted face contributes (-1)**j."""
+    if i < 1:
+        raise ParameterError(f"boundary degree must be >= 1, got {i}")
+    if i > table.max_dim:
+        raise ParameterError(
+            f"face table populated to dimension {table.max_dim}, need {i}"
+        )
+    return _boundary(table.faces_of_dim(i - 1), table.faces_of_dim(i))
+
+
+def _boundary(rows, columns) -> IntegerMatrix:
+    index = {face: pos for pos, face in enumerate(rows)}
+    entries = []
+    for col, face in enumerate(columns):
+        for j in range(len(face)):
+            sub = face[:j] + face[j + 1 :]
+            entries.append((index[sub], col, -1 if j % 2 else 1))
+    return IntegerMatrix.from_entries(len(rows), len(columns), entries)
+
+
+def faces_by_dim(c, d: int) -> list[list[tuple[int, ...]]]:
+    """Every face of dimension <= d, sorted within each dimension."""
+    levels: list[set] = [set() for _ in range(d + 1)]
+    for facet in c.facets:
+        for size in range(1, min(d + 1, len(facet)) + 1):
+            levels[size - 1].update(itertools.combinations(facet, size))
+    return [sorted(level) for level in levels]
+
+
+def max_apex_fan(c, i: int) -> list[tuple[int, ...]]:
+    """The i-faces tau + {max F}, tau a subset of F minus max F, over the
+    facets F: by dd = 0 on tau + {max F}, their boundaries span the same
+    lattice as the boundaries of all i-faces."""
+    fan = set()
+    for facet in c.facets:
+        for tau in itertools.combinations(facet[:-1], i):
+            fan.add(tau + facet[-1:])
+    return sorted(fan)
+
+
+def max_apex_fan_profile(c, cap: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(betti, torsion) of reduced homology in degrees 0..cap, with the
+    degree-1 boundary taken whole and every higher one from max-apex fans."""
+    top = max(cap, 1)
+    levels = faces_by_dim(c, top)
+    snfs = [
+        smith_normal_form(_boundary(levels[i - 1], max_apex_fan(c, i)))
+        for i in range(2, top + 2)
+    ]
+    # ranks[i] is the rank of the degree-i boundary, the augmentation at 0
+    d1 = smith_normal_form(_boundary(levels[0], levels[1]))
+    ranks = [int(bool(levels[0])), d1.rank, *(snf.rank for snf in snfs)]
+    torsion = [(), *(snf.torsion for snf in snfs)]
+    return [
+        (len(levels[i]) - ranks[i] - ranks[i + 1], torsion[i])
+        for i in range(cap + 1)
+    ]

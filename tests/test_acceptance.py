@@ -18,7 +18,6 @@ from lovaszgap import (
     GadgetSpec,
     IntegerMatrix,
     SimplicialComplex,
-    boundary_matrix,
     build_gadget,
     certify_conn_zero,
     chromatic_number,
@@ -41,6 +40,7 @@ from lovaszgap.homology import FLAG_NO_CERTIFICATE, skeleton_components
 
 from conftest import random_graph
 from oracles import (
+    boundary_matrix,
     brute_force_chromatic,
     brute_force_max_clique,
     is_zero_matrix,

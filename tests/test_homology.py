@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lovaszgap.homology
 from lovaszgap import (
+    BudgetExceededError,
     GadgetSpec,
     ParameterError,
     SimplicialComplex,
-    boundary_matrix,
     build_gadget,
     certify_conn_zero,
     complete_graph,
@@ -31,11 +32,13 @@ from lovaszgap.homology import (
     FLAG_HOMOLOGICAL_ONLY,
     FLAG_NO_CERTIFICATE,
     HomologyGroup,
+    fan_boundary,
+    fan_columns,
     graph_boundary_snf,
     skeleton_components,
 )
 
-from oracles import is_zero_matrix, mat_mult
+from oracles import boundary_matrix, is_zero_matrix, mat_mult, max_apex_fan_profile
 from test_complexes import complexes
 
 
@@ -118,16 +121,18 @@ def test_nk4_is_a_two_sphere():
     assert [(g.betti, g.torsion) for g in profile] == [(0, ()), (0, ()), (1, ())]
 
 
+# the 6-vertex triangulation of RP^2: H~_1 = Z/2 is torsion, not betti
+RP2 = SimplicialComplex.from_faces(
+    6,
+    [
+        [0, 1, 3], [0, 1, 5], [0, 2, 4], [0, 2, 5], [0, 3, 4],
+        [1, 2, 3], [1, 2, 4], [1, 4, 5], [2, 3, 5], [3, 4, 5],
+    ],
+)
+
+
 def test_projective_plane_has_two_torsion():
-    # the 6-vertex triangulation of RP^2: H~_1 = Z/2 is torsion, not betti
-    rp2 = SimplicialComplex.from_faces(
-        6,
-        [
-            [0, 1, 3], [0, 1, 5], [0, 2, 4], [0, 2, 5], [0, 3, 4],
-            [1, 2, 3], [1, 2, 4], [1, 4, 5], [2, 3, 5], [3, 4, 5],
-        ],
-    )
-    profile = homology_profile(rp2, 2)
+    profile = homology_profile(RP2, 2)
     assert [(g.betti, g.torsion) for g in profile] == [(0, ()), (0, (2,)), (0, ())]
 
 
@@ -342,3 +347,104 @@ def test_pass_matches_reference_on_corpus(corpus):
                 assert_pass_matches_reference(c, cap)
         else:
             assert_pass_matches_reference(c, 1)
+
+
+# ---------------------------------------------------------------------------
+# fan columns against the full boundary and against fans at the other end
+
+
+def assert_fan_matches_full(c, cap):
+    """Every boundary the pass takes from fans has the rank and invariant
+    factors of the full boundary over all faces of its degree."""
+    top = max(cap, 1)
+    table = faces_up_to(c, top)
+    full = faces_up_to(c, top + 1)
+    fans = fan_columns(c, top, 0)
+    assert fans[0] == fans[1] == ()
+    for i in range(2, top + 2):
+        assert set(fans[i]) <= set(full.faces_of_dim(i))
+        fan = smith_normal_form(fan_boundary(table.faces_of_dim(i - 1), fans[i]))
+        assert fan == smith_normal_form(boundary_matrix(full, i)), i
+
+
+@st.composite
+def wide_complexes(draw):
+    # facets of up to 6 vertices, so a fan leaves most faces out
+    n = draw(st.integers(1, 8))
+    faces = draw(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), min_size=1, max_size=5)
+    )
+    return SimplicialComplex.from_faces(n, faces)
+
+
+@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3))
+@settings(max_examples=120, deadline=None)
+def test_fan_matches_full_boundary_on_random_complexes(c, cap):
+    assert_fan_matches_full(c, cap)
+
+
+def test_fan_matches_full_boundary_on_corpus(corpus):
+    for name, g in corpus.items():
+        if g.n <= 15:
+            assert_fan_matches_full(neighborhood_complex(g), 2)
+
+
+def test_fan_matches_full_boundary_on_projective_plane():
+    assert_fan_matches_full(RP2, 2)
+    fans = fan_columns(RP2, 1, 0)
+    snf = smith_normal_form(fan_boundary(faces_up_to(RP2, 1).faces_of_dim(1), fans[2]))
+    assert snf.torsion == (2,)
+
+
+@pytest.mark.parametrize(
+    "name, c, cap",
+    [
+        ("N(KG(7,2))", neighborhood_complex(kneser_graph(7, 2)), 3),
+        ("N(KG(8,3))", neighborhood_complex(kneser_graph(8, 3)), 2),
+        ("RP2", RP2, 2),
+    ],
+)
+def test_max_apex_fan_agrees_with_pass(name, c, cap):
+    profile = [(g.betti, g.torsion) for g in homology_pass(c, cap).profile]
+    assert max_apex_fan_profile(c, cap) == profile
+
+
+@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_max_apex_fan_agrees_on_random_complexes(c, cap):
+    profile = [(g.betti, g.torsion) for g in homology_pass(c, cap).profile]
+    assert max_apex_fan_profile(c, cap) == profile
+
+
+@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_pass_enumerates_faces_through_max_cap_1(c, cap):
+    asked = []
+    real = lovaszgap.homology.faces_up_to
+
+    def recording(complex_, d, limit):
+        asked.append(d)
+        return real(complex_, d, limit)
+
+    lovaszgap.homology.faces_up_to = recording
+    try:
+        homology_pass(c, cap)
+    finally:
+        lovaszgap.homology.faces_up_to = real
+    assert all(d <= max(cap, 1) for d in asked)
+    assert asked or c.is_empty()
+
+
+def test_fan_columns_count_against_the_face_budget():
+    # the 4-simplex's boundary: 5 + 10 faces through dimension 1, and its
+    # five tetrahedra fan out from their smallest vertices into 9 of its
+    # 10 triangles, so the pass holds 24 faces where every triangle is 25
+    c = boundary_sphere(4)
+    assert faces_up_to(c, 1).count() == 15
+    assert len(fan_columns(c, 1, 0)[2]) == 9
+    assert homology_pass(c, 1, limit=24).profile[1].is_trivial()
+    for limit in (15, 20, 23):
+        with pytest.raises(BudgetExceededError) as caught:
+            homology_pass(c, 1, limit=limit)
+        assert (caught.value.dimension, caught.value.limit) == (2, limit)
+        assert f"budget {limit} " in str(caught.value)
