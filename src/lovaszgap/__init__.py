@@ -48,13 +48,18 @@ from .homology import (
     reduced_homology,
 )
 from .invariants import (
+    Chromatic,
     CliqueWitness,
     ColoringWitness,
+    LowerBound,
+    MycielskiWitness,
+    SearchWitness,
     chromatic_number,
     contains_triangle,
     greedy_dsatur_bound,
     is_k_colorable,
     max_clique,
+    mycielski_lower_bound,
     verify_biclique_certificate,
 )
 from .snf import IntegerMatrix, SnfResult, smith_normal_form

@@ -147,11 +147,16 @@ def _cmd_homology(args) -> int:
 
 def _cmd_chromatic(args) -> int:
     g = dimacs.read_graph(args.graph)
-    chi, witness = chromatic_number(g)
+    chi, coloring, chi_lower, _ = chromatic_number(g)
     _say(f"chi={chi}", args.json)
     if args.json is not None:
         _dump_json(
-            {"chi": chi, "coloring": list(witness.assignment)}, args.json
+            {
+                "chi": chi,
+                "coloring": list(coloring.assignment),
+                "chi_lower": verify._chi_lower_json(chi_lower),
+            },
+            args.json,
         )
     return EXIT_OK
 
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full",
         action="store_true",
-        help="also run the larger q=5 and q=6 separation cases",
+        help="also run the larger q=5, q=6 and q=7 separation cases",
     )
     _add_limit(p)
     p.add_argument("--json", metavar="FILE", help="write the suite report")

@@ -1,17 +1,25 @@
 """Exact chromatic number, clique number, and certificate checks.
 
 The chromatic number is solved block by block (biconnected components),
-each distinct block once, by an exhaustive DSATUR branch-and-bound on the
-k-colorability decision problem, with the maximum clique precolored and
-new colors introduced in order (0, 1, 2, ...) to break color symmetry.
-The clique solver is a branch-and-bound with greedy-coloring upper bounds
-over a degeneracy vertex order.  Both are deterministic: saturation ties
-break by degree, then by vertex id.
+each distinct block once.  A block's value is pinned between a lower-bound
+witness and the greedy DSATUR coloring.  The lower-bound witness is a
+maximum clique (chi >= |K|) or a Mycielski chain (chi >= inner + 1, by
+Mycielski's recoloring argument) that a recogniser peels off the block
+from the graph alone; validating either only checks that the edges it
+needs exist.  Only a block whose bounds
+do not meet falls back to an exhaustive DSATUR branch-and-bound on the
+k-colorability decision problem, starting at the lower bound, with the
+maximum clique precolored and new colors introduced in order (0, 1, 2,
+...) to break color symmetry; its witness records that search.  The
+clique solver is a branch-and-bound with greedy-coloring upper bounds
+over a degeneracy vertex order.  Everything is deterministic: saturation
+ties break by degree, then by vertex id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificateError, ParameterError
 from .graphs import Graph, biconnected_components
@@ -39,7 +47,18 @@ class ColoringWitness:
 
 @dataclass(frozen=True)
 class CliqueWitness:
+    """A clique; as a lower-bound witness it proves chi >= |K|."""
+
     vertices: tuple[int, ...]
+
+    kind = "clique"
+
+    @property
+    def bound(self) -> int:
+        return len(self.vertices)
+
+    def relabel(self, ids) -> "CliqueWitness":
+        return CliqueWitness(tuple(sorted(ids[v] for v in self.vertices)))
 
     def validate(self, g: Graph) -> None:
         vs = self.vertices
@@ -51,6 +70,102 @@ class CliqueWitness:
             for v in vs[i + 1 :]:
                 if not g.has_edge(u, v):
                     raise CertificateError(f"clique witness misses edge ({u},{v})")
+
+
+@dataclass(frozen=True)
+class MycielskiWitness:
+    """Proves chi >= inner.bound + 1 on any graph with these edges: an apex
+    adjacent to every shadow, and for every vertex v of the inner witness
+    a shadow adjacent to every neighbor of v inside that vertex set, with
+    the apex and the shadows outside it (Mycielski, 1955).  Given a
+    k-coloring with k = inner.bound, recolor each inner vertex that has
+    the apex's color with its shadow's color: the inner vertex set is then
+    properly colored without the apex's color, which contradicts the inner
+    bound.  ``shadows`` pairs each inner vertex with its shadow."""
+
+    apex: int
+    shadows: tuple[tuple[int, int], ...]
+    inner: "CliqueWitness | MycielskiWitness"
+
+    kind = "mycielski"
+
+    def chain(self) -> tuple[list["MycielskiWitness"], CliqueWitness]:
+        """The Mycielski layers, outermost first, and the base clique."""
+        layers: list[MycielskiWitness] = []
+        w: CliqueWitness | MycielskiWitness = self
+        while isinstance(w, MycielskiWitness):
+            layers.append(w)
+            w = w.inner
+        return layers, w
+
+    @property
+    def bound(self) -> int:
+        layers, base = self.chain()
+        return base.bound + len(layers)
+
+    def relabel(self, ids) -> "MycielskiWitness":
+        layers, base = self.chain()
+        w = base.relabel(ids)
+        for layer in reversed(layers):
+            shadows = tuple(sorted((ids[v], ids[s]) for v, s in layer.shadows))
+            w = MycielskiWitness(ids[layer.apex], shadows, w)
+        return w
+
+    def validate(self, g: Graph) -> None:
+        layers, base = self.chain()
+        base.validate(g)
+        inner = set(base.vertices)
+        for layer in reversed(layers):
+            if sorted(v for v, _ in layer.shadows) != sorted(inner):
+                raise CertificateError(
+                    "shadow map does not cover the inner vertex set once"
+                )
+            a = layer.apex
+            if not (0 <= a < g.n) or a in inner:
+                raise CertificateError(f"apex {a} out of range or inside the inner set")
+            for v, s in layer.shadows:
+                if not (0 <= s < g.n) or s in inner:
+                    raise CertificateError(
+                        f"shadow {s} out of range or inside the inner set"
+                    )
+                if not g.has_edge(a, s):
+                    raise CertificateError(f"apex {a} misses shadow {s}")
+                missing = (g.adj[v] & inner) - g.adj[s]
+                if missing:
+                    raise CertificateError(
+                        f"shadow {s} of {v} misses its neighbor {min(missing)}"
+                    )
+            inner.add(a)
+            inner.update(s for _, s in layer.shadows)
+
+
+@dataclass(frozen=True)
+class SearchWitness:
+    """chi >= bound because an exhaustive search found no (bound - 1)-coloring
+    of the subgraph induced on ``vertices``.  Nothing smaller certifies it:
+    validating repeats the search."""
+
+    vertices: tuple[int, ...]
+    bound: int
+
+    kind = "search"
+
+    def relabel(self, ids) -> "SearchWitness":
+        return SearchWitness(tuple(sorted(ids[v] for v in self.vertices)), self.bound)
+
+    def validate(self, g: Graph) -> None:
+        vs = self.vertices
+        if list(vs) != sorted(set(vs)) or any(not (0 <= v < g.n) for v in vs):
+            raise CertificateError("search witness vertices not sorted, distinct, in range")
+        index = {v: i for i, v in enumerate(vs)}
+        h = Graph.from_edges(
+            len(vs), ((i, index[u]) for i, v in enumerate(vs) for u in g.adj[v] if u in index)
+        )
+        if self.bound > 0 and is_k_colorable(h, self.bound - 1) is not None:
+            raise CertificateError(f"the subgraph is {self.bound - 1}-colorable")
+
+
+LowerBound = CliqueWitness | MycielskiWitness | SearchWitness
 
 
 def _adj_masks(g: Graph) -> list[int]:
@@ -273,37 +388,133 @@ def is_k_colorable(
     return ColoringWitness(used, tuple(colors))
 
 
+def _peel(adj, inner: set[int]) -> tuple[int, dict[int, int]] | None:
+    """One Mycielski layer of the subgraph induced on ``inner`` (odd size
+    b >= 3): an apex with (b - 1)/2 pairwise non-adjacent neighbors, the
+    shadows, such that each remaining vertex, an original, can be paired
+    with its own shadow whose neighbors among the originals are exactly
+    the original's.  Returns the apex and each original's shadow, or None."""
+    half = (len(inner) - 1) // 2
+    for apex in sorted(inner):
+        shadows = adj[apex] & inner
+        if len(shadows) != half or any(adj[s] & shadows for s in shadows):
+            continue
+        originals = inner - shadows - {apex}
+        by_neighbors: dict[frozenset[int], list[int]] = {}
+        for s in sorted(shadows):
+            by_neighbors.setdefault(adj[s] & originals, []).append(s)
+        shadow_of = {}
+        for v in sorted(originals):
+            bucket = by_neighbors.get(adj[v] & originals)
+            if not bucket:
+                break
+            shadow_of[v] = bucket.pop()
+        else:
+            return apex, shadow_of
+    return None
+
+
+def mycielski_lower_bound(
+    g: Graph, clique: CliqueWitness
+) -> CliqueWitness | MycielskiWitness:
+    """The better of ``clique`` (a maximum clique of ``g``) and a Mycielski
+    chain recognised in ``g`` from the graph alone.
+
+    Layers are peeled off iteratively while the remaining vertex set has
+    odd size.  The chain's base is ``clique`` carried down the layers: a
+    shadow is replaced by its original (their neighbors among the
+    originals agree), and an edge {apex, shadow} by an edge at the
+    shadow's original, so that a maximal chain over K2 proves chi = q on
+    the q-chromatic Mycielski iterate."""
+    adj = g.adj
+    inner = set(range(g.n))
+    layers: list[tuple[int, dict[int, int]]] = []
+    while len(inner) >= 3 and len(inner) % 2:
+        layer = _peel(adj, inner)
+        if layer is None:
+            break
+        layers.append(layer)
+        inner = set(layer[1])
+    base = set(clique.vertices)
+    for apex, shadow_of in layers:
+        original_of = {s: v for v, s in shadow_of.items()}
+        if apex in base:  # base is {apex} or {apex, shadow}
+            v = original_of[max(base - {apex})] if len(base) > 1 else min(shadow_of)
+            nbrs = adj[v] & shadow_of.keys()
+            base = {v, min(nbrs)} if nbrs else {v}
+        else:
+            base = {original_of.get(v, v) for v in base}
+    if len(base) + len(layers) <= clique.bound:
+        return clique
+    witness: CliqueWitness | MycielskiWitness = CliqueWitness(tuple(sorted(base)))
+    covered = set(base)
+    for apex, shadow_of in reversed(layers):
+        pairs = tuple(sorted((v, shadow_of[v]) for v in covered))
+        witness = MycielskiWitness(apex, pairs, witness)
+        covered.add(apex)
+        covered.update(s for _, s in pairs)
+    return witness
+
+
 def _color_block(
     g: Graph, clique: CliqueWitness, floor: int
-) -> ColoringWitness:
-    """Fewest-color coloring of one block among k >= ``floor``: k runs
-    upward from max(clique size, floor) with the clique precolored, and the
-    DSATUR greedy bound closes the interval from above.  The witness uses
-    exactly chi colors when chi > floor, and at most ``floor`` otherwise."""
+) -> tuple[ColoringWitness, LowerBound]:
+    """Fewest-color coloring of one block among k >= ``floor``, and a
+    witness that chi is at least the coloring's color count whenever that
+    count exceeds ``floor``.
+
+    The greedy DSATUR bound closes the interval from above.  No search runs
+    when it meets max(clique, floor), or else max(lower bound, floor) with
+    the recognised Mycielski bound.  Otherwise k runs upward from there
+    with the clique precolored; the first k that admits a coloring is the
+    answer, and when a smaller k was refuted on the way the lower-bound
+    witness is that ``search``."""
     upper, greedy_witness = greedy_dsatur_bound(g)
-    for k in range(max(len(clique.vertices), floor), upper):
+    lower: LowerBound = clique
+    if max(clique.bound, floor) < upper:
+        lower = mycielski_lower_bound(g, clique)
+    start = max(lower.bound, floor)
+    for k in range(start, upper):
         witness = is_k_colorable(g, k, clique=clique.vertices)
         if witness is not None:
-            return witness
-    return greedy_witness
+            if k > start:
+                lower = SearchWitness(tuple(range(g.n)), k)
+            return witness, lower
+    if upper > start:
+        lower = SearchWitness(tuple(range(g.n)), upper)
+    return greedy_witness, lower
 
 
-def chromatic_number(g: Graph) -> tuple[int, ColoringWitness]:
-    """Exact chromatic number with a proper coloring as witness.
+class Chromatic(NamedTuple):
+    """The chromatic number with a coloring and a lower-bound witness that
+    pin it, plus a maximum clique from the same pass over the blocks."""
+
+    chi: int
+    coloring: ColoringWitness
+    chi_lower: LowerBound
+    clique: CliqueWitness
+
+
+def chromatic_number(g: Graph) -> Chromatic:
+    """Exact chromatic number with a proper coloring and a lower-bound
+    witness, and the clique number with a maximum clique.
 
     chi(G) is the maximum of chi over the blocks of G (its biconnected
     components), since block colorings can be permuted to agree at the cut
-    vertices.  Each block is relabelled onto 0..b-1 in id order and each
-    distinct edge list is solved once, largest clique first, so that a
-    later block only has to be searched above the colors already needed.
-    The witness is assembled parents first along the block–cut tree,
-    swapping two colors of each block so that it agrees with the coloring
-    so far at its cut vertex."""
+    vertices, and every clique lies inside one block.  Each block is
+    relabelled onto 0..b-1 in id order and each distinct edge list is
+    solved once, largest clique first, so that a later block only has to
+    be closed above the colors already needed; the lower-bound witness is
+    that of the block that needed the most colors.  The coloring is
+    assembled parents first along the block–cut tree, swapping two colors
+    of each block so that it agrees with the coloring so far at its cut
+    vertex."""
     if g.n == 0:
-        return 0, ColoringWitness(0, ())
+        return Chromatic(0, ColoringWitness(0, ()), CliqueWitness(()), CliqueWitness(()))
     blocks = biconnected_components(g)
     keys = []
     distinct: dict[tuple, Graph] = {}
+    first: dict[tuple, tuple[int, ...]] = {}
     for block in blocks:
         index = {v: i for i, v in enumerate(block)}
         edges = tuple(
@@ -313,14 +524,18 @@ def chromatic_number(g: Graph) -> tuple[int, ColoringWitness]:
         key = (len(block), edges)
         if key not in distinct:
             distinct[key] = Graph.from_edges(len(block), edges)
+            first[key] = block
         keys.append(key)
     cliques = {key: max_clique(h)[1] for key, h in distinct.items()}
     chi = 0
+    lower: LowerBound = CliqueWitness(())
     local: dict[tuple, tuple[int, ...]] = {}
-    for key in sorted(distinct, key=lambda key: -len(cliques[key].vertices)):
-        witness = _color_block(distinct[key], cliques[key], chi)
+    for key in sorted(distinct, key=lambda key: -cliques[key].bound):
+        witness, block_lower = _color_block(distinct[key], cliques[key], chi)
         local[key] = witness.assignment
-        chi = max(chi, witness.k)
+        if witness.k > chi:
+            chi = witness.k
+            lower = block_lower.relabel(first[key])
     colors = [-1] * g.n
     for block, key in zip(blocks, keys):
         perm = list(range(chi))
@@ -331,4 +546,8 @@ def chromatic_number(g: Graph) -> tuple[int, ColoringWitness]:
                 break
         for v, c in zip(block, local[key]):
             colors[v] = perm[c]
-    return chi, ColoringWitness(chi, tuple(colors))
+    clique = min(
+        (cliques[key].relabel(block) for block, key in zip(blocks, keys)),
+        key=lambda c: (-c.bound, c.vertices),
+    )
+    return Chromatic(chi, ColoringWitness(chi, tuple(colors)), lower, clique)

@@ -40,9 +40,9 @@ from .homology import (
 from .invariants import (
     CliqueWitness,
     ColoringWitness,
+    LowerBound,
     chromatic_number,
     greedy_dsatur_bound,
-    max_clique,
     verify_biclique_certificate,
 )
 
@@ -135,6 +135,7 @@ class BoundReport:
     certificate: ConnectivityCertificate
     homological_connectivity: int | str
     coloring: ColoringWitness
+    chi_lower: LowerBound
     clique: CliqueWitness
 
     def validate(self) -> None:
@@ -147,6 +148,12 @@ class BoundReport:
             raise RuntimeError(
                 f"certified bound {self.lovasz_certified} exceeds chromatic "
                 f"number {self.chi}"
+            )
+        bound = self.chi_lower.bound
+        if bound > self.chi or (bound != self.chi and self.chi_lower.kind != "search"):
+            raise RuntimeError(
+                f"{self.chi_lower.kind} witness proves chi >= {bound}, not "
+                f"chi = {self.chi}"
             )
 
 
@@ -165,15 +172,15 @@ def compare_bounds(
     g: Graph, cap: int = 2, limit: int = DEFAULT_FACE_BUDGET
 ) -> BoundReport:
     """Compute every invariant and the connectivity certificate; report
-    only, never assert."""
+    only, never assert.  omega comes from the chromatic number's pass over
+    the blocks, since every clique lies inside one block."""
     nc = neighborhood_complex(g)
     topology = homology_pass(nc, cap, limit)
-    chi, coloring = chromatic_number(g)
-    omega, clique = max_clique(g)
+    chi, coloring, chi_lower, clique = chromatic_number(g)
     upper, _ = greedy_dsatur_bound(g)
     report = BoundReport(
         chi=chi,
-        omega=omega,
+        omega=len(clique.vertices),
         lovasz_certified=certified_bound(topology.certificate),
         greedy_upper=upper,
         flags=topology.certificate.flags,
@@ -181,6 +188,7 @@ def compare_bounds(
         certificate=topology.certificate,
         homological_connectivity=topology.homological_connectivity,
         coloring=coloring,
+        chi_lower=chi_lower,
         clique=clique,
     )
     report.validate()
@@ -268,6 +276,29 @@ def _certificate_json(cert: ConnectivityCertificate) -> dict:
     }
 
 
+def _chi_lower_json(witness: LowerBound) -> dict:
+    """``{kind, bound, ...}``: ``vertices`` for a clique or a search, and
+    ``apex``, ``shadows`` ([original, shadow] pairs) and ``inner`` for a
+    Mycielski layer, nested down to its base clique."""
+    if witness.kind != "mycielski":
+        return {
+            "kind": witness.kind,
+            "bound": witness.bound,
+            "vertices": list(witness.vertices),
+        }
+    layers, base = witness.chain()
+    payload = _chi_lower_json(base)
+    for layer in reversed(layers):
+        payload = {
+            "kind": layer.kind,
+            "bound": payload["bound"] + 1,
+            "apex": layer.apex,
+            "shadows": [list(pair) for pair in layer.shadows],
+            "inner": payload,
+        }
+    return payload
+
+
 def _lovasz_json(certificate: ConnectivityCertificate) -> dict:
     value = certified_bound(certificate)
     return {
@@ -348,6 +379,7 @@ def corollary_report_json(
         bound.homology,
         {
             "coloring": list(bound.coloring.assignment),
+            "chi_lower": _chi_lower_json(bound.chi_lower),
             "clique": list(bound.clique.vertices),
             "biclique": {
                 "left": list(built.biclique_left),
@@ -379,6 +411,7 @@ def bounds_report_json(
         report.homology,
         {
             "coloring": list(report.coloring.assignment),
+            "chi_lower": _chi_lower_json(report.chi_lower),
             "clique": list(report.clique.vertices),
             "greedy_upper": report.greedy_upper,
             "homological_connectivity": report.homological_connectivity,
@@ -410,7 +443,11 @@ SUITE_COROLLARY_PARAMS: tuple[tuple[int, int, int, int], ...] = (
     (2, 3, 3, 4),
 )
 
-FULL_COROLLARY_PARAMS = SUITE_COROLLARY_PARAMS + ((2, 2, 3, 5), (2, 2, 3, 6))
+FULL_COROLLARY_PARAMS = SUITE_COROLLARY_PARAMS + (
+    (2, 2, 3, 5),
+    (2, 2, 3, 6),
+    (2, 2, 3, 7),
+)
 
 
 def _suite_graph(name: str) -> Graph:

@@ -218,7 +218,7 @@ def test_criterion_5_solver_oracles():
     checked = 0
     for _ in range(500):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.4, 0.6, 0.8]))
-        chi, cw = chromatic_number(g)
+        chi, cw, lower, _ = chromatic_number(g)
         omega, qw = max_clique(g)
         upper, uw = greedy_dsatur_bound(g)
         if chi != brute_force_chromatic(g):
@@ -234,6 +234,7 @@ def test_criterion_5_solver_oracles():
             notes.append("sandwich violated")
             break
         cw.validate(g)
+        lower.validate(g)
         qw.validate(g)
         checked += 1
     report(

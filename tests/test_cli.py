@@ -138,6 +138,24 @@ def test_chromatic_and_clique_commands(tmp_path, capsys):
     assert "omega=2" in capsys.readouterr().out
 
 
+def test_chromatic_json_carries_a_mycielski_chain(tmp_path, capsys):
+    graph = tmp_path / "m8.col"
+    assert main(["construct", "trianglefree", "--q", "8", "-o", str(graph)]) == 0
+    assert main(["chromatic", str(graph), "--json", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "chi=8\n"
+    payload = json.loads(captured.out)
+    assert payload["chi"] == 8
+    witness = payload["chi_lower"]
+    depth = 0
+    while witness["kind"] == "mycielski":
+        assert witness["bound"] == 8 - depth
+        depth += 1
+        witness = witness["inner"]
+    assert depth == 6
+    assert witness["kind"] == "clique" and len(witness["vertices"]) == 2
+
+
 def test_chromatic_long_cycle_exit_zero(tmp_path, capsys):
     graph = tmp_path / "c1201.col"
     write_graph(cycle_graph(1201), str(graph))
@@ -249,7 +267,7 @@ def test_suite_reports_byte_identical(tmp_path):
 
 # sha256 of `verify suite --seed 0 --json FILE`; a change to any report byte
 # must update this digest and say why
-SUITE_SEED0_SHA256 = "53115b4ea42419c972af1bd1d3b402fc262b3082bb638ff70c399b99b1ef36b9"
+SUITE_SEED0_SHA256 = "05b3f924d2c297a2b058f013d9aa2a7b3e9c18c89f3d2478ef5cc0195047df55"
 
 
 def test_suite_report_matches_pinned_digest(tmp_path):
@@ -262,9 +280,9 @@ def test_suite_report_matches_pinned_digest(tmp_path):
 # directory that holds its inputs so that the `case` string names them
 # relatively; a change to any report byte must update a digest and say why
 CLI_REPORT_SHA256 = {
-    "bounds-k3": "4955f7cc7340f15c8adc74c95673f23ccd7ab422eda8c48764a183337a37c2bc",
-    "bounds-c5": "d9135e74af7c51f539205db17da8ae859fbdcf97fb7a28c6311de4e2c4186984",
-    "bounds-empty": "c0a8e2b04eff3c93b48687300d9bf62f0bc0f872297e2339f2fa131c845c468b",
+    "bounds-k3": "0453176fcbaaf441ee9a1be77c88b1ca3b57cb3139f2a3c746658134bd719acb",
+    "bounds-c5": "e98d4c59695e6bcfcf4b08f65c1073cecbc709ed4ad49609291699c288606bd5",
+    "bounds-empty": "650f73dca52ca4ed2d140cb6b56fbf9f030e4939194379877fb8dad69e5493dd",
     "theorem2": "12722cb2fb1da51ba0e3d6f8c5e9c3942712e03ecbaae373f9ad9cf27d679d57",
     "homology": "c303d7529a43c0173abf3d6d60d7ccfd642a342292b4f370f2d8a5a7f1c63ee0",
 }

@@ -67,7 +67,7 @@ def test_groetzsch_brute_force_cross_check():
 
 def test_chromatic_complete_graphs():
     for p in range(1, 7):
-        chi, witness = chromatic_number(complete_graph(p))
+        chi, witness, _, _ = chromatic_number(complete_graph(p))
         assert chi == p
         witness.validate(complete_graph(p))
 
@@ -91,7 +91,7 @@ def test_greedy_bound_examples():
 
 def test_empty_and_trivial_graphs():
     empty = Graph.from_edges(0, [])
-    assert chromatic_number(empty) == (0, is_k_colorable(empty, 0))
+    assert chromatic_number(empty)[:2] == (0, is_k_colorable(empty, 0))
     assert max_clique(empty)[0] == 0
     single = Graph.from_edges(1, [])
     assert chromatic_number(single)[0] == 1
@@ -101,7 +101,7 @@ def test_empty_and_trivial_graphs():
 @given(graphs(max_n=8))
 @settings(max_examples=100, deadline=None)
 def test_solvers_match_brute_force(g):
-    chi, cw = chromatic_number(g)
+    chi, cw, _, _ = chromatic_number(g)
     assert chi == brute_force_chromatic(g)
     cw.validate(g)
     size, qw = max_clique(g)
@@ -112,7 +112,7 @@ def test_solvers_match_brute_force(g):
 def test_chromatic_long_odd_cycle():
     # deeper than Python's recursion limit: the search must be iterative
     g = cycle_graph(1201)
-    chi, witness = chromatic_number(g)
+    chi, witness, _, _ = chromatic_number(g)
     assert chi == 3
     witness.validate(g)
 
@@ -146,7 +146,7 @@ def block_graphs(draw):
 @given(block_graphs())
 @settings(max_examples=150, deadline=None)
 def test_block_split_matches_brute_force(g):
-    chi, witness = chromatic_number(g)
+    chi, witness, _, _ = chromatic_number(g)
     assert chi == brute_force_chromatic(g)
     witness.validate(g)
     assert witness.k == chi
@@ -156,7 +156,7 @@ def test_block_split_matches_brute_force(g):
 @settings(max_examples=80, deadline=None)
 def test_sandwich_inequality(g):
     omega, _ = max_clique(g)
-    chi, _ = chromatic_number(g)
+    chi = chromatic_number(g).chi
     upper, _ = greedy_dsatur_bound(g)
     assert omega <= chi <= upper
 

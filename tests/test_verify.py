@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
 from lovaszgap import (
+    CliqueWitness,
     CorollaryParams,
     GadgetSpec,
     PreconditionError,
+    SearchWitness,
     chromatic_number,
     compare_bounds,
     complete_bipartite,
@@ -103,6 +106,19 @@ def test_compare_bounds_disconnected_complex_gives_two():
     report = compare_bounds(cycle_graph(4))
     assert report.lovasz_certified == 2
     assert report.chi == 2
+
+
+def test_bound_report_requires_chi_lower_to_pin_chi():
+    report = compare_bounds(cycle_graph(5))
+    assert report.chi_lower.kind == "mycielski"
+    report.validate()
+    weak = dataclasses.replace(report, chi_lower=CliqueWitness((0, 1)))
+    with pytest.raises(RuntimeError, match="proves chi >= 2"):
+        weak.validate()
+    # a search witness need only stay at or below chi
+    dataclasses.replace(report, chi_lower=SearchWitness(tuple(range(5)), 2)).validate()
+    with pytest.raises(RuntimeError, match="proves chi >= 4"):
+        dataclasses.replace(report, chi_lower=SearchWitness(tuple(range(5)), 4)).validate()
 
 
 def test_certified_bound_never_exceeds_chi(corpus):

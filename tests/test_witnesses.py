@@ -1,0 +1,205 @@
+"""Lower-bound witnesses for the chromatic number: the Mycielski chain and
+the clique are checked against the exhaustive search and the brute-force
+oracles, the validator is shown to reject broken witnesses, and blocks with
+no Mycielski structure are shown to fall back to the search."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lovaszgap import (
+    CertificateError,
+    CliqueWitness,
+    Graph,
+    MycielskiWitness,
+    SearchWitness,
+    chromatic_number,
+    complete_graph,
+    cycle_graph,
+    is_k_colorable,
+    kneser_graph,
+    max_clique,
+    mycielski_lower_bound,
+    mycielskian,
+    triangle_free_chromatic,
+)
+
+from oracles import brute_force_chromatic, brute_force_max_clique
+
+
+def assert_witnesses_hold(g, result):
+    """Every witness validates, and the lower bound pins chi unless it is
+    the search's own record."""
+    result.coloring.validate(g)
+    result.clique.validate(g)
+    result.chi_lower.validate(g)
+    assert result.coloring.k == result.chi
+    assert result.chi_lower.bound <= result.chi
+    if result.chi_lower.kind != "search":
+        assert result.chi_lower.bound == result.chi
+
+
+def chain_shape(witness):
+    layers, base = witness.chain()
+    return len(layers), base.vertices
+
+
+# ---------------------------------------------------------------------------
+# differential: certificate against exhaustive search and oracles
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_certificate_chi_matches_exhaustive_search(q):
+    g = triangle_free_chromatic(q)
+    result = chromatic_number(g)
+    assert result.chi_lower.kind == "mycielski"
+    assert_witnesses_hold(g, result)
+    depth, base = chain_shape(result.chi_lower)
+    assert depth == q - 2 and len(base) == 2
+    # the exhaustive disproof the certificate replaces (M6 takes seconds)
+    assert is_k_colorable(g, q - 1) is None
+    assert is_k_colorable(g, q) is not None
+    assert result.chi == q
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 6):
+    """A random spanning tree on 1..max_n vertices plus random extra edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def shuffled_mycielskians(draw):
+    """The Mycielskian of a small connected graph (at most 13 vertices),
+    with its ids shuffled and sometimes a few edges added."""
+    g = mycielskian(draw(connected_graphs()))
+    edges = set(g.edges())
+    if draw(st.booleans()):
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    relabel = draw(st.permutations(range(g.n)))
+    return Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+@given(shuffled_mycielskians())
+@settings(max_examples=120, deadline=None)
+def test_mycielskians_match_brute_force(g):
+    result = chromatic_number(g)
+    assert result.chi == brute_force_chromatic(g)
+    assert len(result.clique.vertices) == brute_force_max_clique(g)
+    assert_witnesses_hold(g, result)
+
+
+def test_witnesses_hold_on_corpus(corpus):
+    for name, g in corpus.items():
+        assert_witnesses_hold(g, chromatic_number(g))
+
+
+def test_mycielskian_of_a_clique_is_certified():
+    # M(K4): the chain's base is the inner K4, so chi = 5 needs no search
+    g = mycielskian(complete_graph(4))
+    result = chromatic_number(g)
+    assert result.chi == 5
+    assert chain_shape(result.chi_lower) == (1, (0, 1, 2, 3))
+    assert_witnesses_hold(g, result)
+
+
+def test_chain_ids_follow_the_graph():
+    # two Mycielski blocks glued at a cut vertex: the witness names the
+    # vertices of the block that needs the most colors, in graph ids
+    m4 = triangle_free_chromatic(4)
+    m3 = triangle_free_chromatic(3)
+    edges = list(m3.edges()) + [(u + m3.n - 1, v + m3.n - 1) for u, v in m4.edges()]
+    g = Graph.from_edges(m3.n + m4.n - 1, edges)
+    result = chromatic_number(g)
+    assert result.chi == 4
+    assert_witnesses_hold(g, result)
+    layers, base = result.chi_lower.chain()
+    assert len(layers) == 2 and min(base.vertices) >= m3.n - 1
+    assert all(layer.apex >= m3.n - 1 for layer in layers)
+
+
+# ---------------------------------------------------------------------------
+# the validator rejects broken witnesses
+
+
+M4 = triangle_free_chromatic(4)
+
+
+def m4_witness() -> MycielskiWitness:
+    witness = chromatic_number(M4).chi_lower
+    assert isinstance(witness, MycielskiWitness)
+    witness.validate(M4)
+    return witness
+
+
+def test_validator_rejects_shadow_of_the_wrong_original():
+    witness = m4_witness()
+    (v0, s0), (v1, s1) = witness.shadows[:2]
+    assert M4.adj[v0] != M4.adj[v1]
+    swapped = ((v0, s1), (v1, s0)) + witness.shadows[2:]
+    with pytest.raises(CertificateError, match="misses its neighbor"):
+        dataclasses.replace(witness, shadows=swapped).validate(M4)
+
+
+def test_validator_rejects_apex_missing_a_shadow():
+    witness = m4_witness()
+    _, shadow = witness.shadows[0]
+    broken = Graph.from_edges(
+        M4.n, [e for e in M4.edges() if set(e) != {witness.apex, shadow}]
+    )
+    with pytest.raises(CertificateError, match="misses shadow"):
+        witness.validate(broken)
+
+
+def test_validator_rejects_shadow_inside_the_inner_set():
+    witness = m4_witness()
+    (v0, _), *rest = witness.shadows
+    inside = rest[0][0]  # another vertex of the inner set
+    moved = ((v0, inside), *rest)
+    with pytest.raises(CertificateError, match="inside the inner set"):
+        dataclasses.replace(witness, shadows=moved).validate(M4)
+
+
+def test_validator_rejects_shadow_map_missing_an_inner_vertex():
+    witness = m4_witness()
+    with pytest.raises(CertificateError, match="cover"):
+        dataclasses.replace(witness, shadows=witness.shadows[1:]).validate(M4)
+
+
+def test_validator_rejects_clique_with_a_non_edge():
+    with pytest.raises(CertificateError, match="misses edge"):
+        CliqueWitness((0, 2)).validate(cycle_graph(5))
+    inner_broken = MycielskiWitness(4, ((0, 3), (2, 1)), CliqueWitness((0, 2)))
+    with pytest.raises(CertificateError, match="misses edge"):
+        inner_broken.validate(cycle_graph(5))
+
+
+def test_search_witness_repeats_the_search():
+    petersen = kneser_graph(5, 2)
+    SearchWitness(tuple(range(10)), 3).validate(petersen)
+    with pytest.raises(CertificateError, match="3-colorable"):
+        SearchWitness(tuple(range(10)), 4).validate(petersen)
+
+
+# ---------------------------------------------------------------------------
+# fallback: blocks with no Mycielski structure are searched
+
+
+@pytest.mark.parametrize(
+    "g,chi", [(kneser_graph(5, 2), 3), (cycle_graph(7), 3)], ids=["petersen", "C7"]
+)
+def test_non_mycielski_blocks_fall_back_to_search(g, chi):
+    _, clique = max_clique(g)
+    assert mycielski_lower_bound(g, clique) == clique
+    result = chromatic_number(g)
+    assert result.chi == chi
+    assert result.chi_lower == SearchWitness(tuple(range(g.n)), chi)
+    assert_witnesses_hold(g, result)
