@@ -42,10 +42,8 @@ from .homology import (
     HomologyGroup,
     HomologyPass,
     certify_conn_zero,
-    homological_connectivity,
     homology_pass,
     homology_profile,
-    reduced_homology,
 )
 from .invariants import (
     Chromatic,
@@ -55,7 +53,6 @@ from .invariants import (
     MycielskiWitness,
     SearchWitness,
     chromatic_number,
-    contains_triangle,
     greedy_dsatur_bound,
     is_k_colorable,
     max_clique,

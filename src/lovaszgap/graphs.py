@@ -304,7 +304,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in sorted(g.adj[v]):
+            for u in g.adj[v]:
                 if not seen[u]:
                     seen[u] = True
                     comp.append(u)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .complexes import DEFAULT_FACE_BUDGET, Face, FaceTable, SimplicialComplex, faces_up_to
 from .errors import BudgetExceededError, ParameterError
+from .graphs import Graph, connected_components
 from .snf import IntegerMatrix, SnfResult, smith_normal_form
 
 EMPTY_SENTINEL = -2  # "connectivity" of the empty complex
@@ -76,26 +77,6 @@ class HomologyPass:
     homological_connectivity: int | str
 
 
-class UnionFind:
-    def __init__(self, items) -> None:
-        self.parent = {x: x for x in items}
-        self.count = len(self.parent)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.count -= 1
-
-
 def fan_columns(
     c: SimplicialComplex, top: int, used: int, limit: int = DEFAULT_FACE_BUDGET
 ) -> list[tuple[Face, ...]]:
@@ -141,11 +122,11 @@ def graph_boundary_snf(vertices: int, components: int) -> SnfResult:
 
 def skeleton_components(table: FaceTable) -> int:
     """Number of components of the 1-skeleton, isolated complex vertices
-    included."""
-    uf = UnionFind(table.faces_of_dim(0))
-    for edge in table.faces_of_dim(1):
-        uf.union((edge[0],), (edge[1],))
-    return uf.count
+    included; the vertices are relabelled onto 0..k-1 first, since facet
+    files may name them by arbitrary ids."""
+    index = {v: i for i, (v,) in enumerate(table.faces_of_dim(0))}
+    edges = ((index[u], index[v]) for u, v in table.faces_of_dim(1))
+    return len(connected_components(Graph.from_edges(len(index), edges)))
 
 
 _EMPTY_CERTIFICATE = ConnectivityCertificate(
@@ -161,11 +142,11 @@ def homology_pass(
 
     betti_i = #(i-faces) - rank(boundary_i) - rank(boundary_{i+1}), with the
     augmentation map standing in for the degree-0 boundary; torsion in
-    degree i comes from the invariant factors of boundary_{i+1}.  Union-find
-    over the 1-skeleton gives the degree-1 SNF (``graph_boundary_snf``) and
-    connectedness; boundaries 2..max(cap, 1) + 1 are built on fan columns
-    (``fan_columns``, counted against ``limit`` after the face table) and go
-    through ``smith_normal_form``.
+    degree i comes from the invariant factors of boundary_{i+1}.  The
+    connected components of the 1-skeleton give the degree-1 SNF
+    (``graph_boundary_snf``) and connectedness; boundaries 2..max(cap, 1) + 1
+    are built on fan columns (``fan_columns``, counted against ``limit``
+    after the face table) and go through ``smith_normal_form``.
     The certificate's nontrivial loop is H_1 != 0 (the abelianization shadow
     of a nontrivial fundamental group)."""
     if cap < 0:
@@ -226,25 +207,8 @@ def homology_profile(
     return homology_pass(c, max_dim, limit).profile
 
 
-def reduced_homology(
-    c: SimplicialComplex, i: int, limit: int = DEFAULT_FACE_BUDGET
-) -> HomologyGroup:
-    if i < 0:
-        raise ParameterError(f"homology degree must be >= 0, got {i}")
-    return homology_profile(c, i, limit)[i]
-
-
 def certify_conn_zero(
     c: SimplicialComplex, limit: int = DEFAULT_FACE_BUDGET
 ) -> ConnectivityCertificate:
     """Certify conn = 0 for the complex's realization."""
     return homology_pass(c, 1, limit).certificate
-
-
-def homological_connectivity(
-    c: SimplicialComplex, cap: int = 2, limit: int = DEFAULT_FACE_BUDGET
-) -> int | str:
-    """(min degree i <= cap with nonvanishing reduced homology) - 1, or
-    ">=cap" when all degrees through cap vanish; the empty complex reports
-    the -2 sentinel."""
-    return homology_pass(c, cap, limit).homological_connectivity

@@ -3,17 +3,18 @@
 The chromatic number is solved block by block (biconnected components),
 each distinct block once.  A block's value is pinned between a lower-bound
 witness and the greedy DSATUR coloring.  The lower-bound witness is a
-maximum clique (chi >= |K|) or a Mycielski chain (chi >= inner + 1, by
-Mycielski's recoloring argument) that a recogniser peels off the block
-from the graph alone; validating either only checks that the edges it
-needs exist.  Only a block whose bounds
-do not meet falls back to an exhaustive DSATUR branch-and-bound on the
-k-colorability decision problem, starting at the lower bound, with the
-maximum clique precolored and new colors introduced in order (0, 1, 2,
-...) to break color symmetry; its witness records that search.  The
-clique solver is a branch-and-bound with greedy-coloring upper bounds
-over a degeneracy vertex order.  Everything is deterministic: saturation
-ties break by degree, then by vertex id.
+maximum clique (chi >= |K|) or a Mycielski chain (chi >= |base clique| +
+#layers, by Mycielski's recoloring argument) that a recogniser peels off
+the block from the graph alone; validating either only checks that the
+edges it needs exist.  Only a block whose bounds do not meet falls back to
+an exhaustive DSATUR branch-and-bound on the k-colorability decision
+problem, starting at the lower bound, with the maximum clique precolored
+and new colors introduced in order (0, 1, 2, ...) to break color
+symmetry; its witness records that search.  Greedy DSATUR is the same
+search allowed n colors, which never backtracks.  The clique solver is a
+branch-and-bound with greedy-coloring upper bounds over a degeneracy
+vertex order.  Everything is deterministic: saturation ties break by
+degree, then by vertex id.
 """
 
 from __future__ import annotations
@@ -74,56 +75,46 @@ class CliqueWitness:
 
 @dataclass(frozen=True)
 class MycielskiWitness:
-    """Proves chi >= inner.bound + 1 on any graph with these edges: an apex
-    adjacent to every shadow, and for every vertex v of the inner witness
-    a shadow adjacent to every neighbor of v inside that vertex set, with
-    the apex and the shadows outside it (Mycielski, 1955).  Given a
-    k-coloring with k = inner.bound, recolor each inner vertex that has
-    the apex's color with its shadow's color: the inner vertex set is then
-    properly colored without the apex's color, which contradicts the inner
-    bound.  ``shadows`` pairs each inner vertex with its shadow."""
+    """Proves chi >= base.bound + len(layers) on any graph with these edges.
+    Each layer ``(apex, shadows)``, innermost first, raises the bound of the
+    vertex set below it (the base and the layers inside) by one: the apex is
+    adjacent to every shadow, and every vertex v of that set has a shadow
+    adjacent to every neighbor of v inside the set, with the apex and the
+    shadows outside it (Mycielski, 1955).  Given a k-coloring with k the
+    bound below, recolor each vertex of the set that has the apex's color
+    with its shadow's color: the set is then properly colored without the
+    apex's color, which contradicts the bound below.  ``shadows`` pairs each
+    vertex of the set with its shadow."""
 
-    apex: int
-    shadows: tuple[tuple[int, int], ...]
-    inner: "CliqueWitness | MycielskiWitness"
+    base: CliqueWitness
+    layers: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     kind = "mycielski"
 
-    def chain(self) -> tuple[list["MycielskiWitness"], CliqueWitness]:
-        """The Mycielski layers, outermost first, and the base clique."""
-        layers: list[MycielskiWitness] = []
-        w: CliqueWitness | MycielskiWitness = self
-        while isinstance(w, MycielskiWitness):
-            layers.append(w)
-            w = w.inner
-        return layers, w
-
     @property
     def bound(self) -> int:
-        layers, base = self.chain()
-        return base.bound + len(layers)
+        return self.base.bound + len(self.layers)
 
     def relabel(self, ids) -> "MycielskiWitness":
-        layers, base = self.chain()
-        w = base.relabel(ids)
-        for layer in reversed(layers):
-            shadows = tuple(sorted((ids[v], ids[s]) for v, s in layer.shadows))
-            w = MycielskiWitness(ids[layer.apex], shadows, w)
-        return w
+        return MycielskiWitness(
+            self.base.relabel(ids),
+            tuple(
+                (ids[apex], tuple(sorted((ids[v], ids[s]) for v, s in shadows)))
+                for apex, shadows in self.layers
+            ),
+        )
 
     def validate(self, g: Graph) -> None:
-        layers, base = self.chain()
-        base.validate(g)
-        inner = set(base.vertices)
-        for layer in reversed(layers):
-            if sorted(v for v, _ in layer.shadows) != sorted(inner):
+        self.base.validate(g)
+        inner = set(self.base.vertices)
+        for a, shadows in self.layers:
+            if sorted(v for v, _ in shadows) != sorted(inner):
                 raise CertificateError(
                     "shadow map does not cover the inner vertex set once"
                 )
-            a = layer.apex
             if not (0 <= a < g.n) or a in inner:
                 raise CertificateError(f"apex {a} out of range or inside the inner set")
-            for v, s in layer.shadows:
+            for v, s in shadows:
                 if not (0 <= s < g.n) or s in inner:
                     raise CertificateError(
                         f"shadow {s} out of range or inside the inner set"
@@ -136,7 +127,7 @@ class MycielskiWitness:
                         f"shadow {s} of {v} misses its neighbor {min(missing)}"
                     )
             inner.add(a)
-            inner.update(s for _, s in layer.shadows)
+            inner.update(s for _, s in shadows)
 
 
 @dataclass(frozen=True)
@@ -157,15 +148,21 @@ class SearchWitness:
         vs = self.vertices
         if list(vs) != sorted(set(vs)) or any(not (0 <= v < g.n) for v in vs):
             raise CertificateError("search witness vertices not sorted, distinct, in range")
-        index = {v: i for i, v in enumerate(vs)}
-        h = Graph.from_edges(
-            len(vs), ((i, index[u]) for i, v in enumerate(vs) for u in g.adj[v] if u in index)
-        )
-        if self.bound > 0 and is_k_colorable(h, self.bound - 1) is not None:
+        if self.bound > 0 and is_k_colorable(_induced(g, vs), self.bound - 1) is not None:
             raise CertificateError(f"the subgraph is {self.bound - 1}-colorable")
 
 
 LowerBound = CliqueWitness | MycielskiWitness | SearchWitness
+
+
+def _induced(g: Graph, vertices: tuple[int, ...]) -> Graph:
+    """The subgraph induced on the sorted ``vertices``, relabelled onto
+    0..b-1 in id order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return Graph.from_edges(
+        len(vertices),
+        ((i, index[u]) for i, v in enumerate(vertices) for u in g.adj[v] if u in index),
+    )
 
 
 def _adj_masks(g: Graph) -> list[int]:
@@ -208,7 +205,8 @@ def max_clique(g: Graph) -> tuple[int, CliqueWitness]:
     search_order = list(reversed(_degeneracy_order(g)))
     best: list[int] = []
 
-    def color_sort(cand: int) -> tuple[list[int], list[int]]:
+    def color_sort(cand: int) -> list:
+        """The stack frame [cand, order, bounds, next index] of ``cand``."""
         order: list[int] = []
         bounds: list[int] = []
         color = 0
@@ -222,38 +220,33 @@ def max_clique(g: Graph) -> tuple[int, CliqueWitness]:
                 bounds.append(color)
                 avail &= ~(masks[v] | 1 << v)
                 remaining &= ~(1 << v)
-        return order, bounds
+        return [cand, order, bounds, len(order) - 1]
 
-    def expand(current: list[int], cand: int) -> None:
-        nonlocal best
-        if cand == 0:
+    # depth-first over an explicit stack, so the depth is not bounded by
+    # Python's recursion limit; current holds one vertex per frame but the root
+    current: list[int] = []
+    frames = [color_sort((1 << g.n) - 1)]
+    while frames:
+        frame = frames[-1]
+        cand, order, bounds, i = frame
+        if i < 0 or len(current) + bounds[i] <= len(best):
+            frames.pop()
+            if frames:
+                current.pop()
+            continue
+        v = order[i]
+        frame[0] = cand & ~(1 << v)  # later siblings skip v's subtree
+        frame[3] = i - 1
+        current.append(v)
+        cand &= masks[v]
+        if cand:
+            frames.append(color_sort(cand))
+        else:
             if len(current) > len(best):
                 best = current[:]
-            return
-        order, bounds = color_sort(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[i] <= len(best):
-                return
-            v = order[i]
-            current.append(v)
-            expand(current, cand & masks[v])
             current.pop()
-            cand &= ~(1 << v)
-
-    expand([], (1 << g.n) - 1)
     witness = CliqueWitness(tuple(sorted(best)))
     return len(best), witness
-
-
-def contains_triangle(g: Graph) -> CliqueWitness | None:
-    """First triangle in lexicographic order, or None after an exhaustive
-    scan of all adjacent pairs' common neighbors."""
-    for u, v in g.edges():
-        common = g.adj[u] & g.adj[v]
-        if common:
-            w = min(common)
-            return CliqueWitness(tuple(sorted((u, v, w))))
-    return None
 
 
 def verify_biclique_certificate(g: Graph, a, b) -> bool:
@@ -294,24 +287,10 @@ def _select_dsatur(
 
 def greedy_dsatur_bound(g: Graph) -> tuple[int, ColoringWitness]:
     """Greedy DSATUR coloring; its color count upper-bounds the chromatic
-    number."""
-    if g.n == 0:
-        return 0, ColoringWitness(0, ())
-    degrees = [len(s) for s in g.adj]
-    colors = [-1] * g.n
-    neighbor_colors = [0] * g.n
-    used = 0
-    for _ in range(g.n):
-        v = _select_dsatur(colors, neighbor_colors, degrees)
-        c = 0
-        while neighbor_colors[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-        for u in g.adj[v]:
-            neighbor_colors[u] |= 1 << c
-    witness = ColoringWitness(used, tuple(colors))
-    return used, witness
+    number.  It is the exact search's first leaf (Brelaz, 1979): with n
+    colors allowed no vertex is ever blocked, so the search never backtracks."""
+    witness = _dsatur(g, g.n, ())
+    return witness.k, witness
 
 
 def is_k_colorable(
@@ -319,11 +298,7 @@ def is_k_colorable(
 ) -> ColoringWitness | None:
     """Exhaustive k-colorability decision.  Returns a proper coloring
     (normalized so that exactly its ``k`` colors are used) or None when no
-    proper k-coloring exists.
-
-    Depth-first DSATUR over an explicit stack, so the depth is not bounded
-    by Python's recursion limit.  A fresh color may only be introduced as
-    the next unused one (symmetry breaking)."""
+    proper k-coloring exists."""
     if k < 0:
         raise ParameterError(f"color count must be >= 0, got {k}")
     if g.n == 0:
@@ -337,7 +312,16 @@ def is_k_colorable(
         clique = cw.vertices
     if len(clique) > k:
         return None
+    return _dsatur(g, k, clique)
 
+
+def _dsatur(g: Graph, k: int, clique: tuple[int, ...]) -> ColoringWitness | None:
+    """The first proper coloring with at most ``k`` colors that DSATUR finds
+    with ``clique`` precolored 0, 1, ..., or None when there is none.
+
+    Depth-first over an explicit stack, so the depth is not bounded by
+    Python's recursion limit.  A fresh color may only be introduced as the
+    next unused one (symmetry breaking)."""
     adj = g.adj
     degrees = [len(s) for s in adj]
     colors = [-1] * g.n
@@ -362,7 +346,9 @@ def is_k_colorable(
             for u in changed:
                 neighbor_colors[u] &= bit
             colors[v] = -1
-        top = min(k, palette + 1)
+        # min(k, palette + 1), and max(palette, c + 1) below, spelled out:
+        # the builtin calls cost greedy DSATUR about a tenth of its time
+        top = palette + 1 if palette < k else k
         blocked = neighbor_colors[v]
         while c < top and blocked >> c & 1:
             c += 1
@@ -381,11 +367,10 @@ def is_k_colorable(
         if len(frames) == uncolored:
             break
         v = _select_dsatur(colors, neighbor_colors, degrees)
-        frames.append([v, 0, None, max(palette, c + 1)])
+        frames.append([v, 0, None, palette if palette > c else c + 1])
     if len(frames) != uncolored:  # the stack ran empty: no k-coloring
         return None
-    used = max(colors) + 1
-    return ColoringWitness(used, tuple(colors))
+    return ColoringWitness(max(colors, default=-1) + 1, tuple(colors))
 
 
 def _peel(adj, inner: set[int]) -> tuple[int, dict[int, int]] | None:
@@ -421,39 +406,31 @@ def mycielski_lower_bound(
     chain recognised in ``g`` from the graph alone.
 
     Layers are peeled off iteratively while the remaining vertex set has
-    odd size.  The chain's base is ``clique`` carried down the layers: a
-    shadow is replaced by its original (their neighbors among the
-    originals agree), and an edge {apex, shadow} by an edge at the
-    shadow's original, so that a maximal chain over K2 proves chi = q on
-    the q-chromatic Mycielski iterate."""
-    adj = g.adj
+    odd size.  The chain's base is a maximum clique of the residual that
+    the last layer leaves, so that a maximal chain over K2 proves chi = q
+    on the q-chromatic Mycielski iterate."""
     inner = set(range(g.n))
-    layers: list[tuple[int, dict[int, int]]] = []
+    peeled: list[tuple[int, dict[int, int]]] = []
     while len(inner) >= 3 and len(inner) % 2:
-        layer = _peel(adj, inner)
+        layer = _peel(g.adj, inner)
         if layer is None:
             break
-        layers.append(layer)
+        peeled.append(layer)
         inner = set(layer[1])
-    base = set(clique.vertices)
-    for apex, shadow_of in layers:
-        original_of = {s: v for v, s in shadow_of.items()}
-        if apex in base:  # base is {apex} or {apex, shadow}
-            v = original_of[max(base - {apex})] if len(base) > 1 else min(shadow_of)
-            nbrs = adj[v] & shadow_of.keys()
-            base = {v, min(nbrs)} if nbrs else {v}
-        else:
-            base = {original_of.get(v, v) for v in base}
-    if len(base) + len(layers) <= clique.bound:
+    if not peeled:  # the residual is g itself, whose maximum clique is given
         return clique
-    witness: CliqueWitness | MycielskiWitness = CliqueWitness(tuple(sorted(base)))
-    covered = set(base)
-    for apex, shadow_of in reversed(layers):
-        pairs = tuple(sorted((v, shadow_of[v]) for v in covered))
-        witness = MycielskiWitness(apex, pairs, witness)
+    residual = tuple(sorted(inner))
+    base = max_clique(_induced(g, residual))[1].relabel(residual)
+    if base.bound + len(peeled) <= clique.bound:
+        return clique
+    covered = set(base.vertices)
+    layers = []
+    for apex, shadow_of in reversed(peeled):
+        shadows = tuple(sorted((v, shadow_of[v]) for v in covered))
+        layers.append((apex, shadows))
         covered.add(apex)
-        covered.update(s for _, s in pairs)
-    return witness
+        covered.update(s for _, s in shadows)
+    return MycielskiWitness(base, tuple(layers))
 
 
 def _color_block(

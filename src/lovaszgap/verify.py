@@ -286,14 +286,13 @@ def _chi_lower_json(witness: LowerBound) -> dict:
             "bound": witness.bound,
             "vertices": list(witness.vertices),
         }
-    layers, base = witness.chain()
-    payload = _chi_lower_json(base)
-    for layer in reversed(layers):
+    payload = _chi_lower_json(witness.base)
+    for apex, shadows in witness.layers:
         payload = {
-            "kind": layer.kind,
+            "kind": witness.kind,
             "bound": payload["bound"] + 1,
-            "apex": layer.apex,
-            "shadows": [list(pair) for pair in layer.shadows],
+            "apex": apex,
+            "shadows": [list(pair) for pair in shadows],
             "inner": payload,
         }
     return payload

@@ -2,11 +2,15 @@
 
 Nothing here shares code paths with the library: the chromatic oracle
 enumerates partitions into independent sets, the clique oracle enumerates
-all vertex subsets, the SNF oracle goes through gcds of minors, and the
-determinant is a plain Laplace expansion.  The boundary oracles build
-their matrices from every face of a degree, or from fans at the largest
-vertex of each facet (the library's fans sit at the smallest); only the
-matrix type and the Smith normal form are the library's.
+all vertex subsets, the SNF oracle goes through gcds of minors, the
+determinant is a plain Laplace expansion, the greedy DSATUR oracle
+keeps saturation sets where the library runs its backtracking search, and
+the branch-and-bound clique reference recurses over vertex sets where the
+library walks bitmasks on an explicit stack.
+The boundary oracles build their matrices from every face of a degree,
+or from fans at the largest vertex of each facet (the library's fans sit
+at the smallest); only the matrix type and the Smith normal form are the
+library's.
 """
 
 from __future__ import annotations
@@ -51,6 +55,78 @@ def brute_force_is_k_colorable(g, k: int) -> bool:
         if all(assignment[u] != assignment[v] for u, v in g.edges()):
             return True
     return g.n == 0
+
+
+def greedy_dsatur_coloring(g) -> tuple[int, ...]:
+    """Brelaz's greedy DSATUR: color next the uncolored vertex seeing the
+    most colors (ties by degree, then smallest id) with its smallest free
+    color."""
+    colors: dict[int, int] = {}
+    seen: list[set[int]] = [set() for _ in range(g.n)]
+    while len(colors) < g.n:
+        v = max(
+            (v for v in range(g.n) if v not in colors),
+            key=lambda v: (len(seen[v]), len(g.adj[v]), -v),
+        )
+        colors[v] = min(set(range(g.n)) - seen[v])
+        for u in g.adj[v]:
+            seen[u].add(colors[v])
+    return tuple(colors[v] for v in range(g.n))
+
+
+def branch_and_bound_clique(g) -> tuple[tuple[int, ...], int]:
+    """The library's maximum-clique search, written recursively over vertex
+    sets: candidates are ranked by reverse smallest-last order (smallest id
+    on degree ties), greedily colored in that rank, branched on from the
+    last colored vertex down, cut once |current| + color <= |best|, and each
+    branched vertex leaves the candidates of its later siblings.  Returns
+    the witness and the search's steps (vertices colored plus branches
+    taken), which together pin the exact search order."""
+    degrees = {v: len(g.adj[v]) for v in range(g.n)}
+    smallest_last: list[int] = []
+    while degrees:
+        v = min(degrees, key=lambda u: (degrees[u], u))
+        del degrees[v]
+        smallest_last.append(v)
+        for u in g.adj[v]:
+            if u in degrees:
+                degrees[u] -= 1
+    rank = {v: i for i, v in enumerate(reversed(smallest_last))}
+    best: list[int] = []
+    steps = 0
+
+    def colored(cand: set[int]) -> list[tuple[int, int]]:
+        nonlocal steps
+        steps += len(cand)
+        remaining = sorted(cand, key=rank.__getitem__)
+        out: list[tuple[int, int]] = []
+        color = 0
+        while remaining:
+            color += 1
+            members: list[int] = []
+            for v in remaining:
+                if not any(u in g.adj[v] for u in members):
+                    members.append(v)
+            out.extend((v, color) for v in members)
+            remaining = [v for v in remaining if v not in members]
+        return out
+
+    def expand(current: list[int], cand: set[int]) -> None:
+        nonlocal best, steps
+        if not cand:
+            if len(current) > len(best):
+                best = current
+            return
+        for v, color in reversed(colored(cand)):
+            if len(current) + color <= len(best):
+                return
+            steps += 1
+            expand(current + [v], cand & g.adj[v])
+            cand = cand - {v}
+
+    if g.n:
+        expand([], set(range(g.n)))
+    return tuple(sorted(best)), steps
 
 
 def brute_force_max_clique(g) -> int:

@@ -276,6 +276,17 @@ def test_suite_report_matches_pinned_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_SEED0_SHA256
 
 
+# sha256 of `verify suite --seed 0 --full --json FILE`, the only pinned
+# report with the Mycielski chains of q = 5..7
+SUITE_SEED0_FULL_SHA256 = "97e5e78baf74b1564ea4ea094e860d92f750395ee6d540db04fe74f1062b38ec"
+
+
+def test_full_suite_report_matches_pinned_digest(tmp_path):
+    path = tmp_path / "suite.json"
+    assert main(["verify", "suite", "--seed", "0", "--full", "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_SEED0_FULL_SHA256
+
+
 # sha256 of the reports the suite does not write, each run from the
 # directory that holds its inputs so that the `case` string names them
 # relatively; a change to any report byte must update a digest and say why

@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lovaszgap.invariants as invariants
 from lovaszgap import (
     CertificateError,
     GadgetSpec,
@@ -12,7 +14,6 @@ from lovaszgap import (
     chromatic_number,
     complete_bipartite,
     complete_graph,
-    contains_triangle,
     cycle_graph,
     greedy_dsatur_bound,
     is_k_colorable,
@@ -24,7 +25,12 @@ from lovaszgap import (
 )
 
 from conftest import graphs
-from oracles import brute_force_chromatic, brute_force_max_clique
+from oracles import (
+    branch_and_bound_clique,
+    brute_force_chromatic,
+    brute_force_max_clique,
+    greedy_dsatur_coloring,
+)
 
 GROETZSCH = mycielskian(cycle_graph(5))
 
@@ -34,7 +40,6 @@ def test_max_clique_examples():
     assert max_clique(complete_bipartite(3, 3))[0] == 2
     size, witness = max_clique(kneser_graph(5, 2))
     assert size == 2
-    assert contains_triangle(kneser_graph(5, 2)) is None
 
 
 def test_clique_witness_is_valid():
@@ -87,6 +92,85 @@ def test_greedy_bound_examples():
     assert greedy_dsatur_bound(cycle_graph(6))[0] == 2
     k, witness = greedy_dsatur_bound(cycle_graph(7))
     witness.validate(cycle_graph(7))
+
+
+@st.composite
+def bipartite_graphs(draw, max_side: int = 7):
+    """Random edges between two sides, with the ids shuffled."""
+    a, b = draw(st.integers(0, max_side)), draw(st.integers(1, max_side))
+    pairs = [(u, a + v) for u in range(a) for v in range(b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    ids = draw(st.permutations(range(a + b)))
+    return Graph.from_edges(a + b, [(ids[u], ids[v]) for u, v in edges])
+
+
+@given(bipartite_graphs())
+@settings(max_examples=150, deadline=None)
+def test_greedy_colors_bipartite_graphs_with_two_colors(g):
+    # DSATUR is exact on bipartite graphs (Brelaz, 1979)
+    upper, witness = greedy_dsatur_bound(g)
+    witness.validate(g)
+    assert upper <= 2
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_greedy_is_brelaz_dsatur_within_max_degree_plus_one(g):
+    upper, witness = greedy_dsatur_bound(g)
+    witness.validate(g)
+    assert witness.assignment == greedy_dsatur_coloring(g)
+    assert upper <= max((g.degree(v) for v in range(g.n)), default=-1) + 1
+
+
+@st.composite
+def dense_graphs(draw, max_n: int = 14):
+    """Each pair an edge with probability 0.6."""
+    n = draw(st.integers(1, max_n))
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < 6])
+
+
+class _CountingMasks(list):
+    lookups = 0
+
+    def __getitem__(self, v):
+        self.lookups += 1
+        return super().__getitem__(v)
+
+
+@given(dense_graphs())
+@settings(max_examples=200, deadline=None)
+def test_max_clique_follows_the_recursive_search_order(g):
+    # max_clique reads its adjacency masks once per vertex it colors and once
+    # per branch it takes, so equal witnesses and equal step counts mean the
+    # stack walk keeps the recursive search's branching order and candidates
+    made: list[_CountingMasks] = []
+    adj_masks = invariants._adj_masks
+
+    def counting_masks(h):
+        made.append(_CountingMasks(adj_masks(h)))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_adj_masks", counting_masks)
+        size, witness = max_clique(g)
+    assert (witness.vertices, made[0].lookups) == branch_and_bound_clique(g)
+    assert size == len(witness.vertices) == brute_force_max_clique(g)
+
+
+def test_max_clique_depth_is_not_bounded_by_the_recursion_limit():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    n = depth + 100
+    g = complete_graph(n)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        size, witness = max_clique(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert size == n and witness.vertices == tuple(range(n))
 
 
 def test_empty_and_trivial_graphs():
@@ -166,13 +250,6 @@ def test_solver_determinism():
     assert chromatic_number(g) == chromatic_number(g)
     assert max_clique(g) == max_clique(g)
     assert greedy_dsatur_bound(g) == greedy_dsatur_bound(g)
-
-
-def test_triangle_scan():
-    found = contains_triangle(complete_graph(3))
-    assert found is not None and found.vertices == (0, 1, 2)
-    assert contains_triangle(cycle_graph(5)) is None
-    assert contains_triangle(GROETZSCH) is None
 
 
 def test_biclique_certificates():

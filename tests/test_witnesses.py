@@ -42,8 +42,7 @@ def assert_witnesses_hold(g, result):
 
 
 def chain_shape(witness):
-    layers, base = witness.chain()
-    return len(layers), base.vertices
+    return len(witness.layers), witness.base.vertices
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +120,9 @@ def test_chain_ids_follow_the_graph():
     result = chromatic_number(g)
     assert result.chi == 4
     assert_witnesses_hold(g, result)
-    layers, base = result.chi_lower.chain()
-    assert len(layers) == 2 and min(base.vertices) >= m3.n - 1
-    assert all(layer.apex >= m3.n - 1 for layer in layers)
+    witness = result.chi_lower
+    assert len(witness.layers) == 2 and min(witness.base.vertices) >= m3.n - 1
+    assert all(apex >= m3.n - 1 for apex, _ in witness.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -140,44 +139,49 @@ def m4_witness() -> MycielskiWitness:
     return witness
 
 
+def with_outer_shadows(witness, shadows) -> MycielskiWitness:
+    """The witness with its outermost layer's shadow map replaced."""
+    apex, _ = witness.layers[-1]
+    return dataclasses.replace(witness, layers=witness.layers[:-1] + ((apex, shadows),))
+
+
 def test_validator_rejects_shadow_of_the_wrong_original():
     witness = m4_witness()
-    (v0, s0), (v1, s1) = witness.shadows[:2]
+    _, shadows = witness.layers[-1]
+    (v0, s0), (v1, s1) = shadows[:2]
     assert M4.adj[v0] != M4.adj[v1]
-    swapped = ((v0, s1), (v1, s0)) + witness.shadows[2:]
+    swapped = ((v0, s1), (v1, s0)) + shadows[2:]
     with pytest.raises(CertificateError, match="misses its neighbor"):
-        dataclasses.replace(witness, shadows=swapped).validate(M4)
+        with_outer_shadows(witness, swapped).validate(M4)
 
 
 def test_validator_rejects_apex_missing_a_shadow():
     witness = m4_witness()
-    _, shadow = witness.shadows[0]
-    broken = Graph.from_edges(
-        M4.n, [e for e in M4.edges() if set(e) != {witness.apex, shadow}]
-    )
+    apex, ((_, shadow), *_) = witness.layers[-1]
+    broken = Graph.from_edges(M4.n, [e for e in M4.edges() if set(e) != {apex, shadow}])
     with pytest.raises(CertificateError, match="misses shadow"):
         witness.validate(broken)
 
 
 def test_validator_rejects_shadow_inside_the_inner_set():
     witness = m4_witness()
-    (v0, _), *rest = witness.shadows
+    (v0, _), *rest = witness.layers[-1][1]
     inside = rest[0][0]  # another vertex of the inner set
     moved = ((v0, inside), *rest)
     with pytest.raises(CertificateError, match="inside the inner set"):
-        dataclasses.replace(witness, shadows=moved).validate(M4)
+        with_outer_shadows(witness, moved).validate(M4)
 
 
 def test_validator_rejects_shadow_map_missing_an_inner_vertex():
     witness = m4_witness()
     with pytest.raises(CertificateError, match="cover"):
-        dataclasses.replace(witness, shadows=witness.shadows[1:]).validate(M4)
+        with_outer_shadows(witness, witness.layers[-1][1][1:]).validate(M4)
 
 
 def test_validator_rejects_clique_with_a_non_edge():
     with pytest.raises(CertificateError, match="misses edge"):
         CliqueWitness((0, 2)).validate(cycle_graph(5))
-    inner_broken = MycielskiWitness(4, ((0, 3), (2, 1)), CliqueWitness((0, 2)))
+    inner_broken = MycielskiWitness(CliqueWitness((0, 2)), ((4, ((0, 3), (2, 1))),))
     with pytest.raises(CertificateError, match="misses edge"):
         inner_broken.validate(cycle_graph(5))
 
