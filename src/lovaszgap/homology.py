@@ -18,16 +18,32 @@ boundary of any face tau avoiding min F as an integer sum of boundaries of
 faces containing min F, so those fan faces span the same column lattice:
 rank and invariant factors are those of the full boundary, and no face of
 dimension max(cap, 1) + 1 is ever enumerated.
+
+Each boundary is also cleared of the rows that the one below it already
+accounts for (the "clearing" of persistent homology, carried over to the
+integer SNF).  Let P be a set of i-faces whose boundaries are independent
+and span B_{i-1} = im boundary_i over Z.  Then each i-chain x on the other
+faces has exactly one chain y on P with x - y a cycle, so deleting the
+coordinates of P maps the cycles Z_i isomorphically onto the free group on
+the other i-faces.  It maps B_i onto the image of boundary_{i+1} with the
+rows of P deleted, so that smaller matrix has the same rank and the same
+invariant factors (Z_i / B_i is the same group).  In degree 1, P is the
+edges of a spanning forest of the 1-skeleton.  Above it, P is the pivot
+columns of boundary_i's SNF when every pivot there was a +-1 pivot
+(``SnfResult.pivots``): their images are independent, every other fan
+column reduced to zero against them, and the fan columns span B_{i-1}.
+A boundary without columns has P empty.  When the SNF of boundary_i
+leaves a dense residual, nothing is cleared from boundary_{i+1}.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .complexes import DEFAULT_FACE_BUDGET, Face, FaceTable, SimplicialComplex, faces_up_to
 from .errors import BudgetExceededError, ParameterError
-from .graphs import Graph, connected_components
 from .snf import IntegerMatrix, SnfResult, smith_normal_form
 
 EMPTY_SENTINEL = -2  # "connectivity" of the empty complex
@@ -100,16 +116,25 @@ def fan_columns(
     return [tuple(level) for level in levels]
 
 
-def fan_boundary(rows: tuple[Face, ...], columns: tuple[Face, ...]) -> IntegerMatrix:
-    """Boundary of the given faces over the given one-smaller faces: dropping
-    the j-th vertex of a sorted face contributes (-1)**j."""
-    index = {face: pos for pos, face in enumerate(rows)}
+def fan_boundary(
+    rows: tuple[Face, ...], columns: tuple[Face, ...], cleared: Iterable[Face] = ()
+) -> IntegerMatrix:
+    """Boundary of the given faces over the given one-smaller faces, less
+    the rows of the ``cleared`` faces: dropping the j-th vertex of a sorted
+    face contributes (-1)**j."""
+    index: dict[Face, int | None] = dict.fromkeys(cleared)
+    kept = 0
+    for face in rows:
+        if face not in index:
+            index[face] = kept
+            kept += 1
     entries = []
     for col, face in enumerate(columns):
         for j in range(len(face)):
-            sub = face[:j] + face[j + 1 :]
-            entries.append((index[sub], col, -1 if j % 2 else 1))
-    return IntegerMatrix.from_entries(len(rows), len(columns), entries)
+            row = index[face[:j] + face[j + 1 :]]
+            if row is not None:
+                entries.append((row, col, -1 if j % 2 else 1))
+    return IntegerMatrix.from_entries(kept, len(columns), entries)
 
 
 def graph_boundary_snf(vertices: int, components: int) -> SnfResult:
@@ -120,13 +145,32 @@ def graph_boundary_snf(vertices: int, components: int) -> SnfResult:
     return SnfResult((1,) * rank, rank)
 
 
-def skeleton_components(table: FaceTable) -> int:
-    """Number of components of the 1-skeleton, isolated complex vertices
-    included; the vertices are relabelled onto 0..k-1 first, since facet
-    files may name them by arbitrary ids."""
+def skeleton_components(table: FaceTable) -> list[Face]:
+    """The edges of a spanning forest of the 1-skeleton, from one
+    depth-first walk, so the skeleton has #vertices - len(forest)
+    components (isolated complex vertices included); the vertices are
+    relabelled onto 0..k-1 first, since facet files may name them by
+    arbitrary ids."""
     index = {v: i for i, (v,) in enumerate(table.faces_of_dim(0))}
-    edges = ((index[u], index[v]) for u, v in table.faces_of_dim(1))
-    return len(connected_components(Graph.from_edges(len(index), edges)))
+    adj: list[list[tuple[int, Face]]] = [[] for _ in index]
+    for edge in table.faces_of_dim(1):
+        u, v = index[edge[0]], index[edge[1]]
+        adj[u].append((v, edge))
+        adj[v].append((u, edge))
+    seen = [False] * len(adj)
+    forest: list[Face] = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for u, edge in adj[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = True
+                    forest.append(edge)
+                    stack.append(u)
+    return forest
 
 
 _EMPTY_CERTIFICATE = ConnectivityCertificate(
@@ -142,11 +186,16 @@ def homology_pass(
 
     betti_i = #(i-faces) - rank(boundary_i) - rank(boundary_{i+1}), with the
     augmentation map standing in for the degree-0 boundary; torsion in
-    degree i comes from the invariant factors of boundary_{i+1}.  The
-    connected components of the 1-skeleton give the degree-1 SNF
-    (``graph_boundary_snf``) and connectedness; boundaries 2..max(cap, 1) + 1
+    degree i comes from the invariant factors of boundary_{i+1}.  A
+    spanning forest of the 1-skeleton gives the number of its components,
+    hence the degree-1 SNF (``graph_boundary_snf``) and connectedness;
+    boundaries 2..max(cap, 1) + 1
     are built on fan columns (``fan_columns``, counted against ``limit``
     after the face table) and go through ``smith_normal_form``.
+    Each of those is cleared first (see the module docstring): boundary_2
+    loses the rows of a spanning forest of the 1-skeleton, and
+    boundary_{i+1} the rows of boundary_i's pivot columns whenever that SNF
+    finished on +-1 pivots alone; after a dense residual nothing is cleared.
     The certificate's nontrivial loop is H_1 != 0 (the abelianization shadow
     of a nontrivial fundamental group)."""
     if cap < 0:
@@ -157,17 +206,22 @@ def homology_pass(
     top = max(cap, 1)
     table = faces_up_to(c, top, limit)
     counts = [len(table.faces_of_dim(i)) for i in range(top + 1)]
-    components = skeleton_components(table)
+    cleared = skeleton_components(table)
+    components = counts[0] - len(cleared)
     fans = fan_columns(c, top, table.count(), limit)
-    # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0
+    # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0; on
+    # entry to degree i, cleared holds (i-1)-faces whose boundaries form a
+    # basis of the image of boundary_{i-1}
     snfs = [SnfResult((1,), 1), graph_boundary_snf(counts[0], components)]
     for i in range(2, top + 2):
-        if fans[i]:
-            snfs.append(
-                smith_normal_form(fan_boundary(table.faces_of_dim(i - 1), fans[i]))
+        columns = fans[i]
+        snf = SnfResult((), 0, ())
+        if columns:
+            snf = smith_normal_form(
+                fan_boundary(table.faces_of_dim(i - 1), columns, cleared)
             )
-        else:
-            snfs.append(SnfResult((), 0))
+        snfs.append(snf)
+        cleared = () if snf.pivots is None else [columns[j] for j in snf.pivots]
     groups = tuple(
         HomologyGroup(
             i, counts[i] - snfs[i].rank - snfs[i + 1].rank, snfs[i + 1].torsion

@@ -19,6 +19,7 @@ degree, then by vertex id.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -156,12 +157,12 @@ LowerBound = CliqueWitness | MycielskiWitness | SearchWitness
 
 
 def _induced(g: Graph, vertices: tuple[int, ...]) -> Graph:
-    """The subgraph induced on the sorted ``vertices``, relabelled onto
-    0..b-1 in id order."""
+    """The subgraph induced on ``vertices``, relabelled so that vertices[i]
+    becomes i."""
     index = {v: i for i, v in enumerate(vertices)}
-    return Graph.from_edges(
+    return Graph(
         len(vertices),
-        ((i, index[u]) for i, v in enumerate(vertices) for u in g.adj[v] if u in index),
+        tuple(frozenset(index[u] for u in g.adj[v] if u in index) for v in vertices),
     )
 
 
@@ -175,20 +176,24 @@ def _adj_masks(g: Graph) -> list[int]:
 
 def _degeneracy_order(g: Graph) -> list[int]:
     """Smallest-last order: repeatedly remove a minimum-degree vertex
-    (smallest id on ties)."""
+    (smallest id on ties).  A lazy heap of (degree, id) takes one push per
+    vertex and per edge, and entries whose degree is out of date are
+    dropped when popped, so this is O((n + m) log n)."""
     degrees = [g.degree(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(degrees)]
+    heapq.heapify(heap)
     removed = [False] * g.n
     order = []
-    for _ in range(g.n):
-        v = min(
-            (u for u in range(g.n) if not removed[u]),
-            key=lambda u: (degrees[u], u),
-        )
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != degrees[v]:
+            continue
         removed[v] = True
         order.append(v)
         for u in g.adj[v]:
             if not removed[u]:
                 degrees[u] -= 1
+                heapq.heappush(heap, (degrees[u], u))
     return order
 
 
@@ -201,8 +206,10 @@ def max_clique(g: Graph) -> tuple[int, CliqueWitness]:
     and a branch is cut when |current| + color bound cannot beat the best."""
     if g.n == 0:
         return 0, CliqueWitness(())
-    masks = _adj_masks(g)
-    search_order = list(reversed(_degeneracy_order(g)))
+    search_order = tuple(reversed(_degeneracy_order(g)))
+    # vertices are renamed by their positions in search_order, so the first
+    # vertex of a candidate set in that order is its lowest bit
+    masks = _adj_masks(_induced(g, search_order))
     best: list[int] = []
 
     def color_sort(cand: int) -> list:
@@ -215,11 +222,12 @@ def max_clique(g: Graph) -> tuple[int, CliqueWitness]:
             color += 1
             avail = remaining
             while avail:
-                v = next(u for u in search_order if avail >> u & 1)
+                low = avail & -avail
+                v = low.bit_length() - 1
                 order.append(v)
                 bounds.append(color)
-                avail &= ~(masks[v] | 1 << v)
-                remaining &= ~(1 << v)
+                avail &= ~(masks[v] | low)
+                remaining ^= low
         return [cand, order, bounds, len(order) - 1]
 
     # depth-first over an explicit stack, so the depth is not bounded by
@@ -245,8 +253,7 @@ def max_clique(g: Graph) -> tuple[int, CliqueWitness]:
             if len(current) > len(best):
                 best = current[:]
             current.pop()
-    witness = CliqueWitness(tuple(sorted(best)))
-    return len(best), witness
+    return len(best), CliqueWitness(tuple(best)).relabel(search_order)
 
 
 def verify_biclique_certificate(g: Graph, a, b) -> bool:

@@ -2,15 +2,23 @@
 
 Invariant factors come from one sparse elimination with a dense residual:
 
-* unit pivots first: the shortest live column that holds an entry of
-  absolute value 1 is eliminated on that entry, taking the shortest such
-  row (lowest row id on ties); a column without one waits until a later
-  pivot changes it;
+* peel: a column whose only entry is +-1 is eliminated on it with no row
+  operation at all; deleting its row can leave other columns with a single
+  entry, so they go on a work stack and are peeled in turn;
+* unit pivots: of what is left, the shortest live column that holds an
+  entry of absolute value 1 is eliminated on that entry, taking the
+  shortest such row (lowest row id on ties); a column without one waits
+  until a later pivot changes it;
+* both phases stop as soon as no row is left;
 * whatever is left has no entry of absolute value 1 and is finished by a
   dense classical elimination (minimum-absolute-value pivot, Euclidean
   row/column reduction, divisibility sweep).
 
 Only the invariant factors are computed; no unimodular transforms are kept.
+When every pivot was a unit pivot, the result also names the pivot
+columns: their images are independent and span the column lattice (every
+other column was reduced to zero against them), which is what
+``homology`` needs to clear the next boundary.
 
 Everything is plain Python ints, so intermediate growth is exact.
 """
@@ -18,11 +26,13 @@ Everything is plain Python ints, so intermediate growth is exact.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Sparse integer matrix: sorted (row, col, value) triples, value != 0."""
+    """Sparse integer matrix: (row, col, value) triples with value != 0 and
+    each (row, col) at most once, in the order they were built."""
 
     rows: int
     cols: int
@@ -42,9 +52,7 @@ class IntegerMatrix:
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries) -> "IntegerMatrix":
-        return IntegerMatrix(
-            rows, cols, tuple(sorted((r, c, v) for r, c, v in entries if v))
-        )
+        return IntegerMatrix(rows, cols, tuple(e for e in entries if e[2]))
 
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
@@ -59,10 +67,15 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d_1 | d_2 | ... | d_r, all positive, and the rank r."""
+    """Invariant factors d_1 | d_2 | ... | d_r, all positive, and the rank r.
+
+    ``pivots`` lists the columns eliminated on +-1 pivots when those gave
+    the whole rank, and is None when a dense residual was left (or the
+    dense path ran); it takes no part in equality."""
 
     invariant_factors: tuple[int, ...]
     rank: int
+    pivots: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -172,14 +185,34 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
     for r, c, val in m.entries:
         rows.setdefault(r, {})[c] = val
         cols.setdefault(c, set()).add(r)
+    pivots: list[int] = []
+
+    # peel: a +-1 singleton column takes its row with it and needs no row
+    # operation; the row's other columns lose one entry each, and only those
+    # left with one entry are revisited, where the heap below would re-push
+    # every column of the pivot row
+    stack = [c for c, col in cols.items() if len(col) == 1]
+    while stack and rows:
+        c = stack.pop()
+        col = cols[c]
+        if len(col) != 1:
+            continue
+        (r,) = col
+        if rows[r][c] not in (1, -1):
+            continue
+        pivots.append(c)
+        for c2 in rows.pop(r):
+            col2 = cols[c2]
+            col2.discard(r)
+            if len(col2) == 1:
+                stack.append(c2)
 
     # lazy min-heap of (column length, column): an entry whose length is out
     # of date was pushed again when its column changed, so it is dropped
-    heap = [(len(col), c) for c, col in cols.items()]
+    heap = [(len(col), c) for c, col in cols.items() if col]
     heapq.heapify(heap)
 
-    unit_pivots = 0
-    while heap:
+    while heap and rows:
         length, c = heapq.heappop(heap)
         col = cols.get(c)
         if col is None or len(col) != length:
@@ -189,7 +222,7 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
             continue  # comes back only if a later pivot changes the column
         r = min(units)[1]
 
-        unit_pivots += 1
+        pivots.append(c)
         piv_row = rows.pop(r)
         p = piv_row.pop(c)
         col.discard(r)
@@ -213,8 +246,9 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
         for c2 in piv_row:
             heapq.heappush(heap, (len(cols[c2]), c2))
 
+    unit_pivots = len(pivots)
     if not rows:
-        return SnfResult((1,) * unit_pivots, unit_pivots)
+        return SnfResult((1,) * unit_pivots, unit_pivots, tuple(pivots))
 
     # residual has no +-1 entries left; finish densely
     row_ids = sorted(rows)

@@ -9,8 +9,8 @@ the branch-and-bound clique reference recurses over vertex sets where the
 library walks bitmasks on an explicit stack.
 The boundary oracles build their matrices from every face of a degree,
 or from fans at the largest vertex of each facet (the library's fans sit
-at the smallest); only the matrix type and the Smith normal form are the
-library's.
+at the smallest), and never clear a row; only the matrix type and the
+Smith normal form are the library's.
 """
 
 from __future__ import annotations
@@ -234,6 +234,23 @@ def faces_by_dim(c, d: int) -> list[list[tuple[int, ...]]]:
         for size in range(1, min(d + 1, len(facet)) + 1):
             levels[size - 1].update(itertools.combinations(facet, size))
     return [sorted(level) for level in levels]
+
+
+def full_boundary_profile(c, cap: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(betti, torsion) of reduced homology in degrees 0..cap, with every
+    boundary taken whole: all faces of its degree as columns and all faces
+    one below as rows."""
+    levels = faces_by_dim(c, cap + 1)
+    snfs = [
+        smith_normal_form(_boundary(levels[i - 1], levels[i]))
+        for i in range(1, cap + 2)
+    ]
+    # ranks[i] is the rank of the degree-i boundary, the augmentation at 0
+    ranks = [int(bool(levels[0])), *(snf.rank for snf in snfs)]
+    return [
+        (len(levels[i]) - ranks[i] - ranks[i + 1], snfs[i].torsion)
+        for i in range(cap + 1)
+    ]
 
 
 def max_apex_fan(c, i: int) -> list[tuple[int, ...]]:

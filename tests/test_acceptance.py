@@ -250,7 +250,8 @@ def test_criterion_6_structural_properties(corpus):
     for name, g in corpus.items():
         if g.m == 0 or not is_connected(g):
             continue
-        comps = skeleton_components(faces_up_to(neighborhood_complex(g), 1))
+        table = faces_up_to(neighborhood_complex(g), 1)
+        comps = len(table.faces_of_dim(0)) - len(skeleton_components(table))
         if is_bipartite(g)[0]:
             if comps != 2:
                 ok = False

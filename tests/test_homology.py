@@ -9,12 +9,14 @@ import lovaszgap.homology
 from lovaszgap import (
     BudgetExceededError,
     GadgetSpec,
+    Graph,
     ParameterError,
     SimplicialComplex,
     build_gadget,
     certify_conn_zero,
     complete_graph,
     cone,
+    connected_components,
     cycle_graph,
     euler_characteristic,
     faces_up_to,
@@ -37,7 +39,13 @@ from lovaszgap.homology import (
     skeleton_components,
 )
 
-from oracles import boundary_matrix, is_zero_matrix, mat_mult, max_apex_fan_profile
+from oracles import (
+    boundary_matrix,
+    full_boundary_profile,
+    is_zero_matrix,
+    mat_mult,
+    max_apex_fan_profile,
+)
 from test_complexes import complexes
 
 
@@ -119,7 +127,7 @@ def test_skeleton_is_counted_on_relabelled_vertex_ids():
     # facet files may name vertices by any ids: a triangle's boundary on
     # 0, 7 and 10**9 is a circle, counted without a 10**9-vertex ground set
     c = parse_faces(["0 1000000000", "1000000000 7", "7 0"])
-    assert skeleton_components(faces_up_to(c, 1)) == 1
+    assert len(skeleton_components(faces_up_to(c, 1))) == 2
     assert homology_pass(c, 1).profile == (HomologyGroup(0, 0, ()), HomologyGroup(1, 1, ()))
 
 
@@ -258,22 +266,24 @@ def test_certificate_invariant(corpus):
 # the one-pass fast path against a reference that takes every boundary's SNF
 
 
+@st.composite
+def wide_complexes(draw):
+    # facets of up to 6 vertices, so a fan leaves most faces out
+    n = draw(st.integers(1, 8))
+    faces = draw(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), min_size=1, max_size=5)
+    )
+    return SimplicialComplex.from_faces(n, faces)
+
+
 def reference_pass(c, cap):
     """Profile, (connected, h1) and homological connectivity with the exact
-    SNF of every boundary, degree 1 included; connectedness is read off
-    reduced H_0 rather than the 1-skeleton's components."""
-    top = max(cap, 1)
-    table = faces_up_to(c, top + 1)
-    counts = [len(table.faces_of_dim(i)) for i in range(top + 2)]
-    ranks = [1 if counts[0] else 0]
-    torsion = []
-    for i in range(1, top + 2):
-        snf = smith_normal_form(boundary_matrix(table, i))
-        ranks.append(snf.rank)
-        torsion.append(snf.torsion)
+    SNF of every boundary over all faces of its degree, degree 1 included
+    and no row cleared; connectedness is read off reduced H_0 rather than
+    the 1-skeleton's components."""
     groups = [
-        HomologyGroup(i, counts[i] - ranks[i] - ranks[i + 1], torsion[i])
-        for i in range(top + 1)
+        HomologyGroup(i, betti, torsion)
+        for i, (betti, torsion) in enumerate(full_boundary_profile(c, max(cap, 1)))
     ]
     profile = tuple(groups[: cap + 1])
     if c.is_empty():
@@ -308,7 +318,8 @@ def assert_pass_matches_reference(c, cap):
 def assert_component_rank_is_exact(c):
     table = faces_up_to(c, 1)
     exact = smith_normal_form(boundary_matrix(table, 1))
-    fast = graph_boundary_snf(len(table.faces_of_dim(0)), skeleton_components(table))
+    vertices = len(table.faces_of_dim(0))
+    fast = graph_boundary_snf(vertices, vertices - len(skeleton_components(table)))
     assert fast == exact
     assert fast.invariant_factors == (1,) * fast.rank
 
@@ -340,8 +351,8 @@ def test_pass_rejects_negative_cap():
         homology_pass(SMALL_COMPLEXES["point"], -1)
 
 
-@given(complexes(), st.integers(0, 3))
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
 def test_pass_matches_reference_on_random_complexes(c, cap):
     assert_component_rank_is_exact(c)
     assert_pass_matches_reference(c, cap)
@@ -374,16 +385,6 @@ def assert_fan_matches_full(c, cap):
         assert set(fans[i]) <= set(full.faces_of_dim(i))
         fan = smith_normal_form(fan_boundary(table.faces_of_dim(i - 1), fans[i]))
         assert fan == smith_normal_form(boundary_matrix(full, i)), i
-
-
-@st.composite
-def wide_complexes(draw):
-    # facets of up to 6 vertices, so a fan leaves most faces out
-    n = draw(st.integers(1, 8))
-    faces = draw(
-        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), min_size=1, max_size=5)
-    )
-    return SimplicialComplex.from_faces(n, faces)
 
 
 @given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3))
@@ -457,3 +458,85 @@ def test_fan_columns_count_against_the_face_budget():
             homology_pass(c, 1, limit=limit)
         assert (caught.value.dimension, caught.value.limit) == (2, limit)
         assert f"budget {limit} " in str(caught.value)
+
+
+# ---------------------------------------------------------------------------
+# clearing: each boundary loses the rows that the one below already spans
+
+
+def suspension(c: SimplicialComplex) -> SimplicialComplex:
+    """Join with two fresh points."""
+    a, b = c.num_vertices, c.num_vertices + 1
+    return SimplicialComplex.from_faces(
+        b + 1, [face + (apex,) for face in c.facets for apex in (a, b)]
+    )
+
+
+def recorded_boundaries(c, cap) -> list:
+    """The matrices the pass hands to the SNF, lowest degree first."""
+    seen = []
+    real = lovaszgap.homology.smith_normal_form
+
+    def recording(m):
+        seen.append(m)
+        return real(m)
+
+    lovaszgap.homology.smith_normal_form = recording
+    try:
+        homology_pass(c, cap)
+    finally:
+        lovaszgap.homology.smith_normal_form = real
+    return seen
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_suspended_projective_plane_keeps_its_torsion_above_a_cleared_boundary(k):
+    c = RP2
+    for _ in range(k):
+        c = suspension(c)
+    expected = [(0, ())] * (k + 3)
+    expected[k + 1] = (0, (2,))
+    profile = [(g.betti, g.torsion) for g in homology_pass(c, k + 2).profile]
+    assert profile == expected == full_boundary_profile(c, k + 2)
+    # the boundary into degree k + 1, which carries the torsion, was cleared:
+    # it has fewer rows than there are (k + 1)-faces
+    table = faces_up_to(c, k + 1)
+    torsion_boundary = recorded_boundaries(c, k + 2)[k]
+    assert torsion_boundary.rows < len(table.faces_of_dim(k + 1))
+
+
+def test_boundary_two_loses_the_spanning_forest_rows():
+    c = neighborhood_complex(kneser_graph(7, 2))
+    table = faces_up_to(c, 1)
+    vertices, edges = len(table.faces_of_dim(0)), len(table.faces_of_dim(1))
+    first = recorded_boundaries(c, 1)[0]
+    assert first.rows == edges - (vertices - 1)
+
+
+def test_spanning_forest_on_corpus(corpus):
+    for name, g in corpus.items():
+        table = faces_up_to(neighborhood_complex(g), 1)
+        vertices = [v for (v,) in table.faces_of_dim(0)]
+        edges = table.faces_of_dim(1)
+        forest = skeleton_components(table)
+        assert set(forest) <= set(edges), name
+        # acyclic: every forest edge joins two trees of the ones before it
+        root = {v: v for v in vertices}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for u, v in forest:
+            ru, rv = find(u), find(v)
+            assert ru != rv, name
+            root[ru] = rv
+        # spanning: every edge of the 1-skeleton lies within one tree
+        assert all(find(u) == find(v) for u, v in edges), name
+        index = {v: i for i, v in enumerate(vertices)}
+        skeleton = Graph.from_edges(
+            len(vertices), ((index[u], index[v]) for u, v in edges)
+        )
+        expected = len(connected_components(skeleton))
+        assert len(vertices) - len(forest) == expected, name

@@ -125,6 +125,40 @@ def test_unit_pivots_run_out_into_torsion_residual(monkeypatch):
     assert result == expected
 
 
+@given(sparse_unit_matrices())
+@settings(max_examples=300, deadline=None)
+def test_pivots_are_reported_only_without_a_residual(m):
+    import lovaszgap.snf as snf
+
+    with pytest.MonkeyPatch.context() as mp:
+        residuals = _record_dense_residuals(mp)
+        result = snf._sparse_snf(m)
+    if residuals:
+        assert result.pivots is None
+        return
+    pivots = result.pivots
+    assert len(pivots) == result.rank == len(set(pivots))
+    # the pivot columns alone have the whole rank and only unit invariant
+    # factors, so they span the lattice of all the columns
+    position = {c: j for j, c in enumerate(pivots)}
+    pivot_columns = IntegerMatrix.from_entries(
+        m.rows, len(pivots), ((r, position[c], v) for r, c, v in m.entries if c in position)
+    )
+    assert snf._dense_snf(pivot_columns) == result == snf._dense_snf(m)
+
+
+def test_pivots_take_no_part_in_equality():
+    from lovaszgap import SnfResult
+
+    assert SnfResult((1, 2), 2, (0, 1)) == SnfResult((1, 2), 2)
+
+
+def test_entries_keep_build_order_without_zeros():
+    m = IntegerMatrix.from_entries(2, 2, [(1, 1, 3), (0, 1, 0), (0, 0, -1)])
+    assert m.entries == ((1, 1, 3), (0, 0, -1))
+    assert m.to_dense() == [[-1, 0], [0, 3]]
+
+
 def test_skipped_column_returns_after_pivot(monkeypatch):
     # column 0 is popped first and has no unit entry; pivoting column 1 on
     # row 0 turns its 3 into 1, so it is eliminated without a dense residual
