@@ -5,8 +5,6 @@ from .complexes import (
     DEFAULT_FACE_BUDGET,
     FaceTable,
     SimplicialComplex,
-    cone,
-    euler_characteristic,
     faces_up_to,
     neighborhood_complex,
 )

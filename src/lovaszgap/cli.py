@@ -147,7 +147,7 @@ def _cmd_homology(args) -> int:
 
 def _cmd_chromatic(args) -> int:
     g = dimacs.read_graph(args.graph)
-    chi, coloring, chi_lower, _ = chromatic_number(g)
+    chi, coloring, chi_lower, _, _ = chromatic_number(g)
     _say(f"chi={chi}", args.json)
     if args.json is not None:
         _dump_json(

@@ -131,34 +131,11 @@ def faces_up_to(
     return FaceTable(d, tuple(tuple(sorted(level)) for level in levels))
 
 
-def euler_characteristic(
-    c: SimplicialComplex, limit: int = DEFAULT_FACE_BUDGET
-) -> int:
-    """Alternating sum of face counts over the full (finite) enumeration."""
-    if c.is_empty():
-        return 0
-    table = faces_up_to(c, c.dim, limit)
-    return sum(
-        (-1) ** i * len(table.faces_of_dim(i)) for i in range(table.max_dim + 1)
-    )
-
-
-def cone(c: SimplicialComplex) -> SimplicialComplex:
-    """Cone with a fresh apex joined to every facet; acyclic by construction.
-    The cone over the empty complex is a single point."""
-    apex = c.num_vertices
-    if c.is_empty():
-        return SimplicialComplex(apex + 1, ((apex,),))
-    return SimplicialComplex(
-        apex + 1, tuple(face + (apex,) for face in c.facets)
-    )
-
-
 # ---------------------------------------------------------------------------
 # facet-list text format: one face per line, 0-based ids, '#' comments
 
 
-def parse_faces(lines, num_vertices: int | None = None, source: str = "<input>") -> SimplicialComplex:
+def parse_faces(lines, source: str = "<input>") -> SimplicialComplex:
     faces: list[list[int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -171,9 +148,7 @@ def parse_faces(lines, num_vertices: int | None = None, source: str = "<input>")
         if any(v < 0 for v in ids):
             raise InputError(f"{source}:{lineno}: negative vertex id")
         faces.append(ids)
-    n = num_vertices
-    if n is None:
-        n = 1 + max((max(f) for f in faces if f), default=-1)
+    n = 1 + max((max(f) for f in faces if f), default=-1)
     return SimplicialComplex.from_faces(n, faces)
 
 

@@ -70,7 +70,7 @@ def parse_graph(lines, source: str = "<input>") -> Graph:
             declared_m,
             len(edges) + duplicates,
         )
-    return Graph.from_edges(n, sorted(edges))
+    return Graph.from_edges(n, edges)
 
 
 def read_graph(path: str) -> Graph:

@@ -183,8 +183,6 @@ class GadgetSpec:
 class GadgetResult:
     graph: Graph
     z: int
-    h_vertices: range
-    k_vertices: range
     x: int  # position of the first attachment vertex in the composite
     y: int  # position of the second attachment vertex in the composite
 
@@ -203,8 +201,6 @@ def build_gadget(spec: GadgetSpec) -> GadgetResult:
     return GadgetResult(
         graph=Graph.from_edges(z + 1, edges),
         z=z,
-        h_vertices=range(0, spec.h.n),
-        k_vertices=range(off, off + spec.k.n),
         x=spec.x,
         y=off + spec.y,
     )

@@ -137,14 +137,6 @@ def fan_boundary(
     return IntegerMatrix.from_entries(kept, len(columns), entries)
 
 
-def graph_boundary_snf(vertices: int, components: int) -> SnfResult:
-    """SNF of the degree-1 boundary, read off the 1-skeleton: that matrix is
-    the incidence matrix of a graph, which is totally unimodular, so its
-    rank is #vertices - #components and every invariant factor is 1."""
-    rank = vertices - components
-    return SnfResult((1,) * rank, rank)
-
-
 def skeleton_components(table: FaceTable) -> list[Face]:
     """The edges of a spanning forest of the 1-skeleton, from one
     depth-first walk, so the skeleton has #vertices - len(forest)
@@ -188,10 +180,12 @@ def homology_pass(
     augmentation map standing in for the degree-0 boundary; torsion in
     degree i comes from the invariant factors of boundary_{i+1}.  A
     spanning forest of the 1-skeleton gives the number of its components,
-    hence the degree-1 SNF (``graph_boundary_snf``) and connectedness;
-    boundaries 2..max(cap, 1) + 1
-    are built on fan columns (``fan_columns``, counted against ``limit``
-    after the face table) and go through ``smith_normal_form``.
+    hence connectedness, and the degree-1 SNF: that boundary is the
+    incidence matrix of a graph, which is totally unimodular, so its rank
+    is the forest's edge count and every invariant factor is 1.
+    Boundaries 2..max(cap, 1) + 1 are built on fan columns (``fan_columns``,
+    counted against ``limit`` after the face table) and go through
+    ``smith_normal_form``.
     Each of those is cleared first (see the module docstring): boundary_2
     loses the rows of a spanning forest of the 1-skeleton, and
     boundary_{i+1} the rows of boundary_i's pivot columns whenever that SNF
@@ -212,7 +206,7 @@ def homology_pass(
     # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0; on
     # entry to degree i, cleared holds (i-1)-faces whose boundaries form a
     # basis of the image of boundary_{i-1}
-    snfs = [SnfResult((1,), 1), graph_boundary_snf(counts[0], components)]
+    snfs = [SnfResult((1,), 1), SnfResult((1,) * len(cleared), len(cleared))]
     for i in range(2, top + 2):
         columns = fans[i]
         snf = SnfResult((), 0, ())

@@ -442,10 +442,10 @@ def mycielski_lower_bound(
 
 def _color_block(
     g: Graph, clique: CliqueWitness, floor: int
-) -> tuple[ColoringWitness, LowerBound]:
-    """Fewest-color coloring of one block among k >= ``floor``, and a
-    witness that chi is at least the coloring's color count whenever that
-    count exceeds ``floor``.
+) -> tuple[ColoringWitness, LowerBound, int]:
+    """Fewest-color coloring of one block among k >= ``floor``, a witness
+    that chi is at least the coloring's color count whenever that count
+    exceeds ``floor``, and the block's greedy DSATUR color count.
 
     The greedy DSATUR bound closes the interval from above.  No search runs
     when it meets max(clique, floor), or else max(lower bound, floor) with
@@ -463,75 +463,73 @@ def _color_block(
         if witness is not None:
             if k > start:
                 lower = SearchWitness(tuple(range(g.n)), k)
-            return witness, lower
+            return witness, lower, upper
     if upper > start:
         lower = SearchWitness(tuple(range(g.n)), upper)
-    return greedy_witness, lower
+    return greedy_witness, lower, upper
 
 
 class Chromatic(NamedTuple):
     """The chromatic number with a coloring and a lower-bound witness that
-    pin it, plus a maximum clique from the same pass over the blocks."""
+    pin it, plus a maximum clique and the greedy DSATUR upper bound from the
+    same pass over the blocks."""
 
     chi: int
     coloring: ColoringWitness
     chi_lower: LowerBound
     clique: CliqueWitness
+    greedy_upper: int
 
 
 def chromatic_number(g: Graph) -> Chromatic:
     """Exact chromatic number with a proper coloring and a lower-bound
-    witness, and the clique number with a maximum clique.
+    witness, the clique number with a maximum clique, and the block-wise
+    greedy DSATUR bound.
 
     chi(G) is the maximum of chi over the blocks of G (its biconnected
     components), since block colorings can be permuted to agree at the cut
-    vertices, and every clique lies inside one block.  Each block is
-    relabelled onto 0..b-1 in id order and each distinct edge list is
-    solved once, largest clique first, so that a later block only has to
-    be closed above the colors already needed; the lower-bound witness is
-    that of the block that needed the most colors.  The coloring is
-    assembled parents first along the block–cut tree, swapping two colors
-    of each block so that it agrees with the coloring so far at its cut
-    vertex."""
+    vertices, and every clique lies inside one block.  By the same argument
+    the largest greedy DSATUR color count of a block bounds chi(G) from
+    above.  Each block is relabelled onto 0..b-1 in id order and each
+    distinct induced graph is solved once, largest clique first, so that a
+    later block only has to be closed above the colors already needed; the
+    lower-bound witness is that of the block that needed the most colors.
+    The coloring is assembled parents first along the block–cut tree,
+    swapping two colors of each block so that it agrees with the coloring
+    so far at its cut vertex."""
     if g.n == 0:
-        return Chromatic(0, ColoringWitness(0, ()), CliqueWitness(()), CliqueWitness(()))
+        empty = CliqueWitness(())
+        return Chromatic(0, ColoringWitness(0, ()), empty, empty, 0)
     blocks = biconnected_components(g)
-    keys = []
-    distinct: dict[tuple, Graph] = {}
-    first: dict[tuple, tuple[int, ...]] = {}
-    for block in blocks:
-        index = {v: i for i, v in enumerate(block)}
-        edges = tuple(
-            (i, index[u]) for i, v in enumerate(block) for u in sorted(g.adj[v])
-            if u in index and i < index[u]
-        )
-        key = (len(block), edges)
-        if key not in distinct:
-            distinct[key] = Graph.from_edges(len(block), edges)
-            first[key] = block
-        keys.append(key)
-    cliques = {key: max_clique(h)[1] for key, h in distinct.items()}
-    chi = 0
+    induced = [_induced(g, block) for block in blocks]
+    first: dict[Graph, tuple[int, ...]] = {}
+    for block, h in zip(blocks, induced):
+        first.setdefault(h, block)
+    cliques = {h: max_clique(h)[1] for h in first}
+    chi = greedy_upper = 0
     lower: LowerBound = CliqueWitness(())
-    local: dict[tuple, tuple[int, ...]] = {}
-    for key in sorted(distinct, key=lambda key: -cliques[key].bound):
-        witness, block_lower = _color_block(distinct[key], cliques[key], chi)
-        local[key] = witness.assignment
+    local: dict[Graph, tuple[int, ...]] = {}
+    for h in sorted(first, key=lambda h: -cliques[h].bound):
+        witness, block_lower, upper = _color_block(h, cliques[h], chi)
+        local[h] = witness.assignment
+        greedy_upper = max(greedy_upper, upper)
         if witness.k > chi:
             chi = witness.k
-            lower = block_lower.relabel(first[key])
+            lower = block_lower.relabel(first[h])
     colors = [-1] * g.n
-    for block, key in zip(blocks, keys):
+    for block, h in zip(blocks, induced):
         perm = list(range(chi))
-        for v, c in zip(block, local[key]):
+        for v, c in zip(block, local[h]):
             if colors[v] != -1:
                 # the one vertex already colored: swap its local color in
                 perm[c], perm[colors[v]] = colors[v], c
                 break
-        for v, c in zip(block, local[key]):
+        for v, c in zip(block, local[h]):
             colors[v] = perm[c]
     clique = min(
-        (cliques[key].relabel(block) for block, key in zip(blocks, keys)),
+        (cliques[h].relabel(block) for block, h in zip(blocks, induced)),
         key=lambda c: (-c.bound, c.vertices),
     )
-    return Chromatic(chi, ColoringWitness(chi, tuple(colors)), lower, clique)
+    return Chromatic(
+        chi, ColoringWitness(chi, tuple(colors)), lower, clique, greedy_upper
+    )

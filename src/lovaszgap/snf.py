@@ -250,15 +250,16 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
     if not rows:
         return SnfResult((1,) * unit_pivots, unit_pivots, tuple(pivots))
 
-    # residual has no +-1 entries left; finish densely
-    row_ids = sorted(rows)
+    # residual has no +-1 entries left; finish densely on its live rows and
+    # columns, renumbered in id order
     col_ids = sorted({c for row in rows.values() for c in row})
     col_pos = {c: j for j, c in enumerate(col_ids)}
-    dense = [[0] * len(col_ids) for _ in row_ids]
-    for i, r in enumerate(row_ids):
-        for c, val in rows[r].items():
-            dense[i][col_pos[c]] = val
-    rest = _dense_snf(IntegerMatrix.from_dense(dense))
+    entries = tuple(
+        (i, col_pos[c], val)
+        for i, r in enumerate(sorted(rows))
+        for c, val in rows[r].items()
+    )
+    rest = _dense_snf(IntegerMatrix(len(rows), len(col_ids), entries))
     return SnfResult(
         (1,) * unit_pivots + rest.invariant_factors,
         unit_pivots + rest.rank,

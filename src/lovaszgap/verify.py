@@ -42,7 +42,6 @@ from .invariants import (
     ColoringWitness,
     LowerBound,
     chromatic_number,
-    greedy_dsatur_bound,
     verify_biclique_certificate,
 )
 
@@ -172,12 +171,12 @@ def compare_bounds(
     g: Graph, cap: int = 2, limit: int = DEFAULT_FACE_BUDGET
 ) -> BoundReport:
     """Compute every invariant and the connectivity certificate; report
-    only, never assert.  omega comes from the chromatic number's pass over
-    the blocks, since every clique lies inside one block."""
+    only, never assert.  omega and the greedy upper bound come from the
+    chromatic number's pass over the blocks, since every clique lies inside
+    one block and block colorings combine."""
     nc = neighborhood_complex(g)
     topology = homology_pass(nc, cap, limit)
-    chi, coloring, chi_lower, clique = chromatic_number(g)
-    upper, _ = greedy_dsatur_bound(g)
+    chi, coloring, chi_lower, clique, upper = chromatic_number(g)
     report = BoundReport(
         chi=chi,
         omega=len(clique.vertices),
@@ -224,7 +223,6 @@ def verify_corollary(
 ) -> CorollaryReport:
     """Build the separation graph and check chi = q, omega = p, planted
     biclique present, certified bound = 3."""
-    params.validate()
     built = build_corollary_graph(params)
     bound = compare_bounds(built.graph, cap=1, limit=limit)
     biclique_ok = verify_biclique_certificate(

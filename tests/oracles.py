@@ -10,7 +10,9 @@ library walks bitmasks on an explicit stack.
 The boundary oracles build their matrices from every face of a degree,
 or from fans at the largest vertex of each facet (the library's fans sit
 at the smallest), and never clear a row; only the matrix type and the
-Smith normal form are the library's.
+Smith normal form are the library's.  The cone is built on the facets
+alone, and the Euler characteristic counts the oracle's own enumeration of
+faces.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from lovaszgap import IntegerMatrix, ParameterError, smith_normal_form
+from lovaszgap import IntegerMatrix, ParameterError, SimplicialComplex, smith_normal_form
 
 
 def brute_force_chromatic(g) -> int:
@@ -234,6 +236,23 @@ def faces_by_dim(c, d: int) -> list[list[tuple[int, ...]]]:
         for size in range(1, min(d + 1, len(facet)) + 1):
             levels[size - 1].update(itertools.combinations(facet, size))
     return [sorted(level) for level in levels]
+
+
+def euler_characteristic(c) -> int:
+    """Alternating sum of face counts over every face of the complex."""
+    levels = faces_by_dim(c, c.dim)
+    return sum((-1) ** i * len(level) for i, level in enumerate(levels))
+
+
+def cone(c) -> SimplicialComplex:
+    """Cone with a fresh apex joined to every facet; acyclic by construction.
+    The cone over the empty complex is a single point."""
+    apex = c.num_vertices
+    if c.is_empty():
+        return SimplicialComplex(apex + 1, ((apex,),))
+    return SimplicialComplex(
+        apex + 1, tuple(face + (apex,) for face in c.facets)
+    )
 
 
 def full_boundary_profile(c, cap: int) -> list[tuple[int, tuple[int, ...]]]:

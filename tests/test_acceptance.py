@@ -23,7 +23,6 @@ from lovaszgap import (
     chromatic_number,
     compare_bounds,
     complete_graph,
-    cone,
     cycle_graph,
     faces_up_to,
     greedy_dsatur_bound,
@@ -43,6 +42,7 @@ from oracles import (
     boundary_matrix,
     brute_force_chromatic,
     brute_force_max_clique,
+    cone,
     is_zero_matrix,
     mat_mult,
     minor_gcd_invariant_factors,
@@ -218,7 +218,7 @@ def test_criterion_5_solver_oracles():
     checked = 0
     for _ in range(500):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.4, 0.6, 0.8]))
-        chi, cw, lower, _ = chromatic_number(g)
+        chi, cw, lower, _, _ = chromatic_number(g)
         omega, qw = max_clique(g)
         upper, uw = greedy_dsatur_bound(g)
         if chi != brute_force_chromatic(g):

@@ -9,9 +9,7 @@ from lovaszgap import (
     BudgetExceededError,
     SimplicialComplex,
     complete_graph,
-    cone,
     cycle_graph,
-    euler_characteristic,
     faces_up_to,
     is_bipartite,
     is_connected,
@@ -20,6 +18,7 @@ from lovaszgap import (
 from lovaszgap.complexes import format_facets, parse_faces
 
 from conftest import graphs
+from oracles import cone, euler_characteristic
 
 
 @st.composite

@@ -3,7 +3,7 @@ import io
 import pytest
 from hypothesis import given, settings
 
-from lovaszgap import InputError, complete_graph, kneser_graph
+from lovaszgap import Graph, InputError, complete_graph, kneser_graph
 from lovaszgap.dimacs import format_graph, parse_graph, read_graph, write_graph
 
 from conftest import graphs
@@ -81,3 +81,14 @@ def test_duplicate_edges_deduped(caplog):
         g = parse_graph(["p edge 3 4", "e 1 2", "e 2 1", "e 1 3", "e 2 3"])
     assert g == complete_graph(3)
     assert any("duplicate" in r.message for r in caplog.records)
+
+
+def test_warnings_keep_their_text_and_order(caplog):
+    lines = ["p edge 4 9", "e 1 2", "e 2 1", "e 3 4", "e 1 3", "e 4 3", "e 2 1", "e 2 4"]
+    with caplog.at_level("WARNING"):
+        g = parse_graph(lines, source="dup.col")
+    assert [r.getMessage() for r in caplog.records] == [
+        "dup.col: 3 duplicate edge(s) removed",
+        "dup.col: header declares 9 edges, file contains 7",
+    ]
+    assert g == Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])

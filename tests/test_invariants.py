@@ -72,7 +72,7 @@ def test_groetzsch_brute_force_cross_check():
 
 def test_chromatic_complete_graphs():
     for p in range(1, 7):
-        chi, witness, _, _ = chromatic_number(complete_graph(p))
+        chi, witness, _, _, _ = chromatic_number(complete_graph(p))
         assert chi == p
         witness.validate(complete_graph(p))
 
@@ -185,7 +185,7 @@ def test_empty_and_trivial_graphs():
 @given(graphs(max_n=8))
 @settings(max_examples=100, deadline=None)
 def test_solvers_match_brute_force(g):
-    chi, cw, _, _ = chromatic_number(g)
+    chi, cw, _, _, _ = chromatic_number(g)
     assert chi == brute_force_chromatic(g)
     cw.validate(g)
     size, qw = max_clique(g)
@@ -196,7 +196,7 @@ def test_solvers_match_brute_force(g):
 def test_chromatic_long_odd_cycle():
     # deeper than Python's recursion limit: the search must be iterative
     g = cycle_graph(1201)
-    chi, witness, _, _ = chromatic_number(g)
+    chi, witness, _, _, _ = chromatic_number(g)
     assert chi == 3
     witness.validate(g)
 
@@ -230,7 +230,7 @@ def block_graphs(draw):
 @given(block_graphs())
 @settings(max_examples=150, deadline=None)
 def test_block_split_matches_brute_force(g):
-    chi, witness, _, _ = chromatic_number(g)
+    chi, witness, _, _, _ = chromatic_number(g)
     assert chi == brute_force_chromatic(g)
     witness.validate(g)
     assert witness.k == chi

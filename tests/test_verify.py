@@ -1,30 +1,42 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lovaszgap.invariants as invariants
 from lovaszgap import (
     CliqueWitness,
     CorollaryParams,
     GadgetSpec,
+    Graph,
     PreconditionError,
     SearchWitness,
+    biconnected_components,
+    build_corollary_graph,
+    build_gadget,
     chromatic_number,
     compare_bounds,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    greedy_dsatur_bound,
     kneser_graph,
     run_suite,
     verify_corollary,
     verify_wedge_decomposition,
 )
+from lovaszgap.invariants import _induced
 from lovaszgap.verify import (
     certified_bound,
     corollary_report_json,
     suite_cases,
     wedge_report_json,
 )
+
+from conftest import graphs
 
 
 def spec(h, k, x=0, y=0):
@@ -64,8 +76,6 @@ def test_wedge_rejects_bipartite_part():
 
 
 def test_wedge_rejects_disconnected_part():
-    from lovaszgap import Graph
-
     disconnected = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(PreconditionError):
         verify_wedge_decomposition(spec(disconnected, complete_graph(3)))
@@ -106,6 +116,89 @@ def test_compare_bounds_disconnected_complex_gives_two():
     report = compare_bounds(cycle_graph(4))
     assert report.lovasz_certified == 2
     assert report.chi == 2
+
+
+def assert_greedy_upper_is_blockwise(g):
+    report = compare_bounds(g, cap=0)
+    blocks = biconnected_components(g)
+    expected = max(greedy_dsatur_bound(_induced(g, b))[0] for b in blocks)
+    assert report.greedy_upper == expected
+    assert report.omega <= report.chi <= report.greedy_upper
+
+
+def test_greedy_upper_is_blockwise_on_corpus(corpus):
+    for g in corpus.values():
+        assert_greedy_upper_is_blockwise(g)
+
+
+def test_greedy_upper_keeps_a_block_overshoot():
+    # greedy DSATUR needs 4 colors on this 2-connected graph of chi 3
+    overshoot = Graph.from_edges(
+        8,
+        [(0, 1), (0, 2), (0, 7), (1, 3), (1, 4), (1, 7),
+         (2, 5), (2, 6), (3, 5), (3, 6), (4, 7), (5, 6)],
+    )
+    g = build_gadget(spec(overshoot, cycle_graph(5))).graph
+    assert_greedy_upper_is_blockwise(g)
+    report = compare_bounds(g, cap=0)
+    assert (report.chi, report.greedy_upper) == (3, 4)
+
+
+@st.composite
+def multi_block_graphs(draw):
+    """A gadget over two random graphs at random attachment vertices, or a
+    separation graph of random parameters."""
+    if draw(st.booleans()):
+        h, k = draw(graphs(max_n=7)), draw(graphs(max_n=7))
+        x, y = draw(st.integers(0, h.n - 1)), draw(st.integers(0, k.n - 1))
+        return build_gadget(GadgetSpec(h=h, x=x, k=k, y=y)).graph
+    q = draw(st.integers(3, 4))
+    params = CorollaryParams(
+        draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, q)), q
+    )
+    return build_corollary_graph(params).graph
+
+
+@given(multi_block_graphs())
+@settings(max_examples=60, deadline=None)
+def test_greedy_upper_is_blockwise_on_multi_block_graphs(g):
+    assert_greedy_upper_is_blockwise(g)
+
+
+def recording(calls, fn):
+    """``fn`` that first appends its graph argument to ``calls``."""
+
+    def wrapper(g, *args, **kwargs):
+        calls.append(g)
+        return fn(g, *args, **kwargs)
+
+    return wrapper
+
+
+SEPARATION = build_corollary_graph(CorollaryParams(2, 2, 3, 4)).graph
+
+
+def test_compare_bounds_runs_dsatur_on_distinct_blocks_only(monkeypatch):
+    g = SEPARATION
+    distinct = {_induced(g, b) for b in biconnected_components(g)}
+    greedy, searched = [], []
+    monkeypatch.setattr(
+        invariants, "greedy_dsatur_bound", recording(greedy, invariants.greedy_dsatur_bound)
+    )
+    monkeypatch.setattr(invariants, "_dsatur", recording(searched, invariants._dsatur))
+    compare_bounds(g, cap=1)
+    assert Counter(greedy) == Counter(distinct)
+    assert searched and max(h.n for h in searched) < g.n
+
+
+def test_each_distinct_block_is_colored_once(monkeypatch):
+    g = SEPARATION
+    blocks = biconnected_components(g)
+    colored = []
+    monkeypatch.setattr(invariants, "_color_block", recording(colored, invariants._color_block))
+    chromatic_number(g)
+    assert Counter(colored) == Counter({_induced(g, b) for b in blocks})
+    assert len(colored) < len(blocks)
 
 
 def test_bound_report_requires_chi_lower_to_pin_chi():
