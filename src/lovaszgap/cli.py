@@ -50,20 +50,17 @@ def _say(line: str, json_path: str | None) -> None:
     print(line, file=sys.stderr if json_path == "-" else sys.stdout)
 
 
-def _dump_json(obj, path: str) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path == "-":
+def _write(text: str, path: str | None) -> None:
+    """Write text to a file, or to stdout when path is None or '-'."""
+    if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
-def _write_graph_output(g, path: str | None) -> None:
-    if path is None or path == "-":
-        dimacs.write_graph(g, sys.stdout)
-    else:
-        dimacs.write_graph(g, path)
+def _dump_json(obj, path: str) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _timer(start: float, enabled: bool) -> int | None:
@@ -78,10 +75,12 @@ def _cmd_construct(args) -> int:
     family = args.family
     if family in FAMILIES:
         build, params = FAMILIES[family]
-        _write_graph_output(build(*(getattr(args, p) for p in params)), args.output)
+        graph = build(*(getattr(args, p) for p in params))
+        _write(dimacs.format_graph(graph), args.output)
         return EXIT_OK
     if family == "mycielski":
-        _write_graph_output(mycielskian(dimacs.read_graph(args.graph)), args.output)
+        graph = mycielskian(dimacs.read_graph(args.graph))
+        _write(dimacs.format_graph(graph), args.output)
         return EXIT_OK
     if args.json == "-" and args.output in (None, "-"):
         raise ParameterError(
@@ -92,7 +91,7 @@ def _cmd_construct(args) -> int:
             h=dimacs.read_graph(args.h), x=args.x, k=dimacs.read_graph(args.k), y=args.y
         )
         built = build_gadget(spec)
-        _write_graph_output(built.graph, args.output)
+        _write(dimacs.format_graph(built.graph), args.output)
         if args.json is not None:
             _dump_json(
                 {"z": built.z, "x": built.x, "y": built.y}, args.json
@@ -100,7 +99,7 @@ def _cmd_construct(args) -> int:
         return EXIT_OK
     # corollary
     built = build_corollary_graph(CorollaryParams(args.l, args.m, args.p, args.q))
-    _write_graph_output(built.graph, args.output)
+    _write(dimacs.format_graph(built.graph), args.output)
     if args.json is not None:
         _dump_json(
             {
@@ -119,11 +118,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_ncomplex(args) -> int:
     g = dimacs.read_graph(args.graph)
-    nc = complexes.neighborhood_complex(g)
-    if args.output is None or args.output == "-":
-        complexes.write_facets(nc, sys.stdout)
-    else:
-        complexes.write_facets(nc, args.output)
+    _write(complexes.format_facets(complexes.neighborhood_complex(g)), args.output)
     return EXIT_OK
 
 

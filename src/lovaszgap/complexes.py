@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 from .errors import BudgetExceededError, InputError, ParameterError
 from .graphs import Graph
@@ -161,11 +161,3 @@ def format_facets(c: SimplicialComplex) -> str:
     lines = [" ".join(str(v) for v in face) for face in sorted(c.facets)]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def write_facets(c: SimplicialComplex, target: str | IO[str]) -> None:
-    text = format_facets(c)
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        target.write(text)

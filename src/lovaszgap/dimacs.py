@@ -9,7 +9,6 @@ deduplicated with a warning, since published instances contain them.
 from __future__ import annotations
 
 import logging
-from typing import IO
 
 from .errors import InputError
 from .graphs import Graph
@@ -84,10 +83,6 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_graph(g: Graph, target: str | IO[str]) -> None:
-    text = format_graph(g)
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        target.write(text)
+def write_graph(g: Graph, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(format_graph(g))

@@ -33,7 +33,8 @@ columns of boundary_i's SNF when every pivot there was a +-1 pivot
 (``SnfResult.pivots``): their images are independent, every other fan
 column reduced to zero against them, and the fan columns span B_{i-1}.
 A boundary without columns has P empty.  When the SNF of boundary_i
-leaves a dense residual, nothing is cleared from boundary_{i+1}.
+leaves a residual without +-1 entries, nothing is cleared from
+boundary_{i+1}.
 """
 
 from __future__ import annotations
@@ -189,16 +190,16 @@ def homology_pass(
     Each of those is cleared first (see the module docstring): boundary_2
     loses the rows of a spanning forest of the 1-skeleton, and
     boundary_{i+1} the rows of boundary_i's pivot columns whenever that SNF
-    finished on +-1 pivots alone; after a dense residual nothing is cleared.
+    finished on +-1 pivots alone; after a residual nothing is cleared.
     The certificate's nontrivial loop is H_1 != 0 (the abelianization shadow
     of a nontrivial fundamental group)."""
     if cap < 0:
         raise ParameterError(f"cap must be >= 0, got {cap}")
+    top = max(cap, 1)
+    table = faces_up_to(c, top, limit)
     if c.is_empty():
         trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
         return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
-    top = max(cap, 1)
-    table = faces_up_to(c, top, limit)
     counts = [len(table.faces_of_dim(i)) for i in range(top + 1)]
     cleared = skeleton_components(table)
     components = counts[0] - len(cleared)

@@ -1,6 +1,7 @@
 """Exact Smith normal form over the integers.
 
-Invariant factors come from one sparse elimination with a dense residual:
+Invariant factors come from one sparse elimination, in three phases over
+the same rows:
 
 * peel: a column whose only entry is +-1 is eliminated on it with no row
   operation at all; deleting its row can leave other columns with a single
@@ -10,9 +11,11 @@ Invariant factors come from one sparse elimination with a dense residual:
   shortest such row (lowest row id on ties); a column without one waits
   until a later pivot changes it;
 * both phases stop as soon as no row is left;
-* whatever is left has no entry of absolute value 1 and is finished by a
-  dense classical elimination (minimum-absolute-value pivot, Euclidean
-  row/column reduction, divisibility sweep).
+* whatever is left has no entry of absolute value 1 and is finished by
+  Euclid: pivot on an entry of least absolute value, reduce the other rows
+  of its column and then its own row modulo it, and take it as a diagonal
+  entry once it stands alone; a gcd/lcm sweep over the diagonal then puts
+  the factors in divisibility order.
 
 Only the invariant factors are computed; no unimodular transforms are kept.
 When every pivot was a unit pivot, the result also names the pivot
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,7 @@ class IntegerMatrix:
         return IntegerMatrix(rows, cols, tuple(e for e in entries if e[2]))
 
     def to_dense(self) -> list[list[int]]:
+        """The matrix as lists of rows, for tests and oracles."""
         dense = [[0] * self.cols for _ in range(self.rows)]
         for r, c, v in self.entries:
             dense[r][c] = v
@@ -70,8 +75,8 @@ class SnfResult:
     """Invariant factors d_1 | d_2 | ... | d_r, all positive, and the rank r.
 
     ``pivots`` lists the columns eliminated on +-1 pivots when those gave
-    the whole rank, and is None when a dense residual was left (or the
-    dense path ran); it takes no part in equality."""
+    the whole rank, and is None when a residual without +-1 entries was
+    left for Euclid; it takes no part in equality."""
 
     invariant_factors: tuple[int, ...]
     rank: int
@@ -87,96 +92,7 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
 
 
 # ---------------------------------------------------------------------------
-# dense classical elimination
-
-
-def _dense_snf(m: IntegerMatrix) -> SnfResult:
-    a = m.to_dense()
-    nr, nc = m.rows, m.cols
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i == j:
-            return
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst: int, src: int, factor: int) -> None:
-        # row[dst] += factor * row[src]
-        arow, srow = a[dst], a[src]
-        for j in range(nc):
-            if srow[j]:
-                arow[j] += factor * srow[j]
-
-    def add_col(dst: int, src: int, factor: int) -> None:
-        for row in a:
-            if row[src]:
-                row[dst] += factor * row[src]
-
-    t = 0
-    while t < nr and t < nc:
-        # minimum-|value| pivot in the trailing submatrix, smallest (i, j) on ties
-        pi = pj = -1
-        pv = 0
-        for i in range(t, nr):
-            for j in range(t, nc):
-                val = abs(a[i][j])
-                if val and (pv == 0 or val < pv):
-                    pv, pi, pj = val, i, j
-        if pv == 0:
-            break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-
-        while True:
-            # clear column t below the pivot; a nonzero remainder becomes
-            # the new, strictly smaller pivot
-            restart = False
-            for i in range(t + 1, nr):
-                if a[i][t] == 0:
-                    continue
-                q, r = divmod(a[i][t], a[t][t])
-                add_row(i, t, -q)
-                if r:
-                    swap_rows(t, i)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # clear row t right of the pivot
-            for j in range(t + 1, nc):
-                if a[t][j] == 0:
-                    continue
-                q, r = divmod(a[t][j], a[t][t])
-                add_col(j, t, -q)
-                if r:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # pivot must divide the whole remaining submatrix; if not, fold
-            # the offending row into row t and keep reducing (gcd shrinks)
-            offender = -1
-            d = a[t][t]
-            for i in range(t + 1, nr):
-                if any(a[i][j] % d for j in range(t + 1, nc)):
-                    offender = i
-                    break
-            if offender >= 0:
-                add_row(t, offender, 1)
-                continue
-            break
-
-        t += 1
-
-    return SnfResult(tuple(abs(a[i][i]) for i in range(t)), t)
-
-
-# ---------------------------------------------------------------------------
-# sparse unit-pivot reduction
+# sparse elimination
 
 
 def _sparse_snf(m: IntegerMatrix) -> SnfResult:
@@ -250,17 +166,53 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
     if not rows:
         return SnfResult((1,) * unit_pivots, unit_pivots, tuple(pivots))
 
-    # residual has no +-1 entries left; finish densely on its live rows and
-    # columns, renumbered in id order
-    col_ids = sorted({c for row in rows.values() for c in row})
-    col_pos = {c: j for j, c in enumerate(col_ids)}
-    entries = tuple(
-        (i, col_pos[c], val)
-        for i, r in enumerate(sorted(rows))
-        for c, val in rows[r].items()
-    )
-    rest = _dense_snf(IntegerMatrix(len(rows), len(col_ids), entries))
+    # what is left has no +-1 entry; finish it by Euclid in the same rows
+    diagonal: list[int] = []
+    while rows:
+        # pivot on an entry of least absolute value, lowest (row, col) on ties
+        _, r, c = min(
+            (abs(val), r2, c2) for r2, row in rows.items() for c2, val in row.items()
+        )
+        piv_row = rows[r]
+        p = piv_row[c]
+        # leave in column c only the remainders of the other rows mod p
+        for r2 in cols[c] - {r}:
+            row2 = rows[r2]
+            q = row2[c] // p
+            for c2, val2 in piv_row.items():
+                new = row2.get(c2, 0) - q * val2
+                if new == 0:
+                    if c2 in row2:
+                        del row2[c2]
+                        cols[c2].discard(r2)
+                else:
+                    row2[c2] = new
+                    cols[c2].add(r2)
+            if not row2:
+                del rows[r2]
+        if len(cols[c]) > 1:
+            continue  # a remainder below |p| is the next pivot
+        # column c holds only p, so reducing row r mod p is a column
+        # operation that touches no other row
+        for c2 in piv_row.keys() - {c}:
+            new = piv_row[c2] % p
+            if new == 0:
+                del piv_row[c2]
+                cols[c2].discard(r)
+            else:
+                piv_row[c2] = new
+        if len(piv_row) == 1:  # p alone in its row and column
+            diagonal.append(abs(p))
+            del rows[r]
+            cols[c].discard(r)
+        # otherwise a remainder below |p| is left in row r
+
+    # diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)); one sweep over
+    # the pairs puts the diagonal in divisibility order
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            diagonal[i], diagonal[j] = gcd(a, b), lcm(a, b)
     return SnfResult(
-        (1,) * unit_pivots + rest.invariant_factors,
-        unit_pivots + rest.rank,
+        (1,) * unit_pivots + tuple(diagonal), unit_pivots + len(diagonal)
     )

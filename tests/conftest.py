@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -16,6 +18,13 @@ from lovaszgap import (
     kneser_graph,
     mycielskian,
     triangle_free_chromatic,
+)
+
+# the CLI tests run `python -m lovaszgap` in child interpreters; point them at
+# this checkout's sources, as pyproject's pythonpath does for this process
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
 
 

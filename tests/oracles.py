@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the library: the chromatic oracle
 enumerates partitions into independent sets, the clique oracle enumerates
-all vertex subsets, the SNF oracle goes through gcds of minors, the
+all vertex subsets, the SNF oracles go through gcds of minors or through
+the classical dense elimination on lists of rows, the
 determinant is a plain Laplace expansion, the greedy DSATUR oracle
 keeps saturation sets where the library runs its backtracking search, and
 the branch-and-bound clique reference recurses over vertex sets where the
@@ -20,7 +21,13 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from lovaszgap import IntegerMatrix, ParameterError, SimplicialComplex, smith_normal_form
+from lovaszgap import (
+    IntegerMatrix,
+    ParameterError,
+    SimplicialComplex,
+    SnfResult,
+    smith_normal_form,
+)
 
 
 def brute_force_chromatic(g) -> int:
@@ -186,6 +193,94 @@ def minor_gcd_invariant_factors(dense: list[list[int]]) -> tuple[int, ...]:
         factors.append(g // previous)
         previous = g
     return tuple(factors)
+
+
+def dense_snf(m: IntegerMatrix) -> SnfResult:
+    """The classical dense Smith normal form: minimum-absolute-value pivot,
+    Euclidean row/column reduction, and a fold of any row the pivot does
+    not divide; it shares no code with the library's sparse elimination."""
+    a = m.to_dense()
+    nr, nc = m.rows, m.cols
+
+    def swap_rows(i: int, j: int) -> None:
+        a[i], a[j] = a[j], a[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        if i == j:
+            return
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst: int, src: int, factor: int) -> None:
+        # row[dst] += factor * row[src]
+        arow, srow = a[dst], a[src]
+        for j in range(nc):
+            if srow[j]:
+                arow[j] += factor * srow[j]
+
+    def add_col(dst: int, src: int, factor: int) -> None:
+        for row in a:
+            if row[src]:
+                row[dst] += factor * row[src]
+
+    t = 0
+    while t < nr and t < nc:
+        # minimum-|value| pivot in the trailing submatrix, smallest (i, j) on ties
+        pi = pj = -1
+        pv = 0
+        for i in range(t, nr):
+            for j in range(t, nc):
+                val = abs(a[i][j])
+                if val and (pv == 0 or val < pv):
+                    pv, pi, pj = val, i, j
+        if pv == 0:
+            break
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+
+        while True:
+            # clear column t below the pivot; a nonzero remainder becomes
+            # the new, strictly smaller pivot
+            restart = False
+            for i in range(t + 1, nr):
+                if a[i][t] == 0:
+                    continue
+                q, r = divmod(a[i][t], a[t][t])
+                add_row(i, t, -q)
+                if r:
+                    swap_rows(t, i)
+                    restart = True
+                    break
+            if restart:
+                continue
+            # clear row t right of the pivot
+            for j in range(t + 1, nc):
+                if a[t][j] == 0:
+                    continue
+                q, r = divmod(a[t][j], a[t][t])
+                add_col(j, t, -q)
+                if r:
+                    swap_cols(t, j)
+                    restart = True
+                    break
+            if restart:
+                continue
+            # pivot must divide the whole remaining submatrix; if not, fold
+            # the offending row into row t and keep reducing (gcd shrinks)
+            offender = -1
+            d = a[t][t]
+            for i in range(t + 1, nr):
+                if any(a[i][j] % d for j in range(t + 1, nc)):
+                    offender = i
+                    break
+            if offender >= 0:
+                add_row(t, offender, 1)
+                continue
+            break
+
+        t += 1
+
+    return SnfResult(tuple(abs(a[i][i]) for i in range(t)), t)
 
 
 def mat_mult(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

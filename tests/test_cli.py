@@ -10,6 +10,7 @@ import lovaszgap.verify
 import lovaszgap.cli
 from lovaszgap import (
     CorollaryParams,
+    Graph,
     complete_graph,
     cycle_graph,
     kneser_graph,
@@ -238,6 +239,28 @@ def test_budget_exit_three(tmp_path, capsys):
     rc = main(["homology", "--complex", str(facets), "--max-dim", "2", "--limit", "3"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error:budget:")
+
+
+@pytest.mark.parametrize("facets_text", ["", "0 1\n1 2\n"])
+def test_zero_limit_is_rejected_on_every_complex(tmp_path, capsys, facets_text):
+    # the empty complex gets the same parameter check as any other
+    facets = tmp_path / "c.facets"
+    facets.write_text(facets_text)
+    assert main(["homology", "--complex", str(facets), "--limit", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error:parameter: face budget must be >= 1, got 0\n"
+    )
+
+
+@pytest.mark.parametrize("graph", [Graph.from_edges(3, []), complete_graph(3)])
+def test_bounds_rejects_a_zero_limit_on_every_graph(tmp_path, capsys, graph):
+    # an edgeless graph has the empty neighborhood complex
+    path = tmp_path / "g.col"
+    write_graph(graph, str(path))
+    assert main(["bounds", str(path), "--limit", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error:parameter: face budget must be >= 1, got 0\n"
+    )
 
 
 def test_unexpected_exception_exit_four(monkeypatch, capsys):

@@ -1,10 +1,9 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lovaszgap import IntegerMatrix, smith_normal_form
 
-from oracles import minor_gcd_invariant_factors
+from oracles import dense_snf, minor_gcd_invariant_factors
 
 
 @st.composite
@@ -27,6 +26,14 @@ def test_zero_matrix():
     result = smith_normal_form(IntegerMatrix.from_dense([[0] * 4 for _ in range(3)]))
     assert result.rank == 0
     assert result.invariant_factors == ()
+
+
+def test_euclid_finds_a_unit_without_a_unit_entry():
+    # no entry is +-1, yet gcd(2, 3) = 1: the residual is finished by Euclid
+    result = smith_normal_form(IntegerMatrix.from_dense([[2, 3]]))
+    assert result.invariant_factors == (1,)
+    assert result.rank == 1
+    assert result.pivots is None
 
 
 def test_two_by_two_with_torsion():
@@ -62,7 +69,7 @@ def test_sparse_and_dense_paths_agree():
         dense[r][c] = v
     m = IntegerMatrix.from_dense(dense)
     via_sparse = snf._sparse_snf(m)
-    via_dense = snf._dense_snf(m)
+    via_dense = dense_snf(m)
     assert via_sparse.invariant_factors == via_dense.invariant_factors
     assert via_sparse.rank == via_dense.rank
 
@@ -87,28 +94,41 @@ def test_unit_pivot_rule_matches_dense(m):
     import lovaszgap.snf as snf
 
     via_sparse = snf._sparse_snf(m)
-    via_dense = snf._dense_snf(m)
+    via_dense = dense_snf(m)
     assert via_sparse.invariant_factors == via_dense.invariant_factors
     assert via_sparse.rank == via_dense.rank
 
 
-def _record_dense_residuals(monkeypatch) -> list:
+NON_UNITS = tuple(v for k in range(2, 10) for v in (k, -k))
+
+
+@st.composite
+def matrices_without_units(draw, max_dim: int = 12):
+    """Matrices with entries in 0, +-2..+-9 and at least one nonzero, so that
+    neither the peel nor a unit pivot applies and Euclid does all the work."""
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    values = st.sampled_from((0,) + NON_UNITS)
+    dense = [[draw(values) for _ in range(cols)] for _ in range(rows)]
+    if not any(any(row) for row in dense):
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        dense[r][c] = draw(st.sampled_from(NON_UNITS))
+    return IntegerMatrix.from_dense(dense)
+
+
+@given(matrices_without_units())
+@settings(max_examples=200, deadline=None)
+def test_euclid_residual_matches_dense_oracle(m):
     import lovaszgap.snf as snf
 
-    residuals = []
-    dense_snf = snf._dense_snf
-
-    def recording_dense_snf(m):
-        residuals.append(m.to_dense())
-        return dense_snf(m)
-
-    monkeypatch.setattr(snf, "_dense_snf", recording_dense_snf)
-    return residuals
+    result = snf._sparse_snf(m)
+    assert result.pivots is None
+    assert result == dense_snf(m)
 
 
-def test_unit_pivots_run_out_into_torsion_residual(monkeypatch):
+def test_unit_pivots_run_out_into_torsion_residual():
     # an identity block eliminates by unit pivots; the [[2, 4], [6, 8]] block
-    # has no unit entry and is left for the dense residual
+    # has no unit entry and is left for Euclid
     import lovaszgap.snf as snf
 
     dense = [[0] * 5 for _ in range(5)]
@@ -117,12 +137,10 @@ def test_unit_pivots_run_out_into_torsion_residual(monkeypatch):
     dense[3][3], dense[3][4], dense[4][3], dense[4][4] = 2, 4, 6, 8
     dense[0][3] = -1  # couples the blocks without adding a unit to the residual
     m = IntegerMatrix.from_dense(dense)
-    expected = snf._dense_snf(m)
-    residuals = _record_dense_residuals(monkeypatch)
     result = snf._sparse_snf(m)
-    assert residuals == [[[2, 4], [6, 8]]]
+    assert result.pivots is None
     assert result.invariant_factors == (1, 1, 1, 2, 4)
-    assert result == expected
+    assert result == dense_snf(m)
 
 
 @given(sparse_unit_matrices())
@@ -130,11 +148,9 @@ def test_unit_pivots_run_out_into_torsion_residual(monkeypatch):
 def test_pivots_are_reported_only_without_a_residual(m):
     import lovaszgap.snf as snf
 
-    with pytest.MonkeyPatch.context() as mp:
-        residuals = _record_dense_residuals(mp)
-        result = snf._sparse_snf(m)
-    if residuals:
-        assert result.pivots is None
+    result = snf._sparse_snf(m)
+    assert result == dense_snf(m)
+    if result.pivots is None:
         return
     pivots = result.pivots
     assert len(pivots) == result.rank == len(set(pivots))
@@ -144,7 +160,7 @@ def test_pivots_are_reported_only_without_a_residual(m):
     pivot_columns = IntegerMatrix.from_entries(
         m.rows, len(pivots), ((r, position[c], v) for r, c, v in m.entries if c in position)
     )
-    assert snf._dense_snf(pivot_columns) == result == snf._dense_snf(m)
+    assert dense_snf(pivot_columns) == result
 
 
 def test_pivots_take_no_part_in_equality():
@@ -159,14 +175,13 @@ def test_entries_keep_build_order_without_zeros():
     assert m.to_dense() == [[-1, 0], [0, 3]]
 
 
-def test_skipped_column_returns_after_pivot(monkeypatch):
+def test_skipped_column_returns_after_pivot():
     # column 0 is popped first and has no unit entry; pivoting column 1 on
-    # row 0 turns its 3 into 1, so it is eliminated without a dense residual
+    # row 0 turns its 3 into 1, so it is eliminated without a residual
     import lovaszgap.snf as snf
 
-    residuals = _record_dense_residuals(monkeypatch)
     result = snf._sparse_snf(IntegerMatrix.from_dense([[2, 1], [3, 1]]))
-    assert residuals == []
+    assert result.pivots is not None
     assert result.invariant_factors == (1, 1)
 
 
@@ -176,7 +191,7 @@ def test_paths_agree_randomized(dense):
     import lovaszgap.snf as snf
 
     m = IntegerMatrix.from_dense(dense)
-    assert snf._sparse_snf(m).invariant_factors == snf._dense_snf(m).invariant_factors
+    assert snf._sparse_snf(m).invariant_factors == dense_snf(m).invariant_factors
 
 
 def test_determinism():
