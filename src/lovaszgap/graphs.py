@@ -381,8 +381,7 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
             continue
         color[start] = 0
         queue = [start]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # BFS: the loop visits what it appends
             for u in sorted(g.adj[v]):
                 if color[u] == -1:
                     color[u] = 1 - color[v]

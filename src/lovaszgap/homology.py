@@ -32,9 +32,9 @@ edges of a spanning forest of the 1-skeleton.  Above it, P is the pivot
 columns of boundary_i's SNF when every pivot there was a +-1 pivot
 (``SnfResult.pivots``): their images are independent, every other fan
 column reduced to zero against them, and the fan columns span B_{i-1}.
-A boundary without columns has P empty.  When the SNF of boundary_i
-leaves a residual without +-1 entries, nothing is cleared from
-boundary_{i+1}.
+A boundary without columns has P empty.  When the SNF of boundary_i took
+any Euclid step (its unit pivots ran out before its rows did), nothing is
+cleared from boundary_{i+1}.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def homology_pass(
     Each of those is cleared first (see the module docstring): boundary_2
     loses the rows of a spanning forest of the 1-skeleton, and
     boundary_{i+1} the rows of boundary_i's pivot columns whenever that SNF
-    finished on +-1 pivots alone; after a residual nothing is cleared.
+    finished on +-1 pivots alone; after any Euclid step nothing is cleared.
     The certificate's nontrivial loop is H_1 != 0 (the abelianization shadow
     of a nontrivial fundamental group)."""
     if cap < 0:
@@ -207,10 +207,10 @@ def homology_pass(
     # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0; on
     # entry to degree i, cleared holds (i-1)-faces whose boundaries form a
     # basis of the image of boundary_{i-1}
-    snfs = [SnfResult((1,), 1), SnfResult((1,) * len(cleared), len(cleared))]
+    snfs = [SnfResult(1), SnfResult(len(cleared))]
     for i in range(2, top + 2):
         columns = fans[i]
-        snf = SnfResult((), 0, ())
+        snf = SnfResult(0)
         if columns:
             snf = smith_normal_form(
                 fan_boundary(table.faces_of_dim(i - 1), columns, cleared)

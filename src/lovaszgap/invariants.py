@@ -305,9 +305,12 @@ def is_k_colorable(
 ) -> ColoringWitness | None:
     """Exhaustive k-colorability decision.  Returns a proper coloring
     (normalized so that exactly its ``k`` colors are used) or None when no
-    proper k-coloring exists."""
+    proper k-coloring exists.  A ``clique`` hint is precolored; it must be
+    a clique of ``g``, else CertificateError."""
     if k < 0:
         raise ParameterError(f"color count must be >= 0, got {k}")
+    if clique is not None:
+        CliqueWitness(tuple(sorted(clique))).validate(g)
     if g.n == 0:
         return ColoringWitness(0, ())
     if k == 0:

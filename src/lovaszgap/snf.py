@@ -1,21 +1,26 @@
 """Exact Smith normal form over the integers.
 
-Invariant factors come from one sparse elimination, in three phases over
-the same rows:
+Invariant factors come from one sparse elimination over one set of sparse
+rows, in two steps:
 
 * peel: a column whose only entry is +-1 is eliminated on it with no row
   operation at all; deleting its row can leave other columns with a single
   entry, so they go on a work stack and are peeled in turn;
-* unit pivots: of what is left, the shortest live column that holds an
-  entry of absolute value 1 is eliminated on that entry, taking the
-  shortest such row (lowest row id on ties); a column without one waits
-  until a later pivot changes it;
-* both phases stop as soon as no row is left;
-* whatever is left has no entry of absolute value 1 and is finished by
-  Euclid: pivot on an entry of least absolute value, reduce the other rows
-  of its column and then its own row modulo it, and take it as a diagonal
-  entry once it stands alone; a gcd/lcm sweep over the diagonal then puts
-  the factors in divisibility order.
+* then one loop pops the shortest live column that holds an entry of
+  absolute value 1 and pivots on that entry, taking the shortest such row
+  (lowest row id on ties); a column without one waits until a later pivot
+  changes it.  Only when no such column is left does it fall back to a
+  Euclid step: pivot on an entry of least absolute value (lowest (row, col)
+  on ties).  Both kinds of pivot go through ``_pivot``, which reduces the
+  other rows of the pivot's column and then its own row modulo it, and
+  takes it as a diagonal entry once it stands alone.  A Euclid step can
+  leave a +-1 remainder, which the next unit pivot takes.  A gcd/lcm sweep
+  over the diagonal puts the factors in divisibility order.
+
+The Euclid fallback serves torsion (RP^2, unit-free test matrices,
+complexes read from facet files).  On the Kneser-graph complexes, the
+separation gadgets (2,2,3,q) for q = 3..8 and the suite at seeds 0..7 it
+never runs: every pivot after the peel is a unit pivot.
 
 Only the invariant factors are computed; no unimodular transforms are kept.
 When every pivot was a unit pivot, the result also names the pivot
@@ -72,19 +77,23 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d_1 | d_2 | ... | d_r, all positive, and the rank r.
+    """The rank r and the invariant factors above 1 (``torsion``) in
+    divisibility order; the other r - len(torsion) factors are 1.
 
-    ``pivots`` lists the columns eliminated on +-1 pivots when those gave
-    the whole rank, and is None when a residual without +-1 entries was
-    left for Euclid; it takes no part in equality."""
+    The peel and the unit pivots give the factors 1; Euclid steps, the
+    fallback once no +-1 entry is left, give the rest.  ``pivots`` lists
+    the columns eliminated on +-1 pivots when those gave the whole rank,
+    as on every Kneser, separation and suite boundary, and is None once a
+    Euclid step ran; it takes no part in equality."""
 
-    invariant_factors: tuple[int, ...]
     rank: int
+    torsion: tuple[int, ...] = ()
     pivots: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
-    def torsion(self) -> tuple[int, ...]:
-        return tuple(d for d in self.invariant_factors if d > 1)
+    def invariant_factors(self) -> tuple[int, ...]:
+        """d_1 | d_2 | ... | d_r, all positive."""
+        return (1,) * (self.rank - len(self.torsion)) + self.torsion
 
 
 def smith_normal_form(m: IntegerMatrix) -> SnfResult:
@@ -101,7 +110,7 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
     for r, c, val in m.entries:
         rows.setdefault(r, {})[c] = val
         cols.setdefault(c, set()).add(r)
-    pivots: list[int] = []
+    pivots: list[int] | None = []
 
     # peel: a +-1 singleton column takes its row with it and needs no row
     # operation; the row's other columns lose one entry each, and only those
@@ -127,85 +136,38 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
     # of date was pushed again when its column changed, so it is dropped
     heap = [(len(col), c) for c, col in cols.items() if col]
     heapq.heapify(heap)
+    rank = len(pivots)
+    diagonal: list[int] = []  # the Euclid pivots' absolute values
 
-    while heap and rows:
-        length, c = heapq.heappop(heap)
-        col = cols.get(c)
-        if col is None or len(col) != length:
-            continue
-        units = [(len(rows[r]), r) for r in col if rows[r][c] in (1, -1)]
-        if not units:
-            continue  # comes back only if a later pivot changes the column
-        r = min(units)[1]
-
-        pivots.append(c)
-        piv_row = rows.pop(r)
-        p = piv_row.pop(c)
-        col.discard(r)
-        for c2 in piv_row:
-            cols[c2].discard(r)
-        del cols[c]
-        for r2 in col:
-            row2 = rows[r2]
-            q = row2.pop(c) * p  # multiplier so that column c of r2 vanishes
-            for c2, val2 in piv_row.items():
-                new = row2.get(c2, 0) - q * val2
-                if new == 0:
-                    if c2 in row2:
-                        del row2[c2]
-                        cols[c2].discard(r2)
-                else:
-                    row2[c2] = new
-                    cols[c2].add(r2)
-            if not row2:
-                del rows[r2]
-        for c2 in piv_row:
-            heapq.heappush(heap, (len(cols[c2]), c2))
-
-    unit_pivots = len(pivots)
-    if not rows:
-        return SnfResult((1,) * unit_pivots, unit_pivots, tuple(pivots))
-
-    # what is left has no +-1 entry; finish it by Euclid in the same rows
-    diagonal: list[int] = []
     while rows:
-        # pivot on an entry of least absolute value, lowest (row, col) on ties
-        _, r, c = min(
-            (abs(val), r2, c2) for r2, row in rows.items() for c2, val in row.items()
-        )
-        piv_row = rows[r]
-        p = piv_row[c]
-        # leave in column c only the remainders of the other rows mod p
-        for r2 in cols[c] - {r}:
-            row2 = rows[r2]
-            q = row2[c] // p
-            for c2, val2 in piv_row.items():
-                new = row2.get(c2, 0) - q * val2
-                if new == 0:
-                    if c2 in row2:
-                        del row2[c2]
-                        cols[c2].discard(r2)
-                else:
-                    row2[c2] = new
-                    cols[c2].add(r2)
-            if not row2:
-                del rows[r2]
-        if len(cols[c]) > 1:
-            continue  # a remainder below |p| is the next pivot
-        # column c holds only p, so reducing row r mod p is a column
-        # operation that touches no other row
-        for c2 in piv_row.keys() - {c}:
-            new = piv_row[c2] % p
-            if new == 0:
-                del piv_row[c2]
-                cols[c2].discard(r)
-            else:
-                piv_row[c2] = new
-        if len(piv_row) == 1:  # p alone in its row and column
-            diagonal.append(abs(p))
-            del rows[r]
-            cols[c].discard(r)
-        # otherwise a remainder below |p| is left in row r
+        if heap:
+            length, c = heapq.heappop(heap)
+            col = cols.get(c)
+            if col is None or len(col) != length:
+                continue
+            units = [(len(rows[r]), r) for r in col if rows[r][c] in (1, -1)]
+            if not units:
+                continue  # comes back only if a later pivot changes the column
+            r = min(units)[1]
+        else:
+            # no +-1 entry is left: a Euclid step on an entry of least
+            # absolute value, lowest (row, col) on ties
+            _, r, c = min(
+                (abs(val), r2, c2) for r2, row in rows.items() for c2, val in row.items()
+            )
+            pivots = None
+        touched = rows[r]  # the columns this pivot changes (see _pivot)
+        d = _pivot(rows, cols, r, c)
+        if d:
+            rank += 1
+            if d > 1:
+                diagonal.append(d)
+            elif pivots is not None:
+                pivots.append(c)
+        for c2 in touched:
+            col2 = cols[c2]
+            if col2:
+                heapq.heappush(heap, (len(col2), c2))
 
     # diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)); one sweep over
     # the pairs puts the diagonal in divisibility order
@@ -213,6 +175,57 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
             diagonal[i], diagonal[j] = gcd(a, b), lcm(a, b)
-    return SnfResult(
-        (1,) * unit_pivots + tuple(diagonal), unit_pivots + len(diagonal)
-    )
+    torsion = tuple(d for d in diagonal if d > 1)
+    return SnfResult(rank, torsion, None if pivots is None else tuple(pivots))
+
+
+def _pivot(
+    rows: dict[int, dict[int, int]], cols: dict[int, set[int]], r: int, c: int
+) -> int:
+    """Pivot on p = rows[r][c]: subtract floor(v / p) times row r from every
+    other row whose column c holds v, so that only remainders below |p| are
+    left there.  Once column c holds p alone, reduce row r modulo p, a
+    column operation that touches no other row; for p = +-1 that clears it.
+    Returns |p| when p then stands alone in its row and column, whose
+    entries are deleted, and 0 when a remainder below |p| is left.
+
+    The dict found at rows[r] keeps every other column of row r, and column
+    c whenever that column still holds a remainder, so a caller holding it
+    knows which columns the pivot changed."""
+    piv_row = rows[r]
+    p = piv_row.pop(c)
+    col = cols.pop(c)
+    col.discard(r)
+    left = {r}  # column c after the pass: row r and the rows with a remainder
+    for r2 in col:
+        row2 = rows[r2]
+        q, rem = divmod(row2.pop(c), p)
+        if rem:
+            row2[c] = rem
+            left.add(r2)
+        for c2, val2 in piv_row.items():
+            new = row2.get(c2, 0) - q * val2
+            if new == 0:
+                if c2 in row2:
+                    del row2[c2]
+                    cols[c2].discard(r2)
+            else:
+                row2[c2] = new
+                cols[c2].add(r2)
+        if not row2:
+            del rows[r2]
+    if len(left) == 1:
+        rest = {}
+        for c2, val in piv_row.items():
+            new = val % p
+            if new:
+                rest[c2] = new
+            else:
+                cols[c2].discard(r)
+        if not rest:
+            del rows[r]
+            return abs(p)
+        rows[r] = piv_row = rest
+    piv_row[c] = p
+    cols[c] = left
+    return 0

@@ -129,7 +129,6 @@ class BoundReport:
     omega: int
     lovasz_certified: int | None
     greedy_upper: int
-    flags: tuple[str, ...]
     homology: tuple[HomologyGroup, ...]
     certificate: ConnectivityCertificate
     homological_connectivity: int | str
@@ -182,7 +181,6 @@ def compare_bounds(
         omega=len(clique.vertices),
         lovasz_certified=certified_bound(topology.certificate),
         greedy_upper=upper,
-        flags=topology.certificate.flags,
         homology=() if nc.is_empty() else topology.profile,
         certificate=topology.certificate,
         homological_connectivity=topology.homological_connectivity,

@@ -280,7 +280,7 @@ def dense_snf(m: IntegerMatrix) -> SnfResult:
 
         t += 1
 
-    return SnfResult(tuple(abs(a[i][i]) for i in range(t)), t)
+    return SnfResult(t, tuple(abs(a[i][i]) for i in range(t) if abs(a[i][i]) > 1))
 
 
 def mat_mult(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

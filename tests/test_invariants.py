@@ -55,6 +55,14 @@ def test_is_k_colorable_odd_cycle():
     witness.validate(cycle_graph(5))
 
 
+@pytest.mark.parametrize("k, clique", [(2, (0, 2)), (3, (0, 0))])
+def test_is_k_colorable_rejects_a_clique_hint_that_is_no_clique(k, clique):
+    # (0, 2) is a non-edge of C4, which is 2-colorable; (0, 0) repeats a
+    # vertex, and trusting it left a vertex uncolored
+    with pytest.raises(CertificateError):
+        is_k_colorable(cycle_graph(4), k, clique=clique)
+
+
 def test_groetzsch_not_three_colorable():
     assert is_k_colorable(GROETZSCH, 3) is None
 

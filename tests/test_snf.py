@@ -166,7 +166,7 @@ def test_pivots_are_reported_only_without_a_residual(m):
 def test_pivots_take_no_part_in_equality():
     from lovaszgap import SnfResult
 
-    assert SnfResult((1, 2), 2, (0, 1)) == SnfResult((1, 2), 2)
+    assert SnfResult(2, (2,), (0, 1)) == SnfResult(2, (2,))
 
 
 def test_entries_keep_build_order_without_zeros():
@@ -183,6 +183,20 @@ def test_skipped_column_returns_after_pivot():
     result = snf._sparse_snf(IntegerMatrix.from_dense([[2, 1], [3, 1]]))
     assert result.pivots is not None
     assert result.invariant_factors == (1, 1)
+
+
+def test_euclid_step_hands_back_to_unit_pivots():
+    # no entry is +-1; the Euclid step on the 2 turns row 1 into [0, -1] and
+    # row 0 into [2, 1], a unit pivot then takes the -1, and the 2 is left
+    # alone as the torsion
+    import lovaszgap.snf as snf
+
+    m = IntegerMatrix.from_dense([[2, 3], [4, 5]])
+    result = snf._sparse_snf(m)
+    assert result.invariant_factors == (1, 2)
+    assert result.torsion == (2,)
+    assert result.pivots is None
+    assert result == dense_snf(m)
 
 
 @given(small_matrices(max_dim=4))

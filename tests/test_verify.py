@@ -93,7 +93,7 @@ def test_compare_bounds_k4():
     assert report.chi == 4
     assert report.omega == 4
     assert report.lovasz_certified is None
-    assert "no-certificate" in report.flags
+    assert "no-certificate" in report.certificate.flags
     assert report.homological_connectivity == 1
 
 
