@@ -45,7 +45,7 @@ from typing import Iterable
 
 from .complexes import DEFAULT_FACE_BUDGET, Face, FaceTable, SimplicialComplex, faces_up_to
 from .errors import BudgetExceededError, ParameterError
-from .snf import IntegerMatrix, SnfResult, smith_normal_form
+from .snf import IntegerMatrix, SnfResult, smith_normal_form, torsion_factors
 
 EMPTY_SENTINEL = -2  # "connectivity" of the empty complex
 
@@ -65,6 +65,14 @@ class HomologyGroup:
 
     def is_trivial(self) -> bool:
         return self.betti == 0 and not self.torsion
+
+    def __add__(self, other: "HomologyGroup") -> "HomologyGroup":
+        """The direct sum in one degree: Betti numbers add, and the torsion
+        is the invariant factors of both torsion parts together."""
+        if other.dimension != self.dimension:
+            raise ValueError(f"degrees {self.dimension} and {other.dimension} differ")
+        torsion = torsion_factors(self.torsion + other.torsion)
+        return HomologyGroup(self.dimension, self.betti + other.betti, torsion)
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,24 @@ _EMPTY_CERTIFICATE = ConnectivityCertificate(
     False, False, HomologyGroup(1, 0, ()), False, EMPTY_SENTINEL, (FLAG_EMPTY,)
 )
 
+# the certificate's flags by its connectivity: connected with trivial H_1
+# means every reduced group vanishes through degree 1, so conn >= 1
+# homologically and is homotopically unknown
+_CERTIFICATE_FLAGS = {
+    -1: (FLAG_NO_CERTIFICATE,),
+    0: (),
+    ">=1": (FLAG_NO_CERTIFICATE, FLAG_HOMOLOGICAL_ONLY),
+}
+
+
+def _connectivity(groups: tuple[HomologyGroup, ...]) -> int | str:
+    """Homological connectivity from reduced homology in degrees 0..k: one
+    below the first nontrivial degree, else ">=k"."""
+    for g in groups:
+        if not g.is_trivial():
+            return g.dimension - 1
+    return f">={groups[-1].dimension}"
+
 
 def homology_pass(
     c: SimplicialComplex, cap: int, limit: int = DEFAULT_FACE_BUDGET
@@ -223,29 +249,17 @@ def homology_pass(
         )
         for i in range(top + 1)
     )
-    connected = components == 1
-    h1 = groups[1]
-    if not connected:
-        conn, flags = -1, (FLAG_NO_CERTIFICATE,)
-    elif h1.is_trivial():
-        # connected with trivial H_1: every reduced group vanishes through
-        # degree 1, so homologically conn >= 1; homotopically unknown
-        conn, flags = ">=1", (FLAG_NO_CERTIFICATE, FLAG_HOMOLOGICAL_ONLY)
-    else:
-        conn, flags = 0, ()
+    conn = _connectivity(groups[:2])
     certificate = ConnectivityCertificate(
         nonempty=True,
-        connected=connected,
-        h1=h1,
+        connected=components == 1,
+        h1=groups[1],
         certified_conn_zero=conn == 0,
         homological_connectivity=conn,
-        flags=flags,
+        flags=_CERTIFICATE_FLAGS[conn],
     )
     profile = groups[: cap + 1]
-    hom_conn = next(
-        (g.dimension - 1 for g in profile if not g.is_trivial()), f">={cap}"
-    )
-    return HomologyPass(profile, certificate, hom_conn)
+    return HomologyPass(profile, certificate, _connectivity(profile))
 
 
 def homology_profile(

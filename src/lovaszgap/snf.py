@@ -15,7 +15,8 @@ rows, in two steps:
   other rows of the pivot's column and then its own row modulo it, and
   takes it as a diagonal entry once it stands alone.  A Euclid step can
   leave a +-1 remainder, which the next unit pivot takes.  A gcd/lcm sweep
-  over the diagonal puts the factors in divisibility order.
+  over the diagonal (``torsion_factors``) puts the factors in divisibility
+  order.
 
 The Euclid fallback serves torsion (RP^2, unit-free test matrices,
 complexes read from facet files).  On the Kneser-graph complexes, the
@@ -36,6 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -169,14 +171,23 @@ def _sparse_snf(m: IntegerMatrix) -> SnfResult:
             if col2:
                 heapq.heappush(heap, (len(col2), c2))
 
+    return SnfResult(
+        rank, torsion_factors(diagonal), None if pivots is None else tuple(pivots)
+    )
+
+
+def torsion_factors(diagonal: Iterable[int]) -> tuple[int, ...]:
+    """The invariant factors above 1 of diag(diagonal), positive entries, in
+    divisibility order: also the torsion of the direct sum of the cyclic
+    groups Z/d."""
+    diagonal = list(diagonal)
     # diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)); one sweep over
     # the pairs puts the diagonal in divisibility order
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
             diagonal[i], diagonal[j] = gcd(a, b), lcm(a, b)
-    torsion = tuple(d for d in diagonal if d > 1)
-    return SnfResult(rank, torsion, None if pivots is None else tuple(pivots))
+    return tuple(d for d in diagonal if d > 1)
 
 
 def _pivot(

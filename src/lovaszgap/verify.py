@@ -2,12 +2,12 @@
 
 Two checks are wired together here.  The wedge check computes reduced
 Betti numbers and torsion of the bridged gadget's neighborhood complex and
-compares them, degree by degree, against the sum of the parts plus one
-extra circle in degree 1, which is the homological consequence of
-collapsing the bridge.  The separation check builds the composite graph
-and verifies, all exactly, that its chromatic number hits the target, the
-clique number stays at the planted clique, the planted biclique is
-present, and the certified topological bound is stuck at 3.
+compares them, degree by degree, against the direct sum of the parts'
+groups plus one extra circle in degree 1, which is the homological
+consequence of collapsing the bridge.  The separation check builds the
+composite graph and verifies, all exactly, that its chromatic number hits
+the target, the clique number stays at the planted clique, the planted
+biclique is present, and the certified topological bound is stuck at 3.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .graphs import (
     is_connected,
 )
 from .homology import (
-    FLAG_NO_CERTIFICATE,
     ConnectivityCertificate,
     HomologyGroup,
     certify_conn_zero,
@@ -48,19 +47,21 @@ from .invariants import (
 
 @dataclass(frozen=True)
 class WedgeCheckRow:
-    dim: int
-    gadget_betti: int
-    first_betti: int
-    second_betti: int
-    expected_betti: int
-    betti_ok: bool
-    gadget_torsion: tuple[int, ...]
-    expected_torsion: tuple[int, ...]
-    torsion_ok: bool
+    """One degree of the wedge check: the gadget's group, the two parts'
+    groups, and the group the wedge predicts for the gadget."""
+
+    gadget: HomologyGroup
+    first: HomologyGroup
+    second: HomologyGroup
+    expected: HomologyGroup
+
+    @property
+    def dim(self) -> int:
+        return self.gadget.dimension
 
     @property
     def ok(self) -> bool:
-        return self.betti_ok and self.torsion_ok
+        return self.gadget == self.expected
 
 
 @dataclass(frozen=True)
@@ -91,32 +92,14 @@ def verify_wedge_decomposition(
     gadget = homology_pass(neighborhood_complex(built.graph), cap, limit)
     first_profile = homology_profile(neighborhood_complex(spec.h), cap, limit)
     second_profile = homology_profile(neighborhood_complex(spec.k), cap, limit)
-    rows = []
-    for i in range(cap + 1):
-        expected_betti = (
-            first_profile[i].betti
-            + second_profile[i].betti
-            + (1 if i == 1 else 0)
-        )
-        expected_torsion = tuple(
-            sorted(first_profile[i].torsion + second_profile[i].torsion)
-        )
-        gadget_torsion = tuple(sorted(gadget.profile[i].torsion))
-        rows.append(
-            WedgeCheckRow(
-                dim=i,
-                gadget_betti=gadget.profile[i].betti,
-                first_betti=first_profile[i].betti,
-                second_betti=second_profile[i].betti,
-                expected_betti=expected_betti,
-                betti_ok=gadget.profile[i].betti == expected_betti,
-                gadget_torsion=gadget_torsion,
-                expected_torsion=expected_torsion,
-                torsion_ok=gadget_torsion == expected_torsion,
-            )
-        )
+    # the expected group adds the extra circle, Z in degree 1
+    parts = zip(gadget.profile, first_profile, second_profile)
+    rows = tuple(
+        WedgeCheckRow(g, a, b, a + b + HomologyGroup(i, int(i == 1), ()))
+        for i, (g, a, b) in enumerate(parts)
+    )
     passed = all(r.ok for r in rows) and gadget.certificate.certified_conn_zero
-    return WedgeCheckReport(tuple(rows), gadget.certificate, built.graph, passed)
+    return WedgeCheckReport(rows, gadget.certificate, built.graph, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +142,8 @@ def certified_bound(certificate: ConnectivityCertificate) -> int | None:
     """Exact certified value of conn + 3 when the certificate pins conn:
     3 for certified conn = 0, 2 for a nonempty disconnected complex (conn
     is exactly -1 there), otherwise None."""
-    if certificate.certified_conn_zero:
-        return 3
-    if certificate.nonempty and not certificate.connected:
-        return 2
-    return None
+    conn = certificate.homological_connectivity
+    return conn + 3 if conn in (0, -1) else None
 
 
 def compare_bounds(
@@ -201,7 +181,10 @@ class Clause:
     name: str
     expected: object
     actual: object
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.actual == self.expected
 
 
 @dataclass(frozen=True)
@@ -227,15 +210,10 @@ def verify_corollary(
         built.graph, built.biclique_left, built.biclique_right
     )
     clauses = (
-        Clause("chromatic_number", params.q, bound.chi, bound.chi == params.q),
-        Clause("clique_number", params.p, bound.omega, bound.omega == params.p),
-        Clause("biclique_certificate", True, biclique_ok, biclique_ok),
-        Clause(
-            "certified_bound",
-            3,
-            bound.lovasz_certified,
-            bound.lovasz_certified == 3,
-        ),
+        Clause("chromatic_number", params.q, bound.chi),
+        Clause("clique_number", params.p, bound.omega),
+        Clause("biclique_certificate", True, biclique_ok),
+        Clause("certified_bound", 3, bound.lovasz_certified),
     )
     return CorollaryReport(
         params=params,
@@ -335,25 +313,24 @@ def _report_json(
 def wedge_report_json(
     case: str, spec_names: dict, report: WedgeCheckReport, wall_time_ms: int | None = None
 ) -> dict:
-    rows = report.rows
     wedge = [
         {
             "dim": r.dim,
-            "gadget_betti": r.gadget_betti,
-            "first_betti": r.first_betti,
-            "second_betti": r.second_betti,
-            "expected_betti": r.expected_betti,
-            "expected_torsion": [str(t) for t in r.expected_torsion],
+            "gadget_betti": r.gadget.betti,
+            "first_betti": r.first.betti,
+            "second_betti": r.second.betti,
+            "expected_betti": r.expected.betti,
+            "expected_torsion": [str(t) for t in r.expected.torsion],
             "ok": r.ok,
         }
-        for r in rows
+        for r in report.rows
     ]
     return _report_json(
         case,
         spec_names,
         report.gadget_graph,
         report.certificate,
-        [HomologyGroup(r.dim, r.gadget_betti, r.gadget_torsion) for r in rows],
+        [r.gadget for r in report.rows],
         {"wedge": wedge},
         report.passed,
         wall_time_ms,
@@ -432,6 +409,14 @@ CERTIFICATE_CASES: tuple[tuple[str, str], ...] = (
     ("C5", "certified"),
 )
 
+# the connectivity a certificate case expects; it fixes the certificate's
+# certified_conn_zero, connectedness and flags (homology._connectivity)
+_EXPECTED_CONN = {
+    "certified": 0,
+    "certified-fails-disconnected": -1,
+    "certified-fails-trivial-h1": ">=1",
+}
+
 SUITE_COROLLARY_PARAMS: tuple[tuple[int, int, int, int], ...] = (
     (1, 2, 2, 3),
     (2, 2, 3, 3),
@@ -487,17 +472,7 @@ def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
         _, name, expectation = case
         g = _suite_graph(name)
         cert = certify_conn_zero(neighborhood_complex(g), limit)
-        if expectation == "certified":
-            ok = cert.certified_conn_zero
-        elif expectation == "certified-fails-disconnected":
-            ok = not cert.certified_conn_zero and not cert.connected
-        else:  # certified-fails-trivial-h1
-            ok = (
-                not cert.certified_conn_zero
-                and cert.connected
-                and cert.h1.is_trivial()
-                and FLAG_NO_CERTIFICATE in cert.flags
-            )
+        ok = cert.homological_connectivity == _EXPECTED_CONN[expectation]
         return _report_json(
             f"certificate({name})",
             {"graph": name, "expect": expectation},

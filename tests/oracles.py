@@ -13,7 +13,8 @@ or from fans at the largest vertex of each facet (the library's fans sit
 at the smallest), and never clear a row; only the matrix type and the
 Smith normal form are the library's.  The cone is built on the facets
 alone, and the Euler characteristic counts the oracle's own enumeration of
-faces.
+faces.  The incidence-graph builder gives the wedge check parts whose
+neighborhood complexes carry a chosen complex's torsion.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 from math import gcd
 
 from lovaszgap import (
+    Graph,
     IntegerMatrix,
     ParameterError,
     SimplicialComplex,
@@ -395,3 +397,17 @@ def max_apex_fan_profile(c, cap: int) -> list[tuple[int, tuple[int, ...]]]:
         (len(levels[i]) - ranks[i] - ranks[i + 1], torsion[i])
         for i in range(cap + 1)
     ]
+
+
+def incidence_graph_with_triangle(c) -> Graph:
+    """The bipartite vertex-facet incidence graph of a complex (facet j is
+    vertex num_vertices + j) plus a triangle on vertex 0 and two new
+    vertices a, b.  Its neighborhood complex is c on the vertex side and
+    the nerve of c's facets on the facet side, joined through the hollow
+    loop 0-a-b, so for connected c its reduced homology is that of c twice
+    plus Z in degree 1."""
+    n = c.num_vertices
+    edges = [(v, n + j) for j, facet in enumerate(c.facets) for v in facet]
+    a = n + len(c.facets)
+    edges += [(0, a), (0, a + 1), (a, a + 1)]
+    return Graph.from_edges(a + 2, edges)

@@ -207,7 +207,7 @@ def test_verify_failure_exit_one(monkeypatch, capsys):
     real = verify_corollary(CorollaryParams(1, 2, 2, 3))
     broken = dataclasses.replace(
         real,
-        clauses=(dataclasses.replace(real.clauses[0], ok=False),) + real.clauses[1:],
+        clauses=(dataclasses.replace(real.clauses[0], actual=-1),) + real.clauses[1:],
         passed=False,
     )
     monkeypatch.setattr(lovaszgap.verify, "verify_corollary", lambda *a, **k: broken)
@@ -388,6 +388,25 @@ def test_json_to_stdout_is_one_document(graph_files, capsys, argv, human, key, v
     if value is not None:
         assert payload[key] == value
     assert human in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "{c5}"],
+        ["homology", "--complex", "{facets}"],
+        ["verify", "theorem2", "--h", "{k3}", "--k", "{c5}"],
+        ["verify", "corollary", "--l", "1", "--m", "2", "--p", "2", "--q", "3"],
+    ],
+)
+def test_timings_fill_wall_time_ms(graph_files, tmp_path, argv):
+    report = tmp_path / "r.json"
+    argv = [arg.format(**graph_files) for arg in argv] + ["--json", str(report)]
+    assert main(argv) == 0
+    assert json.loads(report.read_text())["wall_time_ms"] is None
+    assert main([*argv, "--timings"]) == 0
+    wall_time_ms = json.loads(report.read_text())["wall_time_ms"]
+    assert type(wall_time_ms) is int and wall_time_ms >= 0
 
 
 def test_homology_json_uses_dim(graph_files, tmp_path):

@@ -151,6 +151,20 @@ def test_projective_plane_has_two_torsion():
     assert [(g.betti, g.torsion) for g in profile] == [(0, ()), (0, (2,)), (0, ())]
 
 
+@pytest.mark.parametrize(
+    "first, second, torsion",
+    [((2,), (3,), (6,)), ((4,), (6,), (2, 12)), ((2,), (4,), (2, 4))],
+)
+def test_direct_sum_torsion_is_its_invariant_factors(first, second, torsion):
+    total = HomologyGroup(1, 1, first) + HomologyGroup(1, 2, second)
+    assert total == HomologyGroup(1, 3, torsion)
+
+
+def test_direct_sum_needs_one_degree():
+    with pytest.raises(ValueError):
+        HomologyGroup(1, 1, ()) + HomologyGroup(2, 1, ())
+
+
 @pytest.mark.parametrize("n, k, cap, top_betti", [(7, 2, 3, 29), (8, 3, 2, 181)])
 def test_kneser_complex_profiles(n, k, cap, top_betti):
     # N(KG(n,k)) is (n-2k-1)-connected (Lovasz), so homology vanishes below

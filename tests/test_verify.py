@@ -12,8 +12,10 @@ from lovaszgap import (
     CorollaryParams,
     GadgetSpec,
     Graph,
+    HomologyGroup,
     PreconditionError,
     SearchWitness,
+    SimplicialComplex,
     biconnected_components,
     build_corollary_graph,
     build_gadget,
@@ -23,11 +25,15 @@ from lovaszgap import (
     complete_graph,
     cycle_graph,
     greedy_dsatur_bound,
+    homology_profile,
     kneser_graph,
+    neighborhood_complex,
     run_suite,
     verify_corollary,
     verify_wedge_decomposition,
 )
+from lovaszgap.cli import main
+from lovaszgap.dimacs import write_graph
 from lovaszgap.invariants import _induced
 from lovaszgap.verify import (
     certified_bound,
@@ -37,6 +43,8 @@ from lovaszgap.verify import (
 )
 
 from conftest import graphs
+from oracles import incidence_graph_with_triangle
+from test_homology import RP2
 
 
 def spec(h, k, x=0, y=0):
@@ -50,15 +58,15 @@ def row(report, dim):
 def test_wedge_k3_k3():
     report = verify_wedge_decomposition(spec(complete_graph(3), complete_graph(3)))
     assert report.passed
-    assert row(report, 0).gadget_betti == 0
-    assert row(report, 1).gadget_betti == 3
+    assert row(report, 0).gadget.betti == 0
+    assert row(report, 1).gadget.betti == 3
     assert report.certificate.certified_conn_zero
 
 
 def test_wedge_c5_c7():
     report = verify_wedge_decomposition(spec(cycle_graph(5), cycle_graph(7)))
     assert report.passed
-    assert row(report, 1).gadget_betti == 3
+    assert row(report, 1).gadget.betti == 3
 
 
 def test_wedge_k4_k3_includes_sphere_degree():
@@ -66,8 +74,46 @@ def test_wedge_k4_k3_includes_sphere_degree():
     # betti 0+1+1 in degree 1 and 1+0+0 in degree 2
     report = verify_wedge_decomposition(spec(complete_graph(4), complete_graph(3)), cap=2)
     assert report.passed
-    assert row(report, 1).gadget_betti == 2
-    assert row(report, 2).gadget_betti == 1
+    assert row(report, 1).gadget.betti == 2
+    assert row(report, 2).gadget.betti == 1
+
+
+# the mod-3 Moore space: a disk on the outer circle b_0..b_8 (coned at 12),
+# glued so that the circle winds three times around a_0 a_1 a_2
+MOORE_3 = SimplicialComplex.from_faces(
+    13,
+    [
+        face
+        for i in range(9)
+        for face in (
+            [3 + i, 3 + (i + 1) % 9, (i + 1) % 3],
+            [3 + i, i % 3, (i + 1) % 3],
+            [12, 3 + i, 3 + (i + 1) % 9],
+        )
+    ],
+)
+
+
+def test_wedge_adds_torsion_as_a_direct_sum(tmp_path):
+    # the parts carry Z + (Z/2)^2 and Z + (Z/3)^2 in degree 1; Z/2 + Z/3 is
+    # Z/6, so the gadget carries Z^3 + (Z/6)^2 there, not Z^3 + (Z/2)^2 + (Z/3)^2
+    h = incidence_graph_with_triangle(RP2)
+    k = incidence_graph_with_triangle(MOORE_3)
+    for g, n, p in ((h, 18, 2), (k, 42, 3)):
+        assert g.n == n
+        assert homology_profile(neighborhood_complex(g), 2) == (
+            HomologyGroup(0, 0, ()),
+            HomologyGroup(1, 1, (p, p)),
+            HomologyGroup(2, 0, ()),
+        )
+    report = verify_wedge_decomposition(spec(h, k))
+    assert report.passed
+    wedge = row(report, 1)
+    assert wedge.gadget == wedge.expected == HomologyGroup(1, 3, (6, 6))
+    paths = [str(tmp_path / "h.col"), str(tmp_path / "k.col")]
+    write_graph(h, paths[0])
+    write_graph(k, paths[1])
+    assert main(["verify", "theorem2", "--h", paths[0], "--k", paths[1]]) == 0
 
 
 def test_wedge_rejects_bipartite_part():
