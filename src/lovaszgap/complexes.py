@@ -91,7 +91,8 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
 @dataclass(frozen=True)
 class FaceTable:
     """All faces up to a requested dimension, sorted lexicographically per
-    dimension to give deterministic boundary-matrix indexing."""
+    dimension, so that walks over them (the spanning forest, boundary
+    matrices in tests) are deterministic."""
 
     max_dim: int
     faces: tuple[tuple[Face, ...], ...]
@@ -120,8 +121,6 @@ def faces_up_to(
     for size in range(1, d + 2):
         level = levels[size - 1]
         for facet in c.facets:
-            if len(facet) < size:
-                continue
             for face in itertools.combinations(facet, size):
                 if face not in level:
                     level.add(face)

@@ -40,7 +40,10 @@ class Graph:
                 raise ParameterError(f"loop at vertex {u} not allowed")
             sets[u].add(v)
             sets[v].add(u)
-        return Graph(n, tuple(frozenset(s) for s in sets))
+        # from a list, not a generator: CPython builds a tuple from a
+        # generator at a guessed size and resizes it, which strands the
+        # block on another size's free list until a full collection
+        return Graph(n, tuple([frozenset(s) for s in sets]))
 
     @property
     def m(self) -> int:

@@ -9,43 +9,49 @@ plus H_1 != 0 forces a nontrivial loop, while nothing here ever claims the
 converse for higher degrees (homological connectivity can overshoot the
 homotopical one, and reports are flagged accordingly).
 ``homology_pass`` derives all of it from one face table through dimension
-max(cap, 1) and one set of boundary SNFs; the other entry points are views
-of it.
+max(cap, 1) and one streamed elimination per boundary; the other entry
+points are views of it.
 
 Boundaries of degree 2 and up are taken over fan columns, never over every
 face of their degree.  Within a facet F, dd = 0 on {min F} + tau writes the
 boundary of any face tau avoiding min F as an integer sum of boundaries of
 faces containing min F, so those fan faces span the same column lattice:
 rank and invariant factors are those of the full boundary, and no face of
-dimension max(cap, 1) + 1 is ever enumerated.
+dimension max(cap, 1) + 1 is ever enumerated.  No boundary is built as a
+matrix either: a face v_0 < ... < v_j is coded as the int with those
+base-n digits, n the size of the ground set, and each fan face's boundary
+goes, as the codes of its faces with their signs, straight into
+``snf.eliminate`` as the walk over the facets finds it; only the codes of
+fan faces above degree 2 are kept until their degree's turn.
 
 Each boundary is also cleared of the rows that the one below it already
 accounts for (the "clearing" of persistent homology, carried over to the
-integer SNF).  Let P be a set of i-faces whose boundaries are independent
-and span B_{i-1} = im boundary_i over Z.  Then each i-chain x on the other
-faces has exactly one chain y on P with x - y a cycle, so deleting the
-coordinates of P maps the cycles Z_i isomorphically onto the free group on
-the other i-faces.  It maps B_i onto the image of boundary_{i+1} with the
-rows of P deleted, so that smaller matrix has the same rank and the same
-invariant factors (Z_i / B_i is the same group).  In degree 1, P is the
-edges of a spanning forest of the 1-skeleton.  Above it, P is the pivot
-columns of boundary_i's SNF when every pivot there was a +-1 pivot
-(``SnfResult.pivots``): their images are independent, every other fan
-column reduced to zero against them, and the fan columns span B_{i-1}.
-A boundary without columns has P empty.  When the SNF of boundary_i took
-any Euclid step (its unit pivots ran out before its rows did), nothing is
-cleared from boundary_{i+1}.
+integer SNF), by handing those rows to the elimination as peeled before
+its first column.  Let P be a set of i-faces whose boundaries are
+independent and span B_{i-1} = im boundary_i over Z.  Then each i-chain x
+on the other faces has exactly one chain y on P with x - y a cycle, so
+deleting the coordinates of P maps the cycles Z_i isomorphically onto the
+free group on the other i-faces.  It maps B_i onto the image of
+boundary_{i+1} with the rows of P deleted, so that smaller matrix has the
+same rank and the same invariant factors (Z_i / B_i is the same group).
+In degree 1, P is the edges of a spanning forest of the 1-skeleton.  Above
+it, P is the pivot columns of boundary_i's elimination when every pivot
+there was a +-1 pivot (``SnfResult.pivots``): their images are
+independent, every other fan column reduced to zero against them, and the
+fan columns span B_{i-1}.  A boundary without columns has P empty.  When
+the elimination of boundary_i took any Euclid step (its unit pivots ran
+out before its rows did), nothing is cleared from boundary_{i+1}.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .complexes import DEFAULT_FACE_BUDGET, Face, FaceTable, SimplicialComplex, faces_up_to
 from .errors import BudgetExceededError, ParameterError
-from .snf import IntegerMatrix, SnfResult, smith_normal_form, torsion_factors
+from .snf import SnfResult, eliminate, torsion_factors
 
 EMPTY_SENTINEL = -2  # "connectivity" of the empty complex
 
@@ -104,46 +110,34 @@ class HomologyPass:
 
 def fan_columns(
     c: SimplicialComplex, top: int, used: int, limit: int = DEFAULT_FACE_BUDGET
-) -> list[tuple[Face, ...]]:
-    """The fan faces {min F} + tau, tau a subset of F minus min F, of each
-    dimension 2..top + 1, deduplicated across the facets F in one walk over
-    them; entry j lists the j-faces (empty below 2 and above c.dim).  They
-    count against ``limit`` on top of the ``used`` faces already held."""
-    levels: list[dict[Face, None]] = [{} for _ in range(top + 2)]
+) -> Iterator[tuple[int, int]]:
+    """(j, code) of each fan face {min F} + tau, tau a j-subset of F minus
+    min F, for j = 2..top + 1, once, from one walk over the facets F.  The
+    code of a face v_0 < ... < v_j is the int with those base-n digits, v_0
+    the most significant, for n = c.num_vertices.  The faces count against
+    ``limit`` on top of the ``used`` faces already held.  A fan face's least
+    vertex is its apex, so each apex keeps its own set of the taus it has
+    yielded, dropped after the apex's last facet."""
+    n = c.num_vertices
+    last = {facet[0]: k for k, facet in enumerate(c.facets)}
+    seen: dict[int, set[Face]] = {}
     total = used
-    for facet in c.facets:
-        apex, rest = facet[:1], facet[1:]
+    for k, facet in enumerate(c.facets):
+        apex, rest = facet[0], facet[1:]
+        taus = seen.setdefault(apex, set())
         for j in range(2, min(top + 1, len(rest)) + 1):
-            level = levels[j]
             for tau in itertools.combinations(rest, j):
-                face = apex + tau
-                if face not in level:
-                    level[face] = None
+                if tau not in taus:
+                    taus.add(tau)
                     total += 1
                     if total > limit:
                         raise BudgetExceededError(dimension=j, limit=limit)
-    return [tuple(level) for level in levels]
-
-
-def fan_boundary(
-    rows: tuple[Face, ...], columns: tuple[Face, ...], cleared: Iterable[Face] = ()
-) -> IntegerMatrix:
-    """Boundary of the given faces over the given one-smaller faces, less
-    the rows of the ``cleared`` faces: dropping the j-th vertex of a sorted
-    face contributes (-1)**j."""
-    index: dict[Face, int | None] = dict.fromkeys(cleared)
-    kept = 0
-    for face in rows:
-        if face not in index:
-            index[face] = kept
-            kept += 1
-    entries = []
-    for col, face in enumerate(columns):
-        for j in range(len(face)):
-            row = index[face[:j] + face[j + 1 :]]
-            if row is not None:
-                entries.append((row, col, -1 if j % 2 else 1))
-    return IntegerMatrix.from_entries(kept, len(columns), entries)
+                    code = apex
+                    for v in tau:
+                        code = code * n + v
+                    yield j, code
+        if last[apex] == k:
+            del seen[apex]
 
 
 def skeleton_components(table: FaceTable) -> list[Face]:
@@ -210,13 +204,16 @@ def homology_pass(
     hence connectedness, and the degree-1 SNF: that boundary is the
     incidence matrix of a graph, which is totally unimodular, so its rank
     is the forest's edge count and every invariant factor is 1.
-    Boundaries 2..max(cap, 1) + 1 are built on fan columns (``fan_columns``,
-    counted against ``limit`` after the face table) and go through
-    ``smith_normal_form``.
-    Each of those is cleared first (see the module docstring): boundary_2
+    Boundaries 2..max(cap, 1) + 1 are taken on fan columns (``fan_columns``,
+    counted against ``limit`` after the face table), each column streamed
+    into ``eliminate`` as the boundary of a face code over the codes of its
+    faces; the fan 2-faces go in during the walk over the facets, the
+    higher ones, kept as codes, once the degree below is done.  Each
+    elimination is cleared first (see the module docstring): boundary_2
     loses the rows of a spanning forest of the 1-skeleton, and
-    boundary_{i+1} the rows of boundary_i's pivot columns whenever that SNF
-    finished on +-1 pivots alone; after any Euclid step nothing is cleared.
+    boundary_{i+1} the rows of boundary_i's pivot columns whenever that
+    elimination finished on +-1 pivots alone; after any Euclid step nothing
+    is cleared.
     The certificate's nontrivial loop is H_1 != 0 (the abelianization shadow
     of a nontrivial fundamental group)."""
     if cap < 0:
@@ -227,22 +224,35 @@ def homology_pass(
         trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
         return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
     counts = [len(table.faces_of_dim(i)) for i in range(top + 1)]
-    cleared = skeleton_components(table)
-    components = counts[0] - len(cleared)
-    fans = fan_columns(c, top, table.count(), limit)
+    forest = skeleton_components(table)
+    components = counts[0] - len(forest)
+    n = c.num_vertices
+    walk = fan_columns(c, top, table.count(), limit)
+    later: dict[int, list[int]] = {j: [] for j in range(3, top + 2)}
+
+    def boundaries(i: int) -> Iterator[tuple[int, dict[int, int]]]:
+        """The fan i-faces' boundaries, as (code, {face code: sign}): those
+        of the 2-faces as the walk finds them, keeping the codes of the
+        higher ones for later.  An i-face less its k-th vertex keeps the
+        digits above the k-th, one place lower, and those below it, and has
+        the sign (-1)**k."""
+        digits = [(n ** (i + 1 - k), n ** (i - k), (-1) ** k) for k in range(i + 1)]
+        for j, code in walk if i == 2 else ((i, code) for code in later.pop(i)):
+            if j == i:
+                yield code, {code // hi * lo + code % lo: s for hi, lo, s in digits}
+            else:
+                later[j].append(code)
+
     # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0; on
-    # entry to degree i, cleared holds (i-1)-faces whose boundaries form a
-    # basis of the image of boundary_{i-1}
-    snfs = [SnfResult(1), SnfResult(len(cleared))]
-    for i in range(2, top + 2):
-        columns = fans[i]
-        snf = SnfResult(0)
-        if columns:
-            snf = smith_normal_form(
-                fan_boundary(table.faces_of_dim(i - 1), columns, cleared)
-            )
-        snfs.append(snf)
-        cleared = () if snf.pivots is None else [columns[j] for j in snf.pivots]
+    # entry to degree i, cleared holds the codes of (i-1)-faces whose
+    # boundaries form a basis of the image of boundary_{i-1}.  No degree
+    # above the complex's dimension has a fan face.
+    snfs = [SnfResult(1), SnfResult(len(forest))]
+    cleared = [u * n + v for u, v in forest]
+    for i in range(2, min(top + 1, c.dim) + 1):
+        snfs.append(eliminate(boundaries(i), cleared))
+        cleared = snfs[-1].pivots or []
+    snfs += [SnfResult(0)] * (top + 2 - len(snfs))
     groups = tuple(
         HomologyGroup(
             i, counts[i] - snfs[i].rank - snfs[i + 1].rank, snfs[i + 1].torsion

@@ -160,9 +160,10 @@ def _induced(g: Graph, vertices: tuple[int, ...]) -> Graph:
     """The subgraph induced on ``vertices``, relabelled so that vertices[i]
     becomes i."""
     index = {v: i for i, v in enumerate(vertices)}
+    # a tuple from a list, for the reason given in Graph.from_edges
     return Graph(
         len(vertices),
-        tuple(frozenset(index[u] for u in g.adj[v] if u in index) for v in vertices),
+        tuple([frozenset(index[u] for u in g.adj[v] if u in index) for v in vertices]),
     )
 
 

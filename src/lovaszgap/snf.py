@@ -1,22 +1,32 @@
 """Exact Smith normal form over the integers.
 
-Invariant factors come from one sparse elimination over one set of sparse
-rows, in two steps:
+Invariant factors come from one streaming sparse elimination
+(``eliminate``), which takes the columns one at a time, with no matrix
+built first, in two steps:
 
-* peel: a column whose only entry is +-1 is eliminated on it with no row
-  operation at all; deleting its row can leave other columns with a single
-  entry, so they go on a work stack and are peeled in turn;
-* then one loop pops the shortest live column that holds an entry of
-  absolute value 1 and pivots on that entry, taking the shortest such row
-  (lowest row id on ties); a column without one waits until a later pivot
-  changes it.  Only when no such column is left does it fall back to a
-  Euclid step: pivot on an entry of least absolute value (lowest (row, col)
-  on ties).  Both kinds of pivot go through ``_pivot``, which reduces the
-  other rows of the pivot's column and then its own row modulo it, and
-  takes it as a diagonal entry once it stands alone.  A Euclid step can
-  leave a +-1 remainder, which the next unit pivot takes.  A gcd/lcm sweep
-  over the diagonal (``torsion_factors``) puts the factors in divisibility
-  order.
+* peel as they arrive: rows can be dropped up front (the clearing of
+  ``homology``); then each arriving column sheds its entries on dropped or
+  already peeled rows, and is dropped if nothing is left, peeled at once if
+  a single +-1 is left, and stored otherwise.  A peel takes its row out of
+  the stored columns through a row -> column index, and those left with a
+  single +-1 are peeled in turn.  This is sound in any arrival order: a
+  peeled column is a unit vector on the rows still live, so column
+  operations against it clear its row from every other column, earlier or
+  later, and only its row and column change;
+* then one loop over the stored residual pops the shortest live column
+  that holds an entry of absolute value 1 and pivots on that entry, taking
+  the shortest such row (lowest row id on ties); a column without one waits
+  until a later pivot changes it.  Only when no such column is left does it
+  fall back to a Euclid step: pivot on an entry of least absolute value
+  (lowest (row, col) on ties).  Both kinds of pivot go through ``_pivot``,
+  which reduces the other rows of the pivot's column and then its own row
+  modulo it, and takes it as a diagonal entry once it stands alone.  A
+  Euclid step can leave a +-1 remainder, which the next unit pivot takes.
+  A gcd/lcm sweep over the diagonal (``torsion_factors``) puts the factors
+  in divisibility order.
+
+``smith_normal_form`` streams an ``IntegerMatrix``'s columns, in index
+order, through the same elimination.
 
 The Euclid fallback serves torsion (RP^2, unit-free test matrices,
 complexes read from facet files).  On the Kneser-graph complexes, the
@@ -51,15 +61,9 @@ class IntegerMatrix:
 
     @staticmethod
     def from_dense(dense: list[list[int]]) -> "IntegerMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = tuple(
-            (r, c, dense[r][c])
-            for r in range(rows)
-            for c in range(cols)
-            if dense[r][c]
-        )
-        return IntegerMatrix(rows, cols, entries)
+        cols = len(dense[0]) if dense else 0
+        entries = ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row))
+        return IntegerMatrix.from_entries(len(dense), cols, entries)
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries) -> "IntegerMatrix":
@@ -84,9 +88,10 @@ class SnfResult:
 
     The peel and the unit pivots give the factors 1; Euclid steps, the
     fallback once no +-1 entry is left, give the rest.  ``pivots`` lists
-    the columns eliminated on +-1 pivots when those gave the whole rank,
-    as on every Kneser, separation and suite boundary, and is None once a
-    Euclid step ran; it takes no part in equality."""
+    the ids of the columns eliminated on +-1 pivots, in elimination order,
+    when those gave the whole rank, as on every Kneser, separation and
+    suite boundary, and is None once a Euclid step ran; it takes no part
+    in equality."""
 
     rank: int
     torsion: tuple[int, ...] = ()
@@ -102,41 +107,61 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
     return _sparse_snf(m)
 
 
+def _sparse_snf(m: IntegerMatrix) -> SnfResult:
+    """Stream the matrix's columns, in index order, through ``eliminate``."""
+    columns: list[dict[int, int]] = [{} for _ in range(m.cols)]
+    for r, c, val in m.entries:
+        columns[c][r] = val
+    return eliminate(enumerate(columns))
+
+
 # ---------------------------------------------------------------------------
 # sparse elimination
 
 
-def _sparse_snf(m: IntegerMatrix) -> SnfResult:
+def eliminate(
+    columns: Iterable[tuple[int, dict[int, int]]], dropped_rows: Iterable[int] = ()
+) -> SnfResult:
+    """SNF of the matrix whose columns arrive as (column id, {row id: value})
+    pairs, with distinct column ids and nonzero values, less the rows
+    ``dropped_rows``; the ids are any ints."""
+    dead = set(dropped_rows)  # the rows dropped up front or peeled
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for r, c, val in m.entries:
-        rows.setdefault(r, {})[c] = val
-        cols.setdefault(c, set()).add(r)
     pivots: list[int] | None = []
 
-    # peel: a +-1 singleton column takes its row with it and needs no row
-    # operation; the row's other columns lose one entry each, and only those
-    # left with one entry are revisited, where the heap below would re-push
-    # every column of the pivot row
-    stack = [c for c, col in cols.items() if len(col) == 1]
-    while stack and rows:
-        c = stack.pop()
-        col = cols[c]
-        if len(col) != 1:
+    # peel as the columns arrive: an arriving column sheds its entries on
+    # dead rows, and is then dropped if nothing is left, peeled at once if a
+    # single +-1 is left, and stored otherwise.  A peel takes its row out of
+    # the stored columns; those left empty are dropped, and those left with
+    # a single +-1 are peeled in turn.
+    for c, column in columns:
+        if dead.issuperset(column):
             continue
-        (r,) = col
-        if rows[r][c] not in (1, -1):
+        live = set(column).difference(dead)
+        if len(live) > 1 or column[min(live)] not in (1, -1):  # min: its one row
+            cols[c] = live
+            for r in live:
+                rows.setdefault(r, {})[c] = column[r]
             continue
-        pivots.append(c)
-        for c2 in rows.pop(r):
-            col2 = cols[c2]
-            col2.discard(r)
-            if len(col2) == 1:
-                stack.append(c2)
+        stack = [(c, live.pop())]
+        while stack:
+            c, r = stack.pop()
+            if r in dead:
+                continue  # an earlier peel on r zeroed column c
+            dead.add(r)
+            pivots.append(c)
+            for c2 in rows.pop(r, ()):
+                col2 = cols[c2]
+                col2.discard(r)
+                if not col2:
+                    del cols[c2]
+                elif len(col2) == 1 and rows[min(col2)][c2] in (1, -1):
+                    stack.append((c2, min(col2)))
 
     # lazy min-heap of (column length, column): an entry whose length is out
     # of date was pushed again when its column changed, so it is dropped
-    heap = [(len(col), c) for c, col in cols.items() if col]
+    heap = [(len(col), c) for c, col in cols.items()]
     heapq.heapify(heap)
     rank = len(pivots)
     diagonal: list[int] = []  # the Euclid pivots' absolute values

@@ -13,7 +13,8 @@ or from fans at the largest vertex of each facet (the library's fans sit
 at the smallest), and never clear a row; only the matrix type and the
 Smith normal form are the library's.  The cone is built on the facets
 alone, and the Euler characteristic counts the oracle's own enumeration of
-faces.  The incidence-graph builder gives the wedge check parts whose
+faces.  Face codes are a sum of powers where the library runs Horner's
+rule.  The incidence-graph builder gives the wedge check parts whose
 neighborhood complexes carry a chosen complex's torsion.
 """
 
@@ -313,10 +314,12 @@ def boundary_matrix(table, i: int) -> IntegerMatrix:
         raise ParameterError(
             f"face table populated to dimension {table.max_dim}, need {i}"
         )
-    return _boundary(table.faces_of_dim(i - 1), table.faces_of_dim(i))
+    return boundary(table.faces_of_dim(i - 1), table.faces_of_dim(i))
 
 
-def _boundary(rows, columns) -> IntegerMatrix:
+def boundary(rows, columns) -> IntegerMatrix:
+    """Boundary of the faces ``columns`` over the faces ``rows``, each
+    column's faces less one vertex among them."""
     index = {face: pos for pos, face in enumerate(rows)}
     entries = []
     for col, face in enumerate(columns):
@@ -324,6 +327,12 @@ def _boundary(rows, columns) -> IntegerMatrix:
             sub = face[:j] + face[j + 1 :]
             entries.append((index[sub], col, -1 if j % 2 else 1))
     return IntegerMatrix.from_entries(len(rows), len(columns), entries)
+
+
+def face_code(face, n: int) -> int:
+    """The sum of v_k * n**(j - k) over the vertices v_0 < ... < v_j of a
+    face: the int that ``homology`` names the face by."""
+    return sum(v * n ** (len(face) - 1 - k) for k, v in enumerate(face))
 
 
 def faces_by_dim(c, d: int) -> list[list[tuple[int, ...]]]:
@@ -358,7 +367,7 @@ def full_boundary_profile(c, cap: int) -> list[tuple[int, tuple[int, ...]]]:
     one below as rows."""
     levels = faces_by_dim(c, cap + 1)
     snfs = [
-        smith_normal_form(_boundary(levels[i - 1], levels[i]))
+        smith_normal_form(boundary(levels[i - 1], levels[i]))
         for i in range(1, cap + 2)
     ]
     # ranks[i] is the rank of the degree-i boundary, the augmentation at 0
@@ -386,11 +395,11 @@ def max_apex_fan_profile(c, cap: int) -> list[tuple[int, tuple[int, ...]]]:
     top = max(cap, 1)
     levels = faces_by_dim(c, top)
     snfs = [
-        smith_normal_form(_boundary(levels[i - 1], max_apex_fan(c, i)))
+        smith_normal_form(boundary(levels[i - 1], max_apex_fan(c, i)))
         for i in range(2, top + 2)
     ]
     # ranks[i] is the rank of the degree-i boundary, the augmentation at 0
-    d1 = smith_normal_form(_boundary(levels[0], levels[1]))
+    d1 = smith_normal_form(boundary(levels[0], levels[1]))
     ranks = [int(bool(levels[0])), d1.rank, *(snf.rank for snf in snfs)]
     torsion = [(), *(snf.torsion for snf in snfs)]
     return [

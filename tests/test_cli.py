@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -14,9 +15,11 @@ from lovaszgap import (
     complete_graph,
     cycle_graph,
     kneser_graph,
+    neighborhood_complex,
     verify_corollary,
 )
 from lovaszgap.cli import main
+from lovaszgap.complexes import format_facets
 from lovaszgap.dimacs import read_graph, write_graph
 
 
@@ -239,6 +242,72 @@ def test_budget_exit_three(tmp_path, capsys):
     rc = main(["homology", "--complex", str(facets), "--max-dim", "2", "--limit", "3"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error:budget:")
+
+
+def _facet_lines(faces) -> str:
+    return "".join(" ".join(map(str, face)) + "\n" for face in faces)
+
+
+_RP2_FACETS = (
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+)
+_BUDGET_INPUTS = {
+    "rp2": _facet_lines(_RP2_FACETS),
+    # the double suspension of RP^2: 4-vertex facets on 10 vertices
+    "susp2_rp2": _facet_lines(
+        f + (a, b) for f in _RP2_FACETS for a in (6, 7) for b in (8, 9)
+    ),
+    "sphere4": _facet_lines(itertools.combinations(range(6), 5)),
+    "mixed": "0 1 2 3 4 5\n1 2 3 4 6 7\n0 6 7 8\n2 5 8 9\n3 9\n",
+    "n_kg72": format_facets(neighborhood_complex(kneser_graph(7, 2))),
+}
+_BUDGET_LIMITS = (20, 60, 150, 400, 1500, 6000)
+# the dimension each error:budget: line names, per input and --max-dim, one
+# entry per limit above (None: no error), as the tuple-face pass printed
+# them; the fan walk interleaves dimensions, so the line can name a higher
+# dimension at a lower limit (sphere4 at --max-dim 2, susp2_rp2 at 3)
+_BUDGET_DIMENSIONS = {
+    ("rp2", 0): (1, None, None, None, None, None),
+    ("rp2", 1): (1, None, None, None, None, None),
+    ("rp2", 2): (1, None, None, None, None, None),
+    ("rp2", 3): (1, None, None, None, None, None),
+    ("susp2_rp2", 0): (1, 2, None, None, None, None),
+    ("susp2_rp2", 1): (1, 2, None, None, None, None),
+    ("susp2_rp2", 2): (1, 2, 2, None, None, None),
+    ("susp2_rp2", 3): (1, 2, 3, 2, None, None),
+    ("sphere4", 0): (1, None, None, None, None, None),
+    ("sphere4", 1): (1, None, None, None, None, None),
+    ("sphere4", 2): (1, 3, None, None, None, None),
+    ("sphere4", 3): (1, 2, None, None, None, None),
+    ("mixed", 0): (1, 2, None, None, None, None),
+    ("mixed", 1): (1, 2, None, None, None, None),
+    ("mixed", 2): (1, 2, None, None, None, None),
+    ("mixed", 3): (1, 2, 2, None, None, None),
+    ("n_kg72", 0): (0, 1, 1, 2, None, None),
+    ("n_kg72", 1): (0, 1, 1, 2, None, None),
+    ("n_kg72", 2): (0, 1, 1, 2, 3, None),
+    ("n_kg72", 3): (0, 1, 1, 2, 3, 4),
+}
+
+
+@pytest.mark.parametrize("name, max_dim", sorted(_BUDGET_DIMENSIONS))
+def test_budget_lines_are_pinned(tmp_path, capsys, name, max_dim):
+    facets = tmp_path / f"{name}.facets"
+    facets.write_text(_BUDGET_INPUTS[name])
+    expected = _BUDGET_DIMENSIONS[name, max_dim]
+    for limit, dimension in zip(_BUDGET_LIMITS, expected):
+        argv = ["homology", "--complex", str(facets), "--max-dim", str(max_dim)]
+        rc = main([*argv, "--limit", str(limit)])
+        err = capsys.readouterr().err
+        if dimension is None:
+            assert (rc, err) == (0, ""), limit
+        else:
+            line = (
+                f"error:budget: face-count budget {limit} exceeded while "
+                f"enumerating dimension {dimension}\n"
+            )
+            assert (rc, err) == (3, line), limit
 
 
 @pytest.mark.parametrize("facets_text", ["", "0 1\n1 2\n"])

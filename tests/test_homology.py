@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import lovaszgap.homology
 from lovaszgap import (
     BudgetExceededError,
+    CorollaryParams,
     GadgetSpec,
     Graph,
     ParameterError,
     SimplicialComplex,
     SnfResult,
+    build_corollary_graph,
     build_gadget,
     certify_conn_zero,
     complete_graph,
@@ -32,15 +34,16 @@ from lovaszgap.homology import (
     FLAG_HOMOLOGICAL_ONLY,
     FLAG_NO_CERTIFICATE,
     HomologyGroup,
-    fan_boundary,
     fan_columns,
     skeleton_components,
 )
 
 from oracles import (
+    boundary,
     boundary_matrix,
     cone,
     euler_characteristic,
+    face_code,
     full_boundary_profile,
     is_zero_matrix,
     mat_mult,
@@ -201,6 +204,24 @@ def test_homology_independent_of_facet_order(c):
     rng.shuffle(shuffled)
     other = SimplicialComplex(c.num_vertices, tuple(shuffled))
     assert homology_profile(c, 2) == homology_profile(other, 2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7])
+def test_separation_ladder_is_independent_of_facet_order(q):
+    # the separation gadgets (2,2,3,q): the pass streams the fan columns in
+    # facet order, so other orders peel other columns first
+    built = build_corollary_graph(CorollaryParams(2, 2, 3, q))
+    c = neighborhood_complex(built.graph)
+    for cap in (1, 2) if q <= 6 else (1,):
+        expected = homology_pass(c, cap)
+        rng = random.Random(q)
+        for order in ("reversed", "shuffled"):
+            facets = list(reversed(c.facets))
+            if order == "shuffled":
+                rng.shuffle(facets)
+            other = homology_pass(SimplicialComplex(c.num_vertices, tuple(facets)), cap)
+            assert other == expected, (order, cap)
+    assert expected.certificate.certified_conn_zero
 
 
 @given(complexes(max_vertices=7))
@@ -388,17 +409,30 @@ def test_pass_matches_reference_on_corpus(corpus):
 # fan columns against the full boundary and against fans at the other end
 
 
+def fan_faces(c, top) -> dict[int, list]:
+    """The faces ``fan_columns`` yields, by dimension, decoded through the
+    codes of every face of the complex; each is yielded once."""
+    walk = list(fan_columns(c, top, 0))
+    assert len(set(walk)) == len(walk)
+    full = faces_up_to(c, top + 1)
+    by_code = {
+        i: {face_code(f, c.num_vertices): f for f in full.faces_of_dim(i)}
+        for i in range(2, top + 2)
+    }
+    fans = {i: [] for i in range(2, top + 2)}
+    for j, code in walk:
+        fans[j].append(by_code[j][code])
+    return fans
+
+
 def assert_fan_matches_full(c, cap):
     """Every boundary the pass takes from fans has the rank and invariant
     factors of the full boundary over all faces of its degree."""
     top = max(cap, 1)
     table = faces_up_to(c, top)
     full = faces_up_to(c, top + 1)
-    fans = fan_columns(c, top, 0)
-    assert fans[0] == fans[1] == ()
-    for i in range(2, top + 2):
-        assert set(fans[i]) <= set(full.faces_of_dim(i))
-        fan = smith_normal_form(fan_boundary(table.faces_of_dim(i - 1), fans[i]))
+    for i, faces in fan_faces(c, top).items():
+        fan = smith_normal_form(boundary(table.faces_of_dim(i - 1), faces))
         assert fan == smith_normal_form(boundary_matrix(full, i)), i
 
 
@@ -416,8 +450,8 @@ def test_fan_matches_full_boundary_on_corpus(corpus):
 
 def test_fan_matches_full_boundary_on_projective_plane():
     assert_fan_matches_full(RP2, 2)
-    fans = fan_columns(RP2, 1, 0)
-    snf = smith_normal_form(fan_boundary(faces_up_to(RP2, 1).faces_of_dim(1), fans[2]))
+    fans = fan_faces(RP2, 1)
+    snf = smith_normal_form(boundary(faces_up_to(RP2, 1).faces_of_dim(1), fans[2]))
     assert snf.torsion == (2,)
 
 
@@ -466,7 +500,7 @@ def test_fan_columns_count_against_the_face_budget():
     # 10 triangles, so the pass holds 24 faces where every triangle is 25
     c = boundary_sphere(4)
     assert faces_up_to(c, 1).count() == 15
-    assert len(fan_columns(c, 1, 0)[2]) == 9
+    assert [j for j, _ in fan_columns(c, 1, 0)] == [2] * 9
     assert homology_pass(c, 1, limit=24).profile[1].is_trivial()
     for limit in (15, 20, 23):
         with pytest.raises(BudgetExceededError) as caught:
@@ -487,21 +521,42 @@ def suspension(c: SimplicialComplex) -> SimplicialComplex:
     )
 
 
-def recorded_boundaries(c, cap) -> list:
-    """The matrices the pass hands to the SNF, lowest degree first."""
+def recorded_eliminations(c, cap) -> list:
+    """(columns, dropped rows) of each elimination the pass runs, lowest
+    degree first, as {row code: value} per column code and a set of row
+    codes."""
     seen = []
-    real = lovaszgap.homology.smith_normal_form
+    real = lovaszgap.homology.eliminate
 
-    def recording(m):
-        seen.append(m)
-        return real(m)
+    def recording(columns, dropped_rows=()):
+        columns, dropped_rows = dict(columns), set(dropped_rows)
+        seen.append((columns, dropped_rows))
+        return real(columns.items(), dropped_rows)
 
-    lovaszgap.homology.smith_normal_form = recording
+    lovaszgap.homology.eliminate = recording
     try:
         homology_pass(c, cap)
     finally:
-        lovaszgap.homology.smith_normal_form = real
+        lovaszgap.homology.eliminate = real
     return seen
+
+
+def boundary_rows(c, i, columns, dropped_rows) -> set:
+    """The rows left in the boundary into degree i that the pass eliminated:
+    the codes of the i-faces less the dropped ones, after checking that each
+    column is the boundary of the fan face its code names, over the full
+    boundary's rows."""
+    n = c.num_vertices
+    faces = faces_up_to(c, i + 1)
+    rows = {face_code(f, n) for f in faces.faces_of_dim(i)}
+    by_code = {face_code(f, n): f for f in faces.faces_of_dim(i + 1)}
+    assert dropped_rows <= rows
+    for code, column in columns.items():
+        face = by_code[code]
+        assert column == {
+            face_code(face[:k] + face[k + 1 :], n): (-1) ** k for k in range(len(face))
+        }
+    return rows - dropped_rows
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -516,16 +571,18 @@ def test_suspended_projective_plane_keeps_its_torsion_above_a_cleared_boundary(k
     # the boundary into degree k + 1, which carries the torsion, was cleared:
     # it has fewer rows than there are (k + 1)-faces
     table = faces_up_to(c, k + 1)
-    torsion_boundary = recorded_boundaries(c, k + 2)[k]
-    assert torsion_boundary.rows < len(table.faces_of_dim(k + 1))
+    columns, dropped_rows = recorded_eliminations(c, k + 2)[k]
+    rows = boundary_rows(c, k + 1, columns, dropped_rows)
+    assert len(rows) < len(table.faces_of_dim(k + 1))
 
 
 def test_boundary_two_loses_the_spanning_forest_rows():
     c = neighborhood_complex(kneser_graph(7, 2))
     table = faces_up_to(c, 1)
     vertices, edges = len(table.faces_of_dim(0)), len(table.faces_of_dim(1))
-    first = recorded_boundaries(c, 1)[0]
-    assert first.rows == edges - (vertices - 1)
+    columns, dropped_rows = recorded_eliminations(c, 1)[0]
+    rows = boundary_rows(c, 1, columns, dropped_rows)
+    assert len(rows) == edges - (vertices - 1)
 
 
 def test_spanning_forest_on_corpus(corpus):

@@ -2,6 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lovaszgap import IntegerMatrix, smith_normal_form
+from lovaszgap.snf import eliminate
 
 from oracles import dense_snf, minor_gcd_invariant_factors
 
@@ -220,3 +221,71 @@ def test_matrix_round_trip():
     m = IntegerMatrix.from_dense(dense)
     assert m.to_dense() == dense
     assert m.nnz == 2
+
+
+# ---------------------------------------------------------------------------
+# streaming: columns peel, drop or wait as they arrive, in any order
+
+
+def permuted_columns(m: IntegerMatrix, order: list[int]) -> IntegerMatrix:
+    """m with column order[j] moved to position j."""
+    position = {c: j for j, c in enumerate(order)}
+    return IntegerMatrix.from_entries(
+        m.rows, m.cols, ((r, position[c], v) for r, c, v in m.entries)
+    )
+
+
+@given(sparse_unit_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_streamed_snf_is_independent_of_column_order(m, rng):
+    order = list(range(m.cols))
+    rng.shuffle(order)
+    shuffled = permuted_columns(m, order)
+    result = smith_normal_form(shuffled)
+    assert result == dense_snf(m)
+    if result.pivots is None:
+        return
+    # the pivot columns alone have the same invariant factors, so they span
+    # the lattice of all the columns
+    assert len(set(result.pivots)) == len(result.pivots) == result.rank
+    keep = {c: j for j, c in enumerate(result.pivots)}
+    pivot_columns = IntegerMatrix.from_entries(
+        m.rows,
+        len(keep),
+        ((r, keep[c], v) for r, c, v in shuffled.entries if c in keep),
+    )
+    assert dense_snf(pivot_columns) == result
+
+
+def test_column_arriving_on_peeled_rows_is_dropped():
+    # column 10 peels row 0; column 11 lives on rows 0 and 1, loses row 0 to
+    # that peel and is peeled on row 1; column 12 then has only peeled rows
+    columns = [(10, {0: 1}), (11, {0: 1, 1: -1}), (12, {0: 3, 1: 5})]
+    result = eliminate(columns)
+    assert (result.rank, result.torsion, result.pivots) == (2, (), (10, 11))
+    # rows dropped up front act as peeled before the first column
+    result = eliminate(columns[1:], dropped_rows=[0])
+    assert (result.rank, result.pivots) == (1, (11,))
+    assert eliminate([(12, {0: 3, 1: 5})], dropped_rows=[0, 1]) == eliminate([])
+
+
+def test_late_singleton_cascades_into_stored_columns():
+    # columns 0 and 1 arrive with two live entries each and are stored;
+    # column 2, a late +-1 singleton on row 0, peels row 0, which leaves
+    # column 0 a +-1 singleton on row 1, whose peel leaves column 1 one on
+    # row 2.  The singletons 3 and 4 then find their rows peeled: without
+    # the cascade they would have been peeled themselves
+    columns = [
+        (0, {0: 1, 1: -1}), (1, {1: 2, 2: 1}), (2, {0: -1}), (3, {1: 1}), (4, {2: 1})
+    ]
+    result = eliminate(columns)
+    assert (result.rank, result.torsion, result.pivots) == (3, (), (2, 0, 1))
+    dense = [[1, 0, -1, 0, 0], [-1, 2, 0, 1, 0], [0, 1, 0, 0, 1]]
+    assert result == dense_snf(IntegerMatrix.from_dense(dense))
+
+
+def test_stored_non_unit_singleton_waits_for_the_residual():
+    # after the peel of row 0, column 0 is left with a 2 on row 1: it is not
+    # peeled, and the residual takes it as torsion
+    result = eliminate([(0, {0: 1, 1: 2}), (1, {0: 1})])
+    assert (result.rank, result.torsion, result.pivots) == (2, (2,), None)
