@@ -1,13 +1,7 @@
 """Graph gadgets, neighborhood complexes, exact integer homology, and
 certified topological lower bounds for the chromatic number."""
 
-from .complexes import (
-    DEFAULT_FACE_BUDGET,
-    FaceTable,
-    SimplicialComplex,
-    faces_up_to,
-    neighborhood_complex,
-)
+from .complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, neighborhood_complex
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -57,7 +51,7 @@ from .invariants import (
     mycielski_lower_bound,
     verify_biclique_certificate,
 )
-from .snf import IntegerMatrix, SnfResult, smith_normal_form
+from .snf import SnfResult
 from .verify import (
     BoundReport,
     CorollaryReport,

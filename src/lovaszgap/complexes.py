@@ -1,11 +1,12 @@
 """Neighborhood complexes and facet-wise simplicial complexes.
 
-Complexes are stored by their maximal faces only; lower faces are
-enumerated on demand per dimension.  Certifying conn = 0 needs the
-vertices and edges plus the fan triangles {min F, a, b} of each facet F
-(see ``homology``), which stays polynomial even when the full closure
-would be exponential (one side of the biclique complex alone has 2^m - 1
-faces).
+Complexes are stored by their maximal faces only.  ``face_sets`` gives
+the lower faces as one unsorted set per dimension, counted against a face
+budget, for the homology pass to count and to take the 1-skeleton from.
+Certifying conn = 0 needs the vertices and edges plus the fan triangles
+{min F, a, b} of each facet F (see ``homology``), which stays polynomial
+even when the full closure would be exponential (one side of the biclique
+complex alone has 2^m - 1 faces).
 """
 
 from __future__ import annotations
@@ -88,38 +89,22 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     )
 
 
-@dataclass(frozen=True)
-class FaceTable:
-    """All faces up to a requested dimension, sorted lexicographically per
-    dimension, so that walks over them (the spanning forest, boundary
-    matrices in tests) are deterministic."""
-
-    max_dim: int
-    faces: tuple[tuple[Face, ...], ...]
-
-    def faces_of_dim(self, i: int) -> tuple[Face, ...]:
-        if 0 <= i <= self.max_dim:
-            return self.faces[i]
-        return ()
-
-    def count(self) -> int:
-        return sum(len(level) for level in self.faces)
-
-
-def faces_up_to(
+def face_sets(
     c: SimplicialComplex, d: int, limit: int = DEFAULT_FACE_BUDGET
-) -> FaceTable:
-    """Enumerate every face of dimension <= d.  Aborts with a size-guard
-    error naming the offending dimension once the total face count passes
-    ``limit``."""
+) -> list[set[Face]]:
+    """The distinct faces of each dimension 0..min(d, c.dim), as unsorted
+    sets; no dimension above the complex's own is enumerated.  Aborts with
+    a size-guard error naming the offending dimension once the total face
+    count passes ``limit``."""
     if d < 0:
         raise ParameterError(f"dimension bound must be >= 0, got {d}")
     if limit < 1:
         raise ParameterError(f"face budget must be >= 1, got {limit}")
-    levels: list[set[Face]] = [set() for _ in range(d + 1)]
+    levels: list[set[Face]] = []
     total = 0
-    for size in range(1, d + 2):
-        level = levels[size - 1]
+    for size in range(1, min(d, c.dim) + 2):
+        level: set[Face] = set()
+        levels.append(level)
         for facet in c.facets:
             for face in itertools.combinations(facet, size):
                 if face not in level:
@@ -127,7 +112,7 @@ def faces_up_to(
                     total += 1
                     if total > limit:
                         raise BudgetExceededError(dimension=size - 1, limit=limit)
-    return FaceTable(d, tuple(tuple(sorted(level)) for level in levels))
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ certificate that the space's connectivity is exactly 0: path-connectedness
 plus H_1 != 0 forces a nontrivial loop, while nothing here ever claims the
 converse for higher degrees (homological connectivity can overshoot the
 homotopical one, and reports are flagged accordingly).
-``homology_pass`` derives all of it from one face table through dimension
-max(cap, 1) and one streamed elimination per boundary; the other entry
-points are views of it.
+``homology_pass`` derives all of it from the faces through dimension
+max(cap, 1), which it only counts and takes the 1-skeleton from, and one
+streamed elimination per boundary; the other entry points are views of
+it.
 
 Boundaries of degree 2 and up are taken over fan columns, never over every
 face of their degree.  Within a facet F, dd = 0 on {min F} + tau writes the
@@ -49,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .complexes import DEFAULT_FACE_BUDGET, Face, FaceTable, SimplicialComplex, faces_up_to
+from .complexes import DEFAULT_FACE_BUDGET, Face, SimplicialComplex, face_sets
 from .errors import BudgetExceededError, ParameterError
 from .snf import SnfResult, eliminate, torsion_factors
 
@@ -140,30 +141,33 @@ def fan_columns(
             del seen[apex]
 
 
-def skeleton_components(table: FaceTable) -> list[Face]:
-    """The edges of a spanning forest of the 1-skeleton, from one
-    depth-first walk, so the skeleton has #vertices - len(forest)
-    components (isolated complex vertices included); the vertices are
-    relabelled onto 0..k-1 first, since facet files may name them by
-    arbitrary ids."""
-    index = {v: i for i, (v,) in enumerate(table.faces_of_dim(0))}
-    adj: list[list[tuple[int, Face]]] = [[] for _ in index]
-    for edge in table.faces_of_dim(1):
-        u, v = index[edge[0]], index[edge[1]]
-        adj[u].append((v, edge))
-        adj[v].append((u, edge))
-    seen = [False] * len(adj)
-    forest: list[Face] = []
-    for start in range(len(adj)):
-        if seen[start]:
+def skeleton_components(
+    vertices: Iterable[int], edges: Iterable[int], n: int
+) -> list[int]:
+    """The codes of the edges of a spanning forest of the 1-skeleton, given
+    its vertex ids and its edges as codes u*n + v (u < v), from one
+    depth-first walk that takes the vertices, and each vertex's neighbours,
+    in increasing order; so the skeleton has #vertices - len(forest)
+    components (isolated complex vertices included).  The vertices are
+    dict keys, since facet files may name them by arbitrary ids."""
+    adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
+    for code in sorted(edges):
+        u, v = divmod(code, n)
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set[int] = set()
+    forest: list[int] = []
+    for start in adj:
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         stack = [start]
         while stack:
-            for u, edge in adj[stack.pop()]:
-                if not seen[u]:
-                    seen[u] = True
-                    forest.append(edge)
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    forest.append(u * n + v if u < v else v * n + u)
                     stack.append(u)
     return forest
 
@@ -196,6 +200,9 @@ def homology_pass(
 ) -> HomologyPass:
     """Reduced homology in degrees 0..cap, the conn = 0 certificate and the
     homological connectivity, from faces through dimension max(cap, 1).
+    Those are enumerated only as far as the complex's own dimension, and
+    held only to be counted and to give the 1-skeleton; every degree above
+    has no face.
 
     betti_i = #(i-faces) - rank(boundary_i) - rank(boundary_{i+1}), with the
     augmentation map standing in for the degree-0 boundary; torsion in
@@ -205,7 +212,7 @@ def homology_pass(
     incidence matrix of a graph, which is totally unimodular, so its rank
     is the forest's edge count and every invariant factor is 1.
     Boundaries 2..max(cap, 1) + 1 are taken on fan columns (``fan_columns``,
-    counted against ``limit`` after the face table), each column streamed
+    counted against ``limit`` after those faces), each column streamed
     into ``eliminate`` as the boundary of a face code over the codes of its
     faces; the fan 2-faces go in during the walk over the facets, the
     higher ones, kept as codes, once the degree below is done.  Each
@@ -219,16 +226,22 @@ def homology_pass(
     if cap < 0:
         raise ParameterError(f"cap must be >= 0, got {cap}")
     top = max(cap, 1)
-    table = faces_up_to(c, top, limit)
+    levels = face_sets(c, top, limit)
     if c.is_empty():
         trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
         return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
-    counts = [len(table.faces_of_dim(i)) for i in range(top + 1)]
-    forest = skeleton_components(table)
-    components = counts[0] - len(forest)
     n = c.num_vertices
-    walk = fan_columns(c, top, table.count(), limit)
-    later: dict[int, list[int]] = {j: [] for j in range(3, top + 2)}
+    counts = [len(level) for level in levels] + [0] * (top + 1 - len(levels))
+    edges = levels[1] if len(levels) > 1 else ()  # none in dimension 0
+    forest = skeleton_components(
+        (v for (v,) in levels[0]), (u * n + v for u, v in edges), n
+    )
+    del levels, edges  # no face tuple is held past the forest
+    components = counts[0] - len(forest)
+    # no degree above the complex's dimension has a fan face
+    last = min(top + 1, c.dim)
+    walk = fan_columns(c, top, sum(counts), limit)
+    later: dict[int, list[int]] = {j: [] for j in range(3, last + 1)}
 
     def boundaries(i: int) -> Iterator[tuple[int, dict[int, int]]]:
         """The fan i-faces' boundaries, as (code, {face code: sign}): those
@@ -245,11 +258,10 @@ def homology_pass(
 
     # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0; on
     # entry to degree i, cleared holds the codes of (i-1)-faces whose
-    # boundaries form a basis of the image of boundary_{i-1}.  No degree
-    # above the complex's dimension has a fan face.
+    # boundaries form a basis of the image of boundary_{i-1}
     snfs = [SnfResult(1), SnfResult(len(forest))]
-    cleared = [u * n + v for u, v in forest]
-    for i in range(2, min(top + 1, c.dim) + 1):
+    cleared = forest
+    for i in range(2, last + 1):
         snfs.append(eliminate(boundaries(i), cleared))
         cleared = snfs[-1].pivots or []
     snfs += [SnfResult(0)] * (top + 2 - len(snfs))

@@ -25,9 +25,6 @@ built first, in two steps:
   A gcd/lcm sweep over the diagonal (``torsion_factors``) puts the factors
   in divisibility order.
 
-``smith_normal_form`` streams an ``IntegerMatrix``'s columns, in index
-order, through the same elimination.
-
 The Euclid fallback serves torsion (RP^2, unit-free test matrices,
 complexes read from facet files).  On the Kneser-graph complexes, the
 separation gadgets (2,2,3,q) for q = 3..8 and the suite at seeds 0..7 it
@@ -51,37 +48,6 @@ from typing import Iterable
 
 
 @dataclass(frozen=True)
-class IntegerMatrix:
-    """Sparse integer matrix: (row, col, value) triples with value != 0 and
-    each (row, col) at most once, in the order they were built."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    @staticmethod
-    def from_dense(dense: list[list[int]]) -> "IntegerMatrix":
-        cols = len(dense[0]) if dense else 0
-        entries = ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row))
-        return IntegerMatrix.from_entries(len(dense), cols, entries)
-
-    @staticmethod
-    def from_entries(rows: int, cols: int, entries) -> "IntegerMatrix":
-        return IntegerMatrix(rows, cols, tuple(e for e in entries if e[2]))
-
-    def to_dense(self) -> list[list[int]]:
-        """The matrix as lists of rows, for tests and oracles."""
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            dense[r][c] = v
-        return dense
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class SnfResult:
     """The rank r and the invariant factors above 1 (``torsion``) in
     divisibility order; the other r - len(torsion) factors are 1.
@@ -101,18 +67,6 @@ class SnfResult:
     def invariant_factors(self) -> tuple[int, ...]:
         """d_1 | d_2 | ... | d_r, all positive."""
         return (1,) * (self.rank - len(self.torsion)) + self.torsion
-
-
-def smith_normal_form(m: IntegerMatrix) -> SnfResult:
-    return _sparse_snf(m)
-
-
-def _sparse_snf(m: IntegerMatrix) -> SnfResult:
-    """Stream the matrix's columns, in index order, through ``eliminate``."""
-    columns: list[dict[int, int]] = [{} for _ in range(m.cols)]
-    for r, c, val in m.entries:
-        columns[c][r] = val
-    return eliminate(enumerate(columns))
 
 
 # ---------------------------------------------------------------------------

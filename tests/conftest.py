@@ -19,6 +19,9 @@ from lovaszgap import (
     mycielskian,
     triangle_free_chromatic,
 )
+from lovaszgap.homology import skeleton_components
+
+from oracles import face_code, faces_by_dim
 
 # the CLI tests run `python -m lovaszgap` in child interpreters; point them at
 # this checkout's sources, as pyproject's pythonpath does for this process
@@ -35,6 +38,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def skeleton_forest(c):
+    """The sorted vertex ids and edges of a complex's 1-skeleton, from the
+    oracle's enumeration, and the edges of the spanning forest that
+    ``skeleton_components`` walks over them, decoded from their codes."""
+    n = c.num_vertices
+    vertices, edges = faces_by_dim(c, 1)
+    codes = skeleton_components(
+        [v for (v,) in vertices], [face_code(e, n) for e in edges], n
+    )
+    return [v for (v,) in vertices], edges, [divmod(code, n) for code in codes]
 
 
 @st.composite

@@ -10,8 +10,9 @@ the branch-and-bound clique reference recurses over vertex sets where the
 library walks bitmasks on an explicit stack.
 The boundary oracles build their matrices from every face of a degree,
 or from fans at the largest vertex of each facet (the library's fans sit
-at the smallest), and never clear a row; only the matrix type and the
-Smith normal form are the library's.  The cone is built on the facets
+at the smallest), and never clear a row; their matrices are an explicit
+``IntegerMatrix``, whose Smith normal form streams the columns through the
+library's elimination.  The cone is built on the facets
 alone, and the Euler characteristic counts the oracle's own enumeration of
 faces.  Face codes are a sum of powers where the library runs Horner's
 rule.  The incidence-graph builder gives the wedge check parts whose
@@ -21,16 +22,51 @@ neighborhood complexes carry a chosen complex's torsion.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 
-from lovaszgap import (
-    Graph,
-    IntegerMatrix,
-    ParameterError,
-    SimplicialComplex,
-    SnfResult,
-    smith_normal_form,
-)
+from lovaszgap import Graph, ParameterError, SimplicialComplex, SnfResult
+from lovaszgap.snf import eliminate
+
+
+@dataclass(frozen=True)
+class IntegerMatrix:
+    """Sparse integer matrix: (row, col, value) triples with value != 0 and
+    each (row, col) at most once, in the order they were built."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, int, int], ...]
+
+    @staticmethod
+    def from_dense(dense: list[list[int]]) -> "IntegerMatrix":
+        cols = len(dense[0]) if dense else 0
+        entries = ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row))
+        return IntegerMatrix.from_entries(len(dense), cols, entries)
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries) -> "IntegerMatrix":
+        return IntegerMatrix(rows, cols, tuple(e for e in entries if e[2]))
+
+    def to_dense(self) -> list[list[int]]:
+        """The matrix as lists of rows."""
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for r, c, v in self.entries:
+            dense[r][c] = v
+        return dense
+
+    @property
+    def nnz(self) -> int:
+        return len(self.entries)
+
+
+def smith_normal_form(m: IntegerMatrix) -> SnfResult:
+    """The library's SNF of an explicit matrix: its columns, in index order,
+    streamed through ``eliminate``."""
+    columns: list[dict[int, int]] = [{} for _ in range(m.cols)]
+    for r, c, val in m.entries:
+        columns[c][r] = val
+    return eliminate(enumerate(columns))
 
 
 def brute_force_chromatic(g) -> int:
@@ -304,17 +340,18 @@ def is_zero_matrix(a: list[list[int]]) -> bool:
     return all(all(x == 0 for x in row) for row in a)
 
 
-def boundary_matrix(table, i: int) -> IntegerMatrix:
-    """Full simplicial boundary in degree i >= 1 over a face table: rows
-    are the (i-1)-faces, columns every i-face, and dropping the j-th vertex
-    of a sorted face contributes (-1)**j."""
+def boundary_matrix(levels, i: int) -> IntegerMatrix:
+    """Full simplicial boundary in degree i >= 1 over the sorted faces per
+    dimension of ``faces_by_dim``: rows are the (i-1)-faces, columns every
+    i-face, and dropping the j-th vertex of a sorted face contributes
+    (-1)**j."""
     if i < 1:
         raise ParameterError(f"boundary degree must be >= 1, got {i}")
-    if i > table.max_dim:
+    if i >= len(levels):
         raise ParameterError(
-            f"face table populated to dimension {table.max_dim}, need {i}"
+            f"faces enumerated to dimension {len(levels) - 1}, need {i}"
         )
-    return boundary(table.faces_of_dim(i - 1), table.faces_of_dim(i))
+    return boundary(levels[i - 1], levels[i])
 
 
 def boundary(rows, columns) -> IntegerMatrix:

@@ -16,7 +16,6 @@ import pytest
 from lovaszgap import (
     CorollaryParams,
     GadgetSpec,
-    IntegerMatrix,
     SimplicialComplex,
     build_gadget,
     certify_conn_zero,
@@ -24,28 +23,29 @@ from lovaszgap import (
     compare_bounds,
     complete_graph,
     cycle_graph,
-    faces_up_to,
     greedy_dsatur_bound,
     homology_profile,
     is_bipartite,
     is_connected,
     max_clique,
     neighborhood_complex,
-    smith_normal_form,
     verify_corollary,
     verify_wedge_decomposition,
 )
-from lovaszgap.homology import FLAG_NO_CERTIFICATE, skeleton_components
+from lovaszgap.homology import FLAG_NO_CERTIFICATE
 
-from conftest import random_graph
+from conftest import random_graph, skeleton_forest
 from oracles import (
+    IntegerMatrix,
     boundary_matrix,
     brute_force_chromatic,
     brute_force_max_clique,
     cone,
+    faces_by_dim,
     is_zero_matrix,
     mat_mult,
     minor_gcd_invariant_factors,
+    smith_normal_form,
 )
 
 WEDGE_FAMILIES = [
@@ -186,13 +186,13 @@ def test_criterion_4_homology_engine_oracles():
     rng = random.Random(44)
     for _ in range(200):
         c = random_complex(rng)
-        table = faces_up_to(c, 4)
+        levels = faces_by_dim(c, 4)
         for i in range(1, 4):
-            if not table.faces_of_dim(i + 1):
+            if not levels[i + 1]:
                 continue
             product = mat_mult(
-                boundary_matrix(table, i).to_dense(),
-                boundary_matrix(table, i + 1).to_dense(),
+                boundary_matrix(levels, i).to_dense(),
+                boundary_matrix(levels, i + 1).to_dense(),
             )
             if not is_zero_matrix(product):
                 ok = False
@@ -250,8 +250,8 @@ def test_criterion_6_structural_properties(corpus):
     for name, g in corpus.items():
         if g.m == 0 or not is_connected(g):
             continue
-        table = faces_up_to(neighborhood_complex(g), 1)
-        comps = len(table.faces_of_dim(0)) - len(skeleton_components(table))
+        vertices, _, forest = skeleton_forest(neighborhood_complex(g))
+        comps = len(vertices) - len(forest)
         if is_bipartite(g)[0]:
             if comps != 2:
                 ok = False

@@ -10,14 +10,13 @@ from lovaszgap import (
     SimplicialComplex,
     complete_graph,
     cycle_graph,
-    faces_up_to,
     is_bipartite,
     is_connected,
     neighborhood_complex,
 )
-from lovaszgap.complexes import format_facets, parse_faces
+from lovaszgap.complexes import face_sets, format_facets, parse_faces
 
-from conftest import graphs
+from conftest import graphs, skeleton_forest
 from oracles import cone, euler_characteristic
 
 
@@ -57,25 +56,25 @@ def test_neighborhood_complex_antichain(g):
 
 def test_faces_full_simplex():
     c = SimplicialComplex.from_faces(3, [[0, 1, 2]])
-    table = faces_up_to(c, 2)
-    assert [len(table.faces_of_dim(i)) for i in range(3)] == [3, 3, 1]
+    assert [len(level) for level in face_sets(c, 2)] == [3, 3, 1]
 
 
 def test_faces_nc5():
-    table = faces_up_to(neighborhood_complex(cycle_graph(5)), 1)
-    assert len(table.faces_of_dim(0)) == 5
-    assert len(table.faces_of_dim(1)) == 5
+    levels = face_sets(neighborhood_complex(cycle_graph(5)), 1)
+    assert len(levels[0]) == 5
+    assert len(levels[1]) == 5
 
 
 def test_faces_nk4():
-    table = faces_up_to(neighborhood_complex(complete_graph(4)), 3)
-    assert [len(table.faces_of_dim(i)) for i in range(4)] == [4, 6, 4, 0]
+    # no 3-face: the enumeration stops at the complex's dimension, 2
+    levels = face_sets(neighborhood_complex(complete_graph(4)), 3)
+    assert [len(level) for level in levels] == [4, 6, 4]
 
 
 def test_budget_exceeded_names_dimension():
     c = SimplicialComplex.from_faces(6, [range(6)])
     with pytest.raises(BudgetExceededError) as exc:
-        faces_up_to(c, 3, limit=10)
+        face_sets(c, 3, limit=10)
     assert exc.value.dimension == 1
     assert "dimension 1" in str(exc.value)
 
@@ -84,10 +83,11 @@ def test_budget_exceeded_names_dimension():
 @settings(max_examples=60)
 def test_faces_monotone_prefix(c, d1, d2):
     lo, hi = min(d1, d2), max(d1, d2)
-    small = faces_up_to(c, lo)
-    big = faces_up_to(c, hi)
-    for i in range(lo + 1):
-        assert small.faces_of_dim(i) == big.faces_of_dim(i)
+    small = face_sets(c, lo)
+    big = face_sets(c, hi)
+    assert len(small) == min(lo, c.dim) + 1
+    assert len(big) == min(hi, c.dim) + 1
+    assert small == big[: len(small)]
 
 
 def test_euler_characteristic():
@@ -108,15 +108,11 @@ def test_cone_facets():
 def test_skeleton_components_match_graph_structure(corpus):
     # connected non-bipartite graphs have connected neighborhood complexes;
     # connected bipartite graphs with an edge split into exactly two parts
-    from lovaszgap.complexes import faces_up_to as ft
-    from lovaszgap.homology import skeleton_components
-
     for name, g in corpus.items():
         if not is_connected(g) or g.m == 0:
             continue
-        c = neighborhood_complex(g)
-        table = ft(c, 1)
-        comps = len(table.faces_of_dim(0)) - len(skeleton_components(table))
+        vertices, _, forest = skeleton_forest(neighborhood_complex(g))
+        comps = len(vertices) - len(forest)
         if is_bipartite(g)[0]:
             assert comps == 2, name
         else:

@@ -1,10 +1,12 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lovaszgap.complexes
 import lovaszgap.homology
 from lovaszgap import (
     BudgetExceededError,
@@ -20,14 +22,12 @@ from lovaszgap import (
     complete_graph,
     connected_components,
     cycle_graph,
-    faces_up_to,
     homology_pass,
     homology_profile,
     kneser_graph,
     neighborhood_complex,
-    smith_normal_form,
 )
-from lovaszgap.complexes import parse_faces
+from lovaszgap.complexes import face_sets, parse_faces
 from lovaszgap.homology import (
     EMPTY_SENTINEL,
     FLAG_EMPTY,
@@ -38,16 +38,19 @@ from lovaszgap.homology import (
     skeleton_components,
 )
 
+from conftest import skeleton_forest
 from oracles import (
     boundary,
     boundary_matrix,
     cone,
     euler_characteristic,
     face_code,
+    faces_by_dim,
     full_boundary_profile,
     is_zero_matrix,
     mat_mult,
     max_apex_fan_profile,
+    smith_normal_form,
 )
 from test_complexes import complexes
 
@@ -62,40 +65,38 @@ def boundary_sphere(n: int) -> SimplicialComplex:
 
 def test_single_edge_boundary():
     c = SimplicialComplex.from_faces(2, [[0, 1]])
-    m = boundary_matrix(faces_up_to(c, 1), 1)
+    m = boundary_matrix(faces_by_dim(c, 1), 1)
     assert m.to_dense() == [[-1], [1]]
 
 
 def test_triangle_cycle_boundary_rank():
     c = SimplicialComplex.from_faces(3, [[0, 1], [0, 2], [1, 2]])
-    m = boundary_matrix(faces_up_to(c, 1), 1)
-    from lovaszgap import smith_normal_form
-
+    m = boundary_matrix(faces_by_dim(c, 1), 1)
     assert smith_normal_form(m).rank == 2
 
 
 def test_boundary_composition_is_zero_nk4():
-    table = faces_up_to(neighborhood_complex(complete_graph(4)), 2)
-    d1 = boundary_matrix(table, 1).to_dense()
-    d2 = boundary_matrix(table, 2).to_dense()
+    levels = faces_by_dim(neighborhood_complex(complete_graph(4)), 2)
+    d1 = boundary_matrix(levels, 1).to_dense()
+    d2 = boundary_matrix(levels, 2).to_dense()
     assert is_zero_matrix(mat_mult(d1, d2))
 
 
 def test_boundary_requires_populated_table():
     c = SimplicialComplex.from_faces(3, [[0, 1, 2]])
     with pytest.raises(ParameterError):
-        boundary_matrix(faces_up_to(c, 1), 2)
+        boundary_matrix(faces_by_dim(c, 1), 2)
 
 
 @given(complexes())
 @settings(max_examples=60, deadline=None)
 def test_boundary_composition_is_zero(c):
-    table = faces_up_to(c, 4)
+    levels = faces_by_dim(c, 4)
     for i in range(1, 4):
-        if not table.faces_of_dim(i + 1):
+        if not levels[i + 1]:
             continue
-        lower = boundary_matrix(table, i).to_dense()
-        upper = boundary_matrix(table, i + 1).to_dense()
+        lower = boundary_matrix(levels, i).to_dense()
+        upper = boundary_matrix(levels, i + 1).to_dense()
         assert is_zero_matrix(mat_mult(lower, upper))
 
 
@@ -103,13 +104,13 @@ def test_boundary_composition_is_zero_on_corpus(corpus):
     for name, g in corpus.items():
         if g.n > 15:
             continue
-        table = faces_up_to(neighborhood_complex(g), 3)
+        levels = faces_by_dim(neighborhood_complex(g), 3)
         for i in range(1, 3):
-            if not table.faces_of_dim(i + 1):
+            if not levels[i + 1]:
                 continue
             product = mat_mult(
-                boundary_matrix(table, i).to_dense(),
-                boundary_matrix(table, i + 1).to_dense(),
+                boundary_matrix(levels, i).to_dense(),
+                boundary_matrix(levels, i + 1).to_dense(),
             )
             assert is_zero_matrix(product), (name, i)
 
@@ -130,7 +131,7 @@ def test_skeleton_is_counted_on_relabelled_vertex_ids():
     # facet files may name vertices by any ids: a triangle's boundary on
     # 0, 7 and 10**9 is a circle, counted without a 10**9-vertex ground set
     c = parse_faces(["0 1000000000", "1000000000 7", "7 0"])
-    assert len(skeleton_components(faces_up_to(c, 1))) == 2
+    assert len(skeleton_forest(c)[2]) == 2
     assert homology_pass(c, 1).profile == (HomologyGroup(0, 0, ()), HomologyGroup(1, 1, ()))
 
 
@@ -351,9 +352,8 @@ def assert_pass_matches_reference(c, cap):
 
 
 def assert_component_rank_is_exact(c):
-    table = faces_up_to(c, 1)
-    exact = smith_normal_form(boundary_matrix(table, 1))
-    forest = skeleton_components(table)
+    exact = smith_normal_form(boundary_matrix(faces_by_dim(c, 1), 1))
+    forest = skeleton_forest(c)[2]
     # the degree-1 SNF that homology_pass reads off the spanning forest
     fast = SnfResult(len(forest))
     assert fast == exact
@@ -414,9 +414,9 @@ def fan_faces(c, top) -> dict[int, list]:
     codes of every face of the complex; each is yielded once."""
     walk = list(fan_columns(c, top, 0))
     assert len(set(walk)) == len(walk)
-    full = faces_up_to(c, top + 1)
+    full = faces_by_dim(c, top + 1)
     by_code = {
-        i: {face_code(f, c.num_vertices): f for f in full.faces_of_dim(i)}
+        i: {face_code(f, c.num_vertices): f for f in full[i]}
         for i in range(2, top + 2)
     }
     fans = {i: [] for i in range(2, top + 2)}
@@ -429,10 +429,9 @@ def assert_fan_matches_full(c, cap):
     """Every boundary the pass takes from fans has the rank and invariant
     factors of the full boundary over all faces of its degree."""
     top = max(cap, 1)
-    table = faces_up_to(c, top)
-    full = faces_up_to(c, top + 1)
+    full = faces_by_dim(c, top + 1)
     for i, faces in fan_faces(c, top).items():
-        fan = smith_normal_form(boundary(table.faces_of_dim(i - 1), faces))
+        fan = smith_normal_form(boundary(full[i - 1], faces))
         assert fan == smith_normal_form(boundary_matrix(full, i)), i
 
 
@@ -451,7 +450,7 @@ def test_fan_matches_full_boundary_on_corpus(corpus):
 def test_fan_matches_full_boundary_on_projective_plane():
     assert_fan_matches_full(RP2, 2)
     fans = fan_faces(RP2, 1)
-    snf = smith_normal_form(boundary(faces_up_to(RP2, 1).faces_of_dim(1), fans[2]))
+    snf = smith_normal_form(boundary(faces_by_dim(RP2, 1)[1], fans[2]))
     assert snf.torsion == (2,)
 
 
@@ -476,22 +475,31 @@ def test_max_apex_fan_agrees_on_random_complexes(c, cap):
 
 
 @given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3))
+@example(SimplicialComplex.from_faces(4, [[0, 1, 2], [2, 3]]), 1000)
 @settings(max_examples=40, deadline=None)
 def test_pass_enumerates_faces_through_max_cap_1(c, cap):
-    asked = []
-    real = lovaszgap.homology.faces_up_to
+    asked, sizes = [], []
+    real = lovaszgap.homology.face_sets
 
     def recording(complex_, d, limit):
         asked.append(d)
         return real(complex_, d, limit)
 
-    lovaszgap.homology.faces_up_to = recording
+    def combinations(items, size):
+        sizes.append(size)
+        return itertools.combinations(items, size)
+
+    lovaszgap.homology.face_sets = recording
+    lovaszgap.complexes.itertools = SimpleNamespace(combinations=combinations)
     try:
         homology_pass(c, cap)
     finally:
-        lovaszgap.homology.faces_up_to = real
+        lovaszgap.homology.face_sets = real
+        lovaszgap.complexes.itertools = itertools
     assert all(d <= max(cap, 1) for d in asked)
     assert asked or c.is_empty()
+    # however high the cap, no face above the complex's dimension is sought
+    assert all(size <= c.dim + 1 for size in sizes)
 
 
 def test_fan_columns_count_against_the_face_budget():
@@ -499,7 +507,7 @@ def test_fan_columns_count_against_the_face_budget():
     # five tetrahedra fan out from their smallest vertices into 9 of its
     # 10 triangles, so the pass holds 24 faces where every triangle is 25
     c = boundary_sphere(4)
-    assert faces_up_to(c, 1).count() == 15
+    assert sum(len(level) for level in face_sets(c, 1)) == 15
     assert [j for j, _ in fan_columns(c, 1, 0)] == [2] * 9
     assert homology_pass(c, 1, limit=24).profile[1].is_trivial()
     for limit in (15, 20, 23):
@@ -547,9 +555,9 @@ def boundary_rows(c, i, columns, dropped_rows) -> set:
     column is the boundary of the fan face its code names, over the full
     boundary's rows."""
     n = c.num_vertices
-    faces = faces_up_to(c, i + 1)
-    rows = {face_code(f, n) for f in faces.faces_of_dim(i)}
-    by_code = {face_code(f, n): f for f in faces.faces_of_dim(i + 1)}
+    faces = faces_by_dim(c, i + 1)
+    rows = {face_code(f, n) for f in faces[i]}
+    by_code = {face_code(f, n): f for f in faces[i + 1]}
     assert dropped_rows <= rows
     for code, column in columns.items():
         face = by_code[code]
@@ -570,27 +578,35 @@ def test_suspended_projective_plane_keeps_its_torsion_above_a_cleared_boundary(k
     assert profile == expected == full_boundary_profile(c, k + 2)
     # the boundary into degree k + 1, which carries the torsion, was cleared:
     # it has fewer rows than there are (k + 1)-faces
-    table = faces_up_to(c, k + 1)
+    levels = faces_by_dim(c, k + 1)
     columns, dropped_rows = recorded_eliminations(c, k + 2)[k]
     rows = boundary_rows(c, k + 1, columns, dropped_rows)
-    assert len(rows) < len(table.faces_of_dim(k + 1))
+    assert len(rows) < len(levels[k + 1])
 
 
 def test_boundary_two_loses_the_spanning_forest_rows():
     c = neighborhood_complex(kneser_graph(7, 2))
-    table = faces_up_to(c, 1)
-    vertices, edges = len(table.faces_of_dim(0)), len(table.faces_of_dim(1))
+    levels = faces_by_dim(c, 1)
+    vertices, edges = len(levels[0]), len(levels[1])
     columns, dropped_rows = recorded_eliminations(c, 1)[0]
     rows = boundary_rows(c, 1, columns, dropped_rows)
     assert len(rows) == edges - (vertices - 1)
 
 
+def test_spanning_forest_is_depth_first_in_increasing_order():
+    # the forest fixes the rows cleared from boundary_2, so it must not
+    # depend on the order of its input: the walk takes the vertices, and
+    # each vertex's neighbours, in increasing order
+    n = 10
+    edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 6)]
+    codes = [u * n + v for u, v in reversed(edges)]
+    forest = skeleton_components([6, 4, 9, 3, 2, 1, 0, 5], codes, n)
+    assert [divmod(code, n) for code in forest] == [(0, 1), (0, 2), (2, 3), (3, 4), (5, 6)]
+
+
 def test_spanning_forest_on_corpus(corpus):
     for name, g in corpus.items():
-        table = faces_up_to(neighborhood_complex(g), 1)
-        vertices = [v for (v,) in table.faces_of_dim(0)]
-        edges = table.faces_of_dim(1)
-        forest = skeleton_components(table)
+        vertices, edges, forest = skeleton_forest(neighborhood_complex(g))
         assert set(forest) <= set(edges), name
         # acyclic: every forest edge joins two trees of the ones before it
         root = {v: v for v in vertices}
