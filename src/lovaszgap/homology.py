@@ -142,19 +142,21 @@ def fan_columns(
 
 
 def skeleton_components(
-    vertices: Iterable[int], edges: Iterable[int], n: int
+    vertices: Iterable[int], edges: Iterable[Face], n: int
 ) -> list[int]:
-    """The codes of the edges of a spanning forest of the 1-skeleton, given
-    its vertex ids and its edges as codes u*n + v (u < v), from one
-    depth-first walk that takes the vertices, and each vertex's neighbours,
-    in increasing order; so the skeleton has #vertices - len(forest)
-    components (isolated complex vertices included).  The vertices are
-    dict keys, since facet files may name them by arbitrary ids."""
+    """The codes u*n + v of the edges (u, v), u < v, of a spanning forest of
+    the 1-skeleton, given its vertex ids and its edges in any order, from
+    one depth-first walk that takes the vertices, and each vertex's
+    neighbours, in increasing order; so the skeleton has
+    #vertices - len(forest) components (isolated complex vertices
+    included).  The vertices are dict keys, since facet files may name them
+    by arbitrary ids."""
     adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
-    for code in sorted(edges):
-        u, v = divmod(code, n)
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    for neighbours in adj.values():
+        neighbours.sort()
     seen: set[int] = set()
     forest: list[int] = []
     for start in adj:
@@ -233,9 +235,7 @@ def homology_pass(
     n = c.num_vertices
     counts = [len(level) for level in levels] + [0] * (top + 1 - len(levels))
     edges = levels[1] if len(levels) > 1 else ()  # none in dimension 0
-    forest = skeleton_components(
-        (v for (v,) in levels[0]), (u * n + v for u, v in edges), n
-    )
+    forest = skeleton_components((v for (v,) in levels[0]), edges, n)
     del levels, edges  # no face tuple is held past the forest
     components = counts[0] - len(forest)
     # no degree above the complex's dimension has a fan face

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+import lovaszgap.snf
 from lovaszgap import (
     CorollaryParams,
     GadgetSpec,
@@ -21,7 +22,7 @@ from lovaszgap import (
 )
 from lovaszgap.homology import skeleton_components
 
-from oracles import face_code, faces_by_dim
+from oracles import faces_by_dim
 
 # the CLI tests run `python -m lovaszgap` in child interpreters; point them at
 # this checkout's sources, as pyproject's pythonpath does for this process
@@ -46,10 +47,23 @@ def skeleton_forest(c):
     ``skeleton_components`` walks over them, decoded from their codes."""
     n = c.num_vertices
     vertices, edges = faces_by_dim(c, 1)
-    codes = skeleton_components(
-        [v for (v,) in vertices], [face_code(e, n) for e in edges], n
-    )
+    codes = skeleton_components([v for (v,) in vertices], edges, n)
     return [v for (v,) in vertices], edges, [divmod(code, n) for code in codes]
+
+
+@pytest.fixture
+def pivot_calls(monkeypatch):
+    """A one-element list that counts the calls of ``snf._pivot`` during the
+    test."""
+    calls = [0]
+    real = lovaszgap.snf._pivot
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(lovaszgap.snf, "_pivot", counted)
+    return calls
 
 
 @st.composite

@@ -140,8 +140,21 @@ def test_unit_pivots_run_out_into_torsion_residual():
     assert result == dense_snf(m)
 
 
-@given(sparse_unit_matrices())
-@settings(max_examples=300, deadline=None)
+@st.composite
+def two_entry_unit_matrices(draw, max_dim: int = 12):
+    """Sparse +-1 matrices with one or two entries per column, the shape of a
+    signed graph's incidence matrix, whose rows often fall to one entry."""
+    rows = draw(st.integers(2, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    entries = []
+    for c in range(cols):
+        for r in draw(st.sets(st.integers(0, rows - 1), min_size=1, max_size=2)):
+            entries.append((r, c, draw(st.sampled_from((1, -1)))))
+    return IntegerMatrix.from_entries(rows, cols, entries)
+
+
+@given(st.one_of(sparse_unit_matrices(), two_entry_unit_matrices()))
+@settings(max_examples=500, deadline=None)
 def test_pivots_are_reported_only_without_a_residual(m):
     result = smith_normal_form(m)
     assert result == dense_snf(m)
@@ -277,3 +290,31 @@ def test_stored_non_unit_singleton_waits_for_the_residual():
     # peeled, and the residual takes it as torsion
     result = eliminate([(0, {0: 1, 1: 2}), (1, {0: 1})])
     assert (result.rank, result.torsion, result.pivots) == (2, (2,), None)
+
+
+# ---------------------------------------------------------------------------
+# row singletons: after the peel, a row holding a single +-1 is a pivot
+# without fill, taken before the residual loop
+
+
+def test_row_singleton_pivot_leaves_the_next_row_a_singleton(pivot_calls):
+    # every column arrives with two live entries, so nothing peels; row 0
+    # holds a single 1, whose pivot on column 0 leaves row 1 holding column
+    # 1 alone, whose pivot leaves row 2 holding column 2 alone.  Row 3's 2
+    # is a non-unit singleton until column 2's pivot empties it
+    columns = [(0, {0: 1, 1: -1}), (1, {1: 1, 2: 1}), (2, {2: -1, 3: 2})]
+    result = eliminate(columns)
+    assert (result.rank, result.torsion, result.pivots) == (3, (), (0, 1, 2))
+    assert pivot_calls == [0]  # no pivot reached the residual loop
+    dense = [[1, 0, 0], [-1, 1, 0], [0, 1, -1], [0, 0, 2]]
+    assert result == dense_snf(IntegerMatrix.from_dense(dense))
+
+
+def test_non_unit_row_singleton_is_left_to_the_residual():
+    # row 2's 1 takes column 1, which leaves row 1 holding a 2; rows 0 and 1
+    # then hold only 2s, so a Euclid step gives the torsion
+    columns = [(0, {0: 2, 1: 2}), (1, {1: 1, 2: 1})]
+    result = eliminate(columns)
+    assert (result.rank, result.torsion, result.pivots) == (2, (2,), None)
+    dense = [[2, 0], [2, 1], [0, 1]]
+    assert result == dense_snf(IntegerMatrix.from_dense(dense))
