@@ -40,14 +40,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _err(kind: str, exc: BaseException) -> None:
-    sys.stderr.write(f"error:{kind}: {exc}\n")
-
-
-def _say(line: str, json_path: str | None) -> None:
-    """Print the human summary line, on stderr when the JSON report goes to
-    stdout, so that stdout stays one JSON document."""
-    print(line, file=sys.stderr if json_path == "-" else sys.stdout)
+def _err(kind: str, message: object) -> None:
+    sys.stderr.write(f"error:{kind}: {message}\n")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -59,190 +53,140 @@ def _write(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _dump_json(obj, path: str) -> None:
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
-
-
-def _timer(start: float, enabled: bool) -> int | None:
-    return int((time.monotonic() - start) * 1000) if enabled else None
+def _run(args) -> int:
+    """Run the subcommand's handler, which returns (payload, summary line,
+    failure message), each possibly None.  Under --timings the payload's
+    wall_time_ms covers the handler through building its report.  The
+    payload goes as JSON where --json says; the summary goes to stdout, or to
+    stderr when the JSON does, so that stdout stays one JSON document; a
+    failure becomes one error:verify: line and exit 1."""
+    start = time.monotonic()
+    payload, summary, failure = args.func(args)
+    if "timings" in args:
+        elapsed = int((time.monotonic() - start) * 1000)
+        payload["wall_time_ms"] = elapsed if args.timings else None
+    json_path = getattr(args, "json", None)
+    if payload is not None and json_path is not None:
+        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", json_path)
+    if summary is not None:
+        print(summary, file=sys.stderr if json_path == "-" else sys.stdout)
+    if failure is not None:
+        _err("verify", failure)
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (payload, summary, failure) for _run
 
 
-def _cmd_construct(args) -> int:
-    family = args.family
+def _gadget_spec(args) -> GadgetSpec:
+    h, k = dimacs.read_graph(args.h), dimacs.read_graph(args.k)
+    return GadgetSpec(h=h, x=args.x, k=k, y=args.y)
+
+
+def _cmd_construct(args):
+    family, payload = args.family, None
     if family in FAMILIES:
         build, params = FAMILIES[family]
         graph = build(*(getattr(args, p) for p in params))
-        _write(dimacs.format_graph(graph), args.output)
-        return EXIT_OK
-    if family == "mycielski":
+    elif family == "mycielski":
         graph = mycielskian(dimacs.read_graph(args.graph))
-        _write(dimacs.format_graph(graph), args.output)
-        return EXIT_OK
-    if args.json == "-" and args.output in (None, "-"):
+    elif args.json == "-" and args.output in (None, "-"):
         raise ParameterError(
             "--json - needs -o FILE: the graph would share stdout with the JSON"
         )
-    if family == "gadget":
-        spec = GadgetSpec(
-            h=dimacs.read_graph(args.h), x=args.x, k=dimacs.read_graph(args.k), y=args.y
-        )
-        built = build_gadget(spec)
-        _write(dimacs.format_graph(built.graph), args.output)
-        if args.json is not None:
-            _dump_json(
-                {"z": built.z, "x": built.x, "y": built.y}, args.json
-            )
-        return EXIT_OK
-    # corollary
-    built = build_corollary_graph(CorollaryParams(args.l, args.m, args.p, args.q))
-    _write(dimacs.format_graph(built.graph), args.output)
-    if args.json is not None:
-        _dump_json(
-            {
-                "biclique": {
-                    "left": list(built.biclique_left),
-                    "right": list(built.biclique_right),
-                },
-                "clique": list(built.clique),
-                "designated": [built.s_first, built.s_second],
-                "bridge": built.z,
-            },
-            args.json,
-        )
-    return EXIT_OK
+    elif family == "gadget":
+        built = build_gadget(_gadget_spec(args))
+        graph, payload = built.graph, {"z": built.z, "x": built.x, "y": built.y}
+    else:  # corollary
+        built = build_corollary_graph(CorollaryParams(args.l, args.m, args.p, args.q))
+        graph, payload = built.graph, verify._planted_json(built)
+        payload["clique"] = list(built.clique)
+    _write(dimacs.format_graph(graph), args.output)
+    return payload, None, None
 
 
-def _cmd_ncomplex(args) -> int:
+def _cmd_ncomplex(args):
     g = dimacs.read_graph(args.graph)
     _write(complexes.format_facets(complexes.neighborhood_complex(g)), args.output)
-    return EXIT_OK
+    return None, None, None
 
 
-def _cmd_homology(args) -> int:
-    start = time.monotonic()
-    c = complexes.read_facets(args.complex)
-    topology = homology_pass(c, args.max_dim, args.limit)
+def _cmd_homology(args):
+    topology = homology_pass(complexes.read_facets(args.complex), args.max_dim, args.limit)
     payload = {
         "case": f"homology({args.complex})",
         "homology": verify._homology_json(topology.profile),
         "certificate": verify._certificate_json(topology.certificate),
-        "wall_time_ms": _timer(start, args.timings),
     }
-    for g in topology.profile:
-        torsion = ",".join(str(t) for t in g.torsion)
-        _say(f"H~{g.dimension}: betti={g.betti} torsion=[{torsion}]", args.json)
-    if args.json is not None:
-        _dump_json(payload, args.json)
-    return EXIT_OK
+    summary = "\n".join(
+        f"H~{g.dimension}: betti={g.betti} torsion=[{','.join(map(str, g.torsion))}]"
+        for g in topology.profile
+    )
+    return payload, summary, None
 
 
-def _cmd_chromatic(args) -> int:
-    g = dimacs.read_graph(args.graph)
-    chi, coloring, chi_lower, _, _ = chromatic_number(g)
-    _say(f"chi={chi}", args.json)
-    if args.json is not None:
-        _dump_json(
-            {
-                "chi": chi,
-                "coloring": list(coloring.assignment),
-                "chi_lower": verify._chi_lower_json(chi_lower),
-            },
-            args.json,
-        )
-    return EXIT_OK
+def _cmd_chromatic(args):
+    chi, coloring, chi_lower, _, _ = chromatic_number(dimacs.read_graph(args.graph))
+    payload = {
+        "chi": chi,
+        "coloring": list(coloring.assignment),
+        "chi_lower": verify._chi_lower_json(chi_lower),
+    }
+    return payload, f"chi={chi}", None
 
 
-def _cmd_clique(args) -> int:
-    g = dimacs.read_graph(args.graph)
-    omega, witness = max_clique(g)
-    _say(f"omega={omega}", args.json)
-    if args.json is not None:
-        _dump_json(
-            {"omega": omega, "clique": list(witness.vertices)}, args.json
-        )
-    return EXIT_OK
+def _cmd_clique(args):
+    omega, witness = max_clique(dimacs.read_graph(args.graph))
+    return {"omega": omega, "clique": list(witness.vertices)}, f"omega={omega}", None
 
 
-def _cmd_bounds(args) -> int:
-    start = time.monotonic()
+def _cmd_bounds(args):
     g = dimacs.read_graph(args.graph)
     report = verify.compare_bounds(g, cap=args.max_dim, limit=args.limit)
-    payload = verify.bounds_report_json(
-        f"bounds({args.graph})", g, report, _timer(start, args.timings)
-    )
     certified = report.lovasz_certified
-    _say(
+    summary = (
         f"chi={report.chi} omega={report.omega} "
         f"lovasz_certified={'none' if certified is None else certified} "
-        f"greedy_upper={report.greedy_upper}",
-        args.json,
+        f"greedy_upper={report.greedy_upper}"
     )
-    if args.json is not None:
-        _dump_json(payload, args.json)
-    return EXIT_OK
+    return verify.bounds_report_json(f"bounds({args.graph})", g, report), summary, None
 
 
-def _cmd_verify_theorem2(args) -> int:
-    start = time.monotonic()
-    spec = GadgetSpec(
-        h=dimacs.read_graph(args.h), x=args.x, k=dimacs.read_graph(args.k), y=args.y
-    )
+def _cmd_verify_theorem2(args):
+    spec = _gadget_spec(args)
     report = verify.verify_wedge_decomposition(spec, cap=args.max_dim, limit=args.limit)
-    payload = verify.wedge_report_json(
-        f"theorem2(h={args.h},x={args.x},k={args.k},y={args.y})",
-        {"h": args.h, "x": args.x, "k": args.k, "y": args.y, "max_dim": args.max_dim},
-        report,
-        _timer(start, args.timings),
-    )
-    if args.json is not None:
-        _dump_json(payload, args.json)
+    payload = verify.wedge_report_json(report, args.h, args.x, args.k, args.y, args.max_dim)
     if report.passed:
-        _say("pass", args.json)
-        return EXIT_OK
+        return payload, "pass", None
     failing = [str(r.dim) for r in report.rows if not r.ok]
     if not report.certificate.certified_conn_zero:
         failing.append("certificate")
-    _err("verify", RuntimeError(f"wedge check failed: {','.join(failing)}"))
-    return EXIT_VERIFY_FAILED
+    return payload, None, f"wedge check failed: {','.join(failing)}"
 
 
-def _cmd_verify_corollary(args) -> int:
-    start = time.monotonic()
+def _cmd_verify_corollary(args):
     report = verify.verify_corollary(
         CorollaryParams(args.l, args.m, args.p, args.q), limit=args.limit
     )
-    payload = verify.corollary_report_json(report, _timer(start, args.timings))
-    if args.json is not None:
-        _dump_json(payload, args.json)
-    if report.passed:
-        _say(
-            f"pass chi={report.bound.chi} omega={report.bound.omega} "
-            f"lovasz_certified={report.bound.lovasz_certified}",
-            args.json,
-        )
-        return EXIT_OK
-    _err(
-        "verify",
-        RuntimeError(f"clauses failed: {','.join(report.failing_clauses())}"),
+    payload = verify.corollary_report_json(report)
+    if not report.passed:
+        return payload, None, f"clauses failed: {','.join(report.failing_clauses())}"
+    bound = report.bound
+    summary = (
+        f"pass chi={bound.chi} omega={bound.omega} "
+        f"lovasz_certified={bound.lovasz_certified}"
     )
-    return EXIT_VERIFY_FAILED
+    return payload, summary, None
 
 
-def _cmd_verify_suite(args) -> int:
+def _cmd_verify_suite(args):
     result = verify.run_suite(seed=args.seed, full=args.full, limit=args.limit)
-    json_path = args.json or "-"
-    _dump_json(result, json_path)
     n = len(result["cases"])
     failed = [c["case"] for c in result["cases"] if not c["pass"]]
-    _say(f"suite: {n - len(failed)}/{n} cases passed", json_path)
-    if failed:
-        _err("verify", RuntimeError(f"failing cases: {','.join(failed)}"))
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    failure = f"failing cases: {','.join(failed)}" if failed else None
+    return result, f"suite: {n - len(failed)}/{n} cases passed", failure
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +197,13 @@ def _add_limit(p) -> None:
     p.add_argument(
         "--limit", type=int, default=DEFAULT_FACE_BUDGET, help="face-count budget"
     )
+
+
+def _add_gadget(p) -> None:
+    p.add_argument("--h", required=True, metavar="GRAPH")
+    p.add_argument("--x", type=int, default=0)
+    p.add_argument("--k", required=True, metavar="GRAPH")
+    p.add_argument("--y", type=int, default=0)
 
 
 def _add_json(p) -> None:
@@ -281,10 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=_cmd_construct)
     p = csub.add_parser("gadget")
-    p.add_argument("--h", required=True, metavar="FILE")
-    p.add_argument("--x", type=int, default=0)
-    p.add_argument("--k", required=True, metavar="FILE")
-    p.add_argument("--y", type=int, default=0)
+    _add_gadget(p)
     p.add_argument("-o", "--output", metavar="FILE")
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(func=_cmd_construct)
@@ -328,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify_p.add_subparsers(dest="pipeline", required=True)
 
     p = vsub.add_parser("theorem2", help="wedge decomposition of a gadget complex")
-    p.add_argument("--h", required=True, metavar="GRAPH")
-    p.add_argument("--x", type=int, default=0)
-    p.add_argument("--k", required=True, metavar="GRAPH")
-    p.add_argument("--y", type=int, default=0)
+    _add_gadget(p)
     p.add_argument("--max-dim", type=int, default=2)
     _add_limit(p)
     _add_json(p)
@@ -352,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the larger q=5, q=6 and q=7 separation cases",
     )
     _add_limit(p)
-    p.add_argument("--json", metavar="FILE", help="write the suite report")
+    p.add_argument(
+        "--json", metavar="FILE", default="-", help="write the suite report ('-' = stdout)"
+    )
     p.set_defaults(func=_cmd_verify_suite)
 
     return parser
@@ -365,7 +312,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except BudgetExceededError as exc:
         _err(exc.kind, exc)
         return EXIT_BUDGET

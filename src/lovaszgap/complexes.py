@@ -138,7 +138,10 @@ def parse_faces(lines, source: str = "<input>") -> SimplicialComplex:
 
 def read_facets(path: str) -> SimplicialComplex:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_faces(handle, source=path)
+        try:
+            return parse_faces(handle, source=path)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def format_facets(c: SimplicialComplex) -> str:

@@ -74,7 +74,10 @@ def parse_graph(lines, source: str = "<input>") -> Graph:
 
 def read_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle, source=path)
+        try:
+            return parse_graph(handle, source=path)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def format_graph(g: Graph) -> str:

@@ -289,13 +289,13 @@ def _report_json(
     homology,
     witnesses: dict,
     passed: bool,
-    wall_time_ms: int | None,
     *,
     chi: int | None = None,
     omega: int | None = None,
 ) -> dict:
     """The fields every report carries; ``witnesses`` gains the
-    connectivity certificate."""
+    connectivity certificate.  ``wall_time_ms`` stays None here: only the
+    CLI, which times a whole command, fills it."""
     return {
         "case": case,
         "params": params,
@@ -306,13 +306,16 @@ def _report_json(
         "homology": _homology_json(homology),
         "witnesses": dict(witnesses, certificate=_certificate_json(certificate)),
         "pass": passed,
-        "wall_time_ms": wall_time_ms,
+        "wall_time_ms": None,
     }
 
 
 def wedge_report_json(
-    case: str, spec_names: dict, report: WedgeCheckReport, wall_time_ms: int | None = None
+    report: WedgeCheckReport, h: str, x: int, k: str, y: int, cap: int
 ) -> dict:
+    """The theorem2 report; ``h`` and ``k`` name the two parts (a graph file
+    or a suite family), ``x`` and ``y`` are their base points and ``cap`` the
+    top degree checked."""
     wedge = [
         {
             "dim": r.dim,
@@ -326,20 +329,30 @@ def wedge_report_json(
         for r in report.rows
     ]
     return _report_json(
-        case,
-        spec_names,
+        f"theorem2(h={h},x={x},k={k},y={y})",
+        {"h": h, "x": x, "k": k, "y": y, "max_dim": cap},
         report.gadget_graph,
         report.certificate,
         [r.gadget for r in report.rows],
         {"wedge": wedge},
         report.passed,
-        wall_time_ms,
     )
 
 
-def corollary_report_json(
-    report: CorollaryReport, wall_time_ms: int | None = None
-) -> dict:
+def _planted_json(built: CorollaryResult) -> dict:
+    """The planted witnesses of a separation graph: the biclique, the two
+    designated vertices and the bridge."""
+    return {
+        "biclique": {
+            "left": list(built.biclique_left),
+            "right": list(built.biclique_right),
+        },
+        "designated": [built.s_first, built.s_second],
+        "bridge": built.z,
+    }
+
+
+def corollary_report_json(report: CorollaryReport) -> dict:
     p = report.params
     built = report.built
     bound = report.bound
@@ -353,15 +366,9 @@ def corollary_report_json(
             "coloring": list(bound.coloring.assignment),
             "chi_lower": _chi_lower_json(bound.chi_lower),
             "clique": list(bound.clique.vertices),
-            "biclique": {
-                "left": list(built.biclique_left),
-                "right": list(built.biclique_right),
-            },
-            "designated": [built.s_first, built.s_second],
-            "bridge": built.z,
+            **_planted_json(built),
         },
         report.passed,
-        wall_time_ms,
         chi=bound.chi,
         omega=bound.omega,
     )
@@ -372,9 +379,7 @@ def corollary_report_json(
     return payload
 
 
-def bounds_report_json(
-    case: str, g: Graph, report: BoundReport, wall_time_ms: int | None = None
-) -> dict:
+def bounds_report_json(case: str, g: Graph, report: BoundReport) -> dict:
     return _report_json(
         case,
         {},
@@ -389,7 +394,6 @@ def bounds_report_json(
             "homological_connectivity": report.homological_connectivity,
         },
         True,
-        wall_time_ms,
         chi=report.chi,
         omega=report.omega,
     )
@@ -462,12 +466,7 @@ def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
         _, name_h, x, name_k, y, cap = case
         spec = GadgetSpec(h=_suite_graph(name_h), x=x, k=_suite_graph(name_k), y=y)
         report = verify_wedge_decomposition(spec, cap=cap, limit=limit)
-        key = f"theorem2(h={name_h},x={x},k={name_k},y={y})"
-        return wedge_report_json(
-            key,
-            {"h": name_h, "x": x, "k": name_k, "y": y, "max_dim": cap},
-            report,
-        )
+        return wedge_report_json(report, name_h, x, name_k, y, cap)
     if kind == "certificate":
         _, name, expectation = case
         g = _suite_graph(name)
@@ -481,7 +480,6 @@ def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
             [cert.h1],
             {},
             ok,
-            None,
         )
     if kind == "corollary":
         _, l, m, p, q = case

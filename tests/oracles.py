@@ -16,7 +16,8 @@ library's elimination.  The cone is built on the facets
 alone, and the Euler characteristic counts the oracle's own enumeration of
 faces.  Face codes are a sum of powers where the library runs Horner's
 rule.  The incidence-graph builder gives the wedge check parts whose
-neighborhood complexes carry a chosen complex's torsion.
+neighborhood complexes carry a chosen complex's torsion, and the Schrijver
+graphs give complexes with a known sphere's homology.
 """
 
 from __future__ import annotations
@@ -457,3 +458,21 @@ def incidence_graph_with_triangle(c) -> Graph:
     a = n + len(c.facets)
     edges += [(0, a), (0, a + 1), (a, a + 1)]
     return Graph.from_edges(a + 2, edges)
+
+
+def schrijver_graph(n: int, k: int) -> Graph:
+    """The Schrijver graph SG(n,k): the k-subsets of Z_n holding no two
+    cyclically consecutive elements, adjacent when disjoint.  It is the
+    vertex-critical subgraph of the Kneser graph KG(n,k), and its
+    neighborhood complex is homotopy equivalent to the sphere S^{n-2k}."""
+    stable = [
+        s
+        for s in itertools.combinations(range(n), k)
+        if all((v + 1) % n not in s for v in s)
+    ]
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(stable)), 2)
+        if not set(stable[i]) & set(stable[j])
+    ]
+    return Graph.from_edges(len(stable), edges)

@@ -494,3 +494,60 @@ def test_bounds_max_dim_zero_lists_one_degree(graph_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [g["dim"] for g in payload["homology"]] == [0]
     assert payload["lovasz"]["value"] == 3
+
+
+def test_verify_theorem2_failure_writes_the_report_and_one_error(graph_files, monkeypatch, capsys):
+    real = lovaszgap.verify.verify_wedge_decomposition
+    bad = lovaszgap.verify.HomologyGroup(1, 0, ())
+
+    def broken(*args, **kwargs):
+        report = real(*args, **kwargs)
+        rows = list(report.rows)
+        rows[1] = dataclasses.replace(rows[1], gadget=bad)
+        certificate = dataclasses.replace(report.certificate, certified_conn_zero=False)
+        return dataclasses.replace(
+            report, rows=tuple(rows), certificate=certificate, passed=False
+        )
+
+    monkeypatch.setattr(lovaszgap.verify, "verify_wedge_decomposition", broken)
+    argv = ["verify", "theorem2", "--h", graph_files["k3"], "--k", graph_files["c5"]]
+    assert main([*argv, "--json", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error:verify: wedge check failed: 1,certificate\n"
+    assert json.loads(captured.out)["pass"] is False
+
+
+def test_verify_suite_failure_names_the_failing_cases(monkeypatch, capsys):
+    real = lovaszgap.verify.run_suite_case
+
+    def broken(case, limit):
+        report = real(case, limit)
+        if report["case"] == "certificate(K3)":
+            report["pass"] = False
+        return report
+
+    monkeypatch.setattr(lovaszgap.verify, "run_suite_case", broken)
+    assert main(["verify", "suite", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "suite: 27/28 cases passed\nerror:verify: failing cases: certificate(K3)\n"
+    )
+    assert json.loads(captured.out)["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["chromatic", "{path}"], b"p edge 2 1\ne 1 2\nc \xff\xfe\n"),
+        (["homology", "--complex", "{path}"], b"0 1\n\xff 2\n"),
+    ],
+    ids=["dimacs", "facets"],
+)
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "bad.in"
+    path.write_bytes(text)
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error:input: {path}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

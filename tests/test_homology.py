@@ -26,6 +26,7 @@ from lovaszgap import (
     homology_profile,
     kneser_graph,
     neighborhood_complex,
+    triangle_free_chromatic,
 )
 from lovaszgap.complexes import face_sets, parse_faces
 from lovaszgap.homology import (
@@ -50,6 +51,7 @@ from oracles import (
     is_zero_matrix,
     mat_mult,
     max_apex_fan_profile,
+    schrijver_graph,
     smith_normal_form,
 )
 from test_complexes import complexes
@@ -184,6 +186,31 @@ def test_kneser_complex_profiles(pivot_calls, n, k, cap, top_betti):
         (top_betti, ())
     ]
     assert 0 < pivot_calls[0] <= KNESER_MAX_PIVOTS[n, k]
+
+
+def _sphere_profile(d: int, cap: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(betti, torsion) of the d-sphere's reduced homology in degrees 0..cap."""
+    return [(int(i == d), ()) for i in range(cap + 1)]
+
+
+@pytest.mark.parametrize(
+    "n, k", [(5, 2), (6, 2), (7, 2), (8, 2), (7, 3), (8, 3), (9, 3), (11, 4)]
+)
+def test_schrijver_complexes_are_spheres(n, k):
+    # N(SG(n,k)) is homotopy equivalent to S^{n-2k} (Bjorner & de
+    # Longueville, Combinatorica 23 (2003)); the cap sits one degree above
+    # the sphere's, so a wrong extra class or a lost one shows
+    d = n - 2 * k
+    profile = homology_profile(neighborhood_complex(schrijver_graph(n, k)), d + 1)
+    assert [(g.betti, g.torsion) for g in profile] == _sphere_profile(d, d + 1)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_mycielski_complexes_are_spheres(q):
+    # N(M_q) is homotopy equivalent to S^{q-2} (Csorba, Contrib. Discrete
+    # Math. 3 (2008)); M_q is the triangle-free graph with chi = q
+    profile = homology_profile(neighborhood_complex(triangle_free_chromatic(q)), q - 1)
+    assert [(g.betti, g.torsion) for g in profile] == _sphere_profile(q - 2, q - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -326,8 +326,10 @@ def test_corollary_report_json_shape():
 
 def test_wedge_report_json_deterministic():
     report = verify_wedge_decomposition(spec(complete_graph(3), cycle_graph(5)))
-    a = wedge_report_json("case", {"h": "K3"}, report)
-    b = wedge_report_json("case", {"h": "K3"}, report)
+    a = wedge_report_json(report, "K3", 0, "C5", 0, 2)
+    b = wedge_report_json(report, "K3", 0, "C5", 0, 2)
+    assert a["case"] == "theorem2(h=K3,x=0,k=C5,y=0)"
+    assert a["params"] == {"h": "K3", "x": 0, "k": "C5", "y": 0, "max_dim": 2}
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
