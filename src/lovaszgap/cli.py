@@ -1,9 +1,9 @@
 """Command-line front door.
 
-Exit codes: 0 success/verified, 1 a verification clause failed, 2 usage or
-input error, 3 face budget exceeded, 4 internal error (an unexpected
-exception, i.e. a bug).  Errors go to stderr as one line with the
-machine-greppable prefix ``error:<kind>:``.
+Exit codes: 0 success/verified, 1 a verification clause failed, 2 usage,
+input or output error, 3 face budget exceeded, 4 internal error (an
+unexpected exception, i.e. a bug).  Errors go to stderr as one line with
+the machine-greppable prefix ``error:<kind>:``.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import complexes, dimacs, verify
 from .complexes import DEFAULT_FACE_BUDGET
-from .errors import BudgetExceededError, ParameterError, ToolkitError
+from .errors import BudgetExceededError, OutputError, ParameterError, ToolkitError
 from .graphs import (
     FAMILIES,
     CorollaryParams,
@@ -48,9 +49,11 @@ def _write(text: str, path: str | None) -> None:
     """Write text to a file, or to stdout when path is None or '-'."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def _run(args) -> int:
@@ -221,27 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     construct = sub.add_parser("construct", help="build a graph and write DIMACS")
     csub = construct.add_subparsers(dest="family", required=True)
-    for name, (_, params) in FAMILIES.items():
+    # every family takes -o; corollary's --l/--m/--p/--q are int parameters
+    # like those of the FAMILIES builders, and gadget and corollary take --json
+    families = {name: params for name, (_, params) in FAMILIES.items()}
+    families.update(mycielski=(), gadget=(), corollary=("l", "m", "p", "q"))
+    for name, params in families.items():
         p = csub.add_parser(name)
         for param in params:
             p.add_argument(f"--{param}", type=int, required=True)
         p.add_argument("-o", "--output", metavar="FILE")
+        if name in ("gadget", "corollary"):
+            p.add_argument("--json", metavar="FILE")
         p.set_defaults(func=_cmd_construct)
-    p = csub.add_parser("mycielski")
-    p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=_cmd_construct)
-    p = csub.add_parser("gadget")
-    _add_gadget(p)
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.add_argument("--json", metavar="FILE")
-    p.set_defaults(func=_cmd_construct)
-    p = csub.add_parser("corollary")
-    for flag in ("--l", "--m", "--p", "--q"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.add_argument("--json", metavar="FILE")
-    p.set_defaults(func=_cmd_construct)
+    csub.choices["mycielski"].add_argument("--graph", required=True, metavar="FILE")
+    _add_gadget(csub.choices["gadget"])
 
     p = sub.add_parser("ncomplex", help="neighborhood complex facets of a graph")
     p.add_argument("graph", metavar="GRAPH")

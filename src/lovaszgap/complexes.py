@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .errors import BudgetExceededError, InputError, ParameterError
@@ -95,23 +96,31 @@ def face_sets(
     """The distinct faces of each dimension 0..min(d, c.dim), as unsorted
     sets; no dimension above the complex's own is enumerated.  Aborts with
     a size-guard error naming the offending dimension once the total face
-    count passes ``limit``."""
+    count passes ``limit``.
+
+    Faces are added one (facet, size) batch at a time, and the budget is
+    checked once per batch: before it, when this facet's C(|F|, size) faces
+    alone would take the count past ``limit``, and after it.  The dimension
+    named is the one a face-by-face count would cross in, since every
+    earlier batch stayed within the budget and this one ends past it.  No
+    batch enumerates more than ``limit`` faces, so at worst twice the
+    budget is held."""
     if d < 0:
         raise ParameterError(f"dimension bound must be >= 0, got {d}")
     if limit < 1:
         raise ParameterError(f"face budget must be >= 1, got {limit}")
     levels: list[set[Face]] = []
-    total = 0
+    below = 0  # the faces of the dimensions done
     for size in range(1, min(d, c.dim) + 2):
         level: set[Face] = set()
         levels.append(level)
         for facet in c.facets:
-            for face in itertools.combinations(facet, size):
-                if face not in level:
-                    level.add(face)
-                    total += 1
-                    if total > limit:
-                        raise BudgetExceededError(dimension=size - 1, limit=limit)
+            if below + comb(len(facet), size) > limit:
+                raise BudgetExceededError(dimension=size - 1, limit=limit)
+            level.update(itertools.combinations(facet, size))
+            if below + len(level) > limit:
+                raise BudgetExceededError(dimension=size - 1, limit=limit)
+        below += len(level)
     return levels
 
 

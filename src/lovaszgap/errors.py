@@ -21,6 +21,12 @@ class InputError(ToolkitError):
     kind = "input"
 
 
+class OutputError(ToolkitError):
+    """An output file that cannot be written (CLI exit 2)."""
+
+    kind = "output"
+
+
 class PreconditionError(ToolkitError):
     """A verifier was invoked on inputs outside its hypotheses (CLI exit 2)."""
 

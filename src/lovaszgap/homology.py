@@ -22,8 +22,9 @@ dimension max(cap, 1) + 1 is ever enumerated.  No boundary is built as a
 matrix either: a face v_0 < ... < v_j is coded as the int with those
 base-n digits, n the size of the ground set, and each fan face's boundary
 goes, as the codes of its faces with their signs, straight into
-``snf.eliminate`` as the walk over the facets finds it; only the codes of
-fan faces above degree 2 are kept until their degree's turn.
+``snf.eliminate`` as the walk over the facets finds it, one (facet, size)
+batch at a time, a triangle's coded straight from its vertices; only the
+codes of fan faces above degree 2 are kept until their degree's turn.
 
 Each boundary is also cleared of the rows that the one below it already
 accounts for (the "clearing" of persistent homology, carried over to the
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator
 
 from .complexes import DEFAULT_FACE_BUDGET, Face, SimplicialComplex, face_sets
@@ -111,15 +113,19 @@ class HomologyPass:
 
 def fan_columns(
     c: SimplicialComplex, top: int, used: int, limit: int = DEFAULT_FACE_BUDGET
-) -> Iterator[tuple[int, int]]:
-    """(j, code) of each fan face {min F} + tau, tau a j-subset of F minus
-    min F, for j = 2..top + 1, once, from one walk over the facets F.  The
-    code of a face v_0 < ... < v_j is the int with those base-n digits, v_0
-    the most significant, for n = c.num_vertices.  The faces count against
-    ``limit`` on top of the ``used`` faces already held.  A fan face's least
-    vertex is its apex, so each apex keeps its own set of the taus it has
-    yielded, dropped after the apex's last facet."""
-    n = c.num_vertices
+) -> Iterator[tuple[int, int, list[Face]]]:
+    """(j, apex, taus) for the fan faces {apex} + tau, apex = min F and tau
+    a j-subset of F minus min F, for j = 2..top + 1, each face once, from
+    one walk over the facets F: one batch per (facet, j), its taus in
+    ``itertools.combinations`` order less those yielded before.  A fan
+    face's least vertex is its apex, so each apex keeps its own set of the
+    taus it has yielded, dropped after the apex's last facet.  The faces
+    count against ``limit`` on top of the ``used`` faces already held,
+    checked once per batch as in ``face_sets``: before it, when the
+    facet's C(|F| - 1, j) taus alone would take the count past ``limit``,
+    and after it; so the dimension named is the one a face-by-face count
+    would cross in.  No batch enumerates more than ``limit`` taus, so at
+    worst twice the budget is held."""
     last = {facet[0]: k for k, facet in enumerate(c.facets)}
     seen: dict[int, set[Face]] = {}
     total = used
@@ -127,16 +133,14 @@ def fan_columns(
         apex, rest = facet[0], facet[1:]
         taus = seen.setdefault(apex, set())
         for j in range(2, min(top + 1, len(rest)) + 1):
-            for tau in itertools.combinations(rest, j):
-                if tau not in taus:
-                    taus.add(tau)
-                    total += 1
-                    if total > limit:
-                        raise BudgetExceededError(dimension=j, limit=limit)
-                    code = apex
-                    for v in tau:
-                        code = code * n + v
-                    yield j, code
+            if total - len(taus) + comb(len(rest), j) > limit:
+                raise BudgetExceededError(dimension=j, limit=limit)
+            batch = [tau for tau in itertools.combinations(rest, j) if tau not in taus]
+            taus.update(batch)
+            total += len(batch)
+            if total > limit:
+                raise BudgetExceededError(dimension=j, limit=limit)
+            yield j, apex, batch
         if last[apex] == k:
             del seen[apex]
 
@@ -214,10 +218,11 @@ def homology_pass(
     incidence matrix of a graph, which is totally unimodular, so its rank
     is the forest's edge count and every invariant factor is 1.
     Boundaries 2..max(cap, 1) + 1 are taken on fan columns (``fan_columns``,
-    counted against ``limit`` after those faces), each column streamed
-    into ``eliminate`` as the boundary of a face code over the codes of its
-    faces; the fan 2-faces go in during the walk over the facets, the
-    higher ones, kept as codes, once the degree below is done.  Each
+    counted against ``limit`` after those faces, one check per batch), each
+    column streamed into ``eliminate`` as the boundary of a face code over
+    the codes of its faces; the fan 2-faces go in during the walk over the
+    facets, their boundaries coded from their vertices, the higher ones,
+    kept as codes, once the degree below is done.  Each
     elimination is cleared first (see the module docstring): boundary_2
     loses the rows of a spanning forest of the 1-skeleton, and
     boundary_{i+1} the rows of boundary_i's pivot columns whenever that
@@ -245,16 +250,26 @@ def homology_pass(
 
     def boundaries(i: int) -> Iterator[tuple[int, dict[int, int]]]:
         """The fan i-faces' boundaries, as (code, {face code: sign}): those
-        of the 2-faces as the walk finds them, keeping the codes of the
-        higher ones for later.  An i-face less its k-th vertex keeps the
-        digits above the k-th, one place lower, and those below it, and has
-        the sign (-1)**k."""
+        of the 2-faces {a, u, v} straight from their vertices as the walk
+        finds them, keeping the codes of the higher ones for later.  An
+        i-face less its k-th vertex keeps the digits above the k-th, one
+        place lower, and those below it, and has the sign (-1)**k."""
+        if i == 2:
+            for j, apex, taus in walk:
+                if j == 2:
+                    an = apex * n
+                    for u, v in taus:
+                        yield (an + u) * n + v, {u * n + v: 1, an + v: -1, an + u: 1}
+                else:
+                    for tau in taus:
+                        code = apex
+                        for v in tau:
+                            code = code * n + v
+                        later[j].append(code)
+            return
         digits = [(n ** (i + 1 - k), n ** (i - k), (-1) ** k) for k in range(i + 1)]
-        for j, code in walk if i == 2 else ((i, code) for code in later.pop(i)):
-            if j == i:
-                yield code, {code // hi * lo + code % lo: s for hi, lo, s in digits}
-            else:
-                later[j].append(code)
+        for code in later.pop(i):
+            yield code, {code // hi * lo + code % lo: s for hi, lo, s in digits}
 
     # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0; on
     # entry to degree i, cleared holds the codes of (i-1)-faces whose

@@ -15,9 +15,12 @@ at the smallest), and never clear a row; their matrices are an explicit
 library's elimination.  The cone is built on the facets
 alone, and the Euler characteristic counts the oracle's own enumeration of
 faces.  Face codes are a sum of powers where the library runs Horner's
-rule.  The incidence-graph builder gives the wedge check parts whose
-neighborhood complexes carry a chosen complex's torsion, and the Schrijver
-graphs give complexes with a known sphere's homology.
+rule.  The per-face walks add the faces, and the fan faces, one at a time
+and check the budget after each, where the library adds a (facet, size)
+batch at a time and checks the budget once per batch.  The
+incidence-graph builder gives the wedge check parts whose neighborhood
+complexes carry a chosen complex's torsion, and the Schrijver graphs give
+complexes with a known sphere's homology.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from lovaszgap import Graph, ParameterError, SimplicialComplex, SnfResult
+from lovaszgap import (
+    BudgetExceededError,
+    Graph,
+    ParameterError,
+    SimplicialComplex,
+    SnfResult,
+)
 from lovaszgap.snf import eliminate
 
 
@@ -380,6 +389,63 @@ def faces_by_dim(c, d: int) -> list[list[tuple[int, ...]]]:
         for size in range(1, min(d + 1, len(facet)) + 1):
             levels[size - 1].update(itertools.combinations(facet, size))
     return [sorted(level) for level in levels]
+
+
+def per_face_face_sets(c, d: int, limit: int) -> list[set[tuple[int, ...]]]:
+    """The faces of each dimension 0..min(d, c.dim), added one at a time;
+    raises the budget error at the first face past ``limit``."""
+    levels: list[set] = []
+    total = 0
+    for size in range(1, min(d, c.dim) + 2):
+        levels.append(set())
+        for facet in c.facets:
+            for face in itertools.combinations(facet, size):
+                if face not in levels[-1]:
+                    levels[-1].add(face)
+                    total += 1
+                    if total > limit:
+                        raise BudgetExceededError(dimension=size - 1, limit=limit)
+    return levels
+
+
+def per_face_fan_columns(c, top: int, used: int, limit: int):
+    """(j, code) of each fan face {min F} + tau, tau a j-subset of F minus
+    min F, for j = 2..top + 1, in the order of the facets, then of j, then
+    of ``itertools.combinations``, each face once; the faces count one at a
+    time against ``limit`` on top of ``used``."""
+    seen: set = set()
+    total = used
+    for facet in c.facets:
+        for j in range(2, min(top + 1, len(facet) - 1) + 1):
+            for tau in itertools.combinations(facet[1:], j):
+                face = facet[:1] + tau
+                if face not in seen:
+                    seen.add(face)
+                    total += 1
+                    if total > limit:
+                        raise BudgetExceededError(dimension=j, limit=limit)
+                    yield j, face_code(face, c.num_vertices)
+
+
+def fan_codes(batches, n: int) -> list[tuple[int, int]]:
+    """(j, code) of each fan face in (j, apex, taus) batches, in order."""
+    return [
+        (j, face_code((apex,) + tau, n)) for j, apex, taus in batches for tau in taus
+    ]
+
+
+def per_face_pass_budget(c, cap: int, limit: int) -> int | None:
+    """The dimension a homology pass through cap crosses ``limit`` in when
+    its faces and then its fan faces count one at a time, or None when
+    they fit."""
+    top = max(cap, 1)
+    try:
+        used = sum(len(level) for level in per_face_face_sets(c, top, limit))
+        for _ in per_face_fan_columns(c, top, used, limit):
+            pass
+    except BudgetExceededError as exc:
+        return exc.dimension
+    return None
 
 
 def euler_characteristic(c) -> int:

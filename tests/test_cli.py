@@ -551,3 +551,22 @@ def test_non_utf8_input_is_an_input_error(tmp_path, capsys, argv, text):
     assert captured.err.startswith(f"error:input: {path}")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_unwritable_graph_output_is_an_output_error(tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.col"
+    assert main(["construct", "complete", "--p", "3", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error:output: {out}: cannot write")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_unwritable_json_report_is_an_output_error(tmp_path, capsys):
+    graph = tmp_path / "k3.col"
+    write_graph(complete_graph(3), str(graph))
+    out = tmp_path / "nodir" / "x.json"
+    assert main(["chromatic", str(graph), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error:output: {out}: cannot write")
+    assert captured.err.count("\n") == 1

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -47,10 +49,14 @@ from oracles import (
     euler_characteristic,
     face_code,
     faces_by_dim,
+    fan_codes,
     full_boundary_profile,
     is_zero_matrix,
     mat_mult,
     max_apex_fan_profile,
+    per_face_face_sets,
+    per_face_fan_columns,
+    per_face_pass_budget,
     schrijver_graph,
     smith_normal_form,
 )
@@ -446,7 +452,7 @@ def test_pass_matches_reference_on_corpus(corpus):
 def fan_faces(c, top) -> dict[int, list]:
     """The faces ``fan_columns`` yields, by dimension, decoded through the
     codes of every face of the complex; each is yielded once."""
-    walk = list(fan_columns(c, top, 0))
+    walk = fan_codes(fan_columns(c, top, 0), c.num_vertices)
     assert len(set(walk)) == len(walk)
     full = faces_by_dim(c, top + 1)
     by_code = {
@@ -508,31 +514,49 @@ def test_max_apex_fan_agrees_on_random_complexes(c, cap):
     assert max_apex_fan_profile(c, cap) == profile
 
 
+@contextmanager
+def recorded_combinations():
+    """The (module, items, size) of every ``itertools.combinations`` call
+    that ``complexes`` and ``homology`` make while the block runs."""
+    calls = []
+
+    def recording(module):
+        def combinations(items, size):
+            calls.append((module, tuple(items), size))
+            return itertools.combinations(items, size)
+
+        return SimpleNamespace(combinations=combinations)
+
+    lovaszgap.complexes.itertools = recording("complexes")
+    lovaszgap.homology.itertools = recording("homology")
+    try:
+        yield calls
+    finally:
+        lovaszgap.complexes.itertools = itertools
+        lovaszgap.homology.itertools = itertools
+
+
 @given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3))
 @example(SimplicialComplex.from_faces(4, [[0, 1, 2], [2, 3]]), 1000)
 @settings(max_examples=40, deadline=None)
 def test_pass_enumerates_faces_through_max_cap_1(c, cap):
-    asked, sizes = [], []
+    asked = []
     real = lovaszgap.homology.face_sets
 
     def recording(complex_, d, limit):
         asked.append(d)
         return real(complex_, d, limit)
 
-    def combinations(items, size):
-        sizes.append(size)
-        return itertools.combinations(items, size)
-
     lovaszgap.homology.face_sets = recording
-    lovaszgap.complexes.itertools = SimpleNamespace(combinations=combinations)
     try:
-        homology_pass(c, cap)
+        with recorded_combinations() as calls:
+            homology_pass(c, cap)
     finally:
         lovaszgap.homology.face_sets = real
-        lovaszgap.complexes.itertools = itertools
     assert all(d <= max(cap, 1) for d in asked)
     assert asked or c.is_empty()
     # however high the cap, no face above the complex's dimension is sought
+    sizes = [size for module, _, size in calls if module == "complexes"]
     assert all(size <= c.dim + 1 for size in sizes)
 
 
@@ -542,13 +566,118 @@ def test_fan_columns_count_against_the_face_budget():
     # 10 triangles, so the pass holds 24 faces where every triangle is 25
     c = boundary_sphere(4)
     assert sum(len(level) for level in face_sets(c, 1)) == 15
-    assert [j for j, _ in fan_columns(c, 1, 0)] == [2] * 9
+    assert [j for j, _ in fan_codes(fan_columns(c, 1, 0), 5)] == [2] * 9
     assert homology_pass(c, 1, limit=24).profile[1].is_trivial()
     for limit in (15, 20, 23):
         with pytest.raises(BudgetExceededError) as caught:
             homology_pass(c, 1, limit=limit)
         assert (caught.value.dimension, caught.value.limit) == (2, limit)
         assert f"budget {limit} " in str(caught.value)
+
+
+# ---------------------------------------------------------------------------
+# the batched walks against the per-face reference walks
+
+
+def assert_fan_walk_matches_reference(c, top):
+    walk = fan_codes(fan_columns(c, top, 0), c.num_vertices)
+    assert walk == list(per_face_fan_columns(c, top, 0, 10**9))
+
+
+@given(st.one_of(complexes(), wide_complexes()), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_fan_walk_matches_per_face_walk_on_random_complexes(c, top):
+    assert_fan_walk_matches_reference(c, top)
+
+
+def test_fan_walk_matches_per_face_walk_on_corpus(corpus):
+    for name, g in corpus.items():
+        for top in (1, 2, 3):
+            assert_fan_walk_matches_reference(neighborhood_complex(g), top)
+
+
+@pytest.mark.parametrize("n, k, cap", [(7, 2, 3), (8, 3, 2), (8, 2, 2), (9, 3, 1)])
+def test_fan_walk_matches_per_face_walk_on_kneser_rungs(n, k, cap):
+    assert_fan_walk_matches_reference(neighborhood_complex(kneser_graph(n, k)), cap)
+
+
+def limit_grid(needed: int) -> list[int]:
+    """About 40 budgets from 1 to one past ``needed``, both ends and
+    ``needed`` itself included (budgets start at 1)."""
+    step = max(1, needed // 40)
+    return sorted({*range(1, needed + 2, step), max(needed, 1), needed + 1})
+
+
+def budget_dimension(run) -> int | None:
+    try:
+        run()
+    except BudgetExceededError as exc:
+        return exc.dimension
+    return None
+
+
+@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_face_sets_budget_names_the_per_face_dimension(c, d):
+    needed = sum(len(level) for level in per_face_face_sets(c, d, 10**9))
+    for limit in limit_grid(needed):
+        expected = budget_dimension(lambda: per_face_face_sets(c, d, limit))
+        assert budget_dimension(lambda: face_sets(c, d, limit)) == expected, limit
+        assert (expected is None) == (limit >= needed)
+
+
+def assert_pass_budget_names_the_per_face_dimension(c, cap):
+    top = max(cap, 1)
+    needed = sum(len(level) for level in per_face_face_sets(c, top, 10**9))
+    needed += sum(1 for _ in per_face_fan_columns(c, top, 0, 10**9))
+    for limit in limit_grid(needed):
+        expected = per_face_pass_budget(c, cap, limit)
+        assert budget_dimension(lambda: homology_pass(c, cap, limit)) == expected, limit
+        assert (expected is None) == (limit >= needed)
+
+
+@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3))
+# the second facet's fan shares the triangle {0, 1, 2} with the first's, so
+# its batch of three triangles brings two new ones
+@example(SimplicialComplex.from_faces(5, [[0, 1, 2, 3], [0, 1, 2, 4]]), 1)
+@settings(max_examples=60, deadline=None)
+def test_pass_budget_names_the_per_face_dimension(c, cap):
+    assert_pass_budget_names_the_per_face_dimension(c, cap)
+
+
+def test_pass_budget_names_the_per_face_dimension_on_corpus(corpus):
+    for name, g in corpus.items():
+        if g.n <= 15:
+            for cap in (1, 2):
+                assert_pass_budget_names_the_per_face_dimension(neighborhood_complex(g), cap)
+
+
+@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3), st.integers(1, 80))
+@settings(max_examples=60, deadline=None)
+def test_no_batch_enumerates_more_faces_than_the_budget(c, cap, limit):
+    with recorded_combinations() as calls:
+        budget_dimension(lambda: homology_pass(c, cap, limit))
+    assert all(math.comb(len(items), size) <= limit for _, items, size in calls)
+
+
+def test_a_facet_past_the_budget_forms_no_face_of_that_size():
+    # one 12-vertex facet: 12 vertices, then C(12, 2) = 66 edges, which alone
+    # pass a budget of 50, so no edge is formed
+    c = SimplicialComplex.from_faces(12, [range(12)])
+    with recorded_combinations() as calls:
+        with pytest.raises(BudgetExceededError) as caught:
+            face_sets(c, 3, limit=50)
+    assert caught.value.dimension == 1
+    assert [size for _, _, size in calls] == [1]
+    # through dimension 3 it holds 12 + 66 + 220 + 495 = 793 faces; the fan
+    # then adds C(11, 2) = 55 triangles and C(11, 3) = 165 tetrahedra, and
+    # C(11, 4) = 330 more 4-faces would pass 1,100, so none is formed
+    with recorded_combinations() as calls:
+        with pytest.raises(BudgetExceededError) as caught:
+            homology_pass(c, 3, limit=1100)
+    assert caught.value.dimension == 4
+    assert [size for module, _, size in calls if module == "homology"] == [2, 3]
+    assert per_face_pass_budget(c, 3, 1100) == 4
 
 
 # ---------------------------------------------------------------------------
