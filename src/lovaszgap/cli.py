@@ -62,7 +62,13 @@ def _run(args) -> int:
     wall_time_ms covers the handler through building its report.  The
     payload goes as JSON where --json says; the summary goes to stdout, or to
     stderr when the JSON does, so that stdout stays one JSON document; a
-    failure becomes one error:verify: line and exit 1."""
+    failure becomes one error:verify: line and exit 1.  A --max-dim past
+    a --limit of at least 1 is refused up front: the face budget bounds the
+    report's length too, one group per degree."""
+    if "max_dim" in args and 1 <= args.limit < args.max_dim:
+        raise ParameterError(
+            f"--max-dim {args.max_dim} exceeds the face budget {args.limit}"
+        )
     start = time.monotonic()
     payload, summary, failure = args.func(args)
     if "timings" in args:
@@ -185,7 +191,7 @@ def _cmd_verify_corollary(args):
 
 
 def _cmd_verify_suite(args):
-    result = verify.run_suite(seed=args.seed, full=args.full, limit=args.limit)
+    result = verify.run_suite(seed=args.seed, full=args.full)
     n = len(result["cases"])
     failed = [c["case"] for c in result["cases"] if not c["pass"]]
     failure = f"failing cases: {','.join(failed)}" if failed else None
@@ -196,12 +202,6 @@ def _cmd_verify_suite(args):
 # parser wiring
 
 
-def _add_limit(p) -> None:
-    p.add_argument(
-        "--limit", type=int, default=DEFAULT_FACE_BUDGET, help="face-count budget"
-    )
-
-
 def _add_gadget(p) -> None:
     p.add_argument("--h", required=True, metavar="GRAPH")
     p.add_argument("--x", type=int, default=0)
@@ -209,7 +209,12 @@ def _add_gadget(p) -> None:
     p.add_argument("--y", type=int, default=0)
 
 
-def _add_json(p) -> None:
+def _add_report(p) -> None:
+    """--limit, --json and --timings, for the commands that run the homology
+    pass and write a full report."""
+    p.add_argument(
+        "--limit", type=int, default=DEFAULT_FACE_BUDGET, help="face-count budget"
+    )
     p.add_argument("--json", metavar="FILE", help="write a JSON report ('-' = stdout)")
     p.add_argument(
         "--timings",
@@ -247,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="reduced homology of a facet-list complex")
     p.add_argument("--complex", required=True, metavar="FACETS")
     p.add_argument("--max-dim", type=int, default=2)
-    _add_limit(p)
-    _add_json(p)
+    _add_report(p)
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("chromatic", help="exact chromatic number")
@@ -264,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="compare chi, omega, and the certified bound")
     p.add_argument("graph", metavar="GRAPH")
     p.add_argument("--max-dim", type=int, default=2)
-    _add_limit(p)
-    _add_json(p)
+    _add_report(p)
     p.set_defaults(func=_cmd_bounds)
 
     verify_p = sub.add_parser("verify", help="run a verification pipeline")
@@ -274,15 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("theorem2", help="wedge decomposition of a gadget complex")
     _add_gadget(p)
     p.add_argument("--max-dim", type=int, default=2)
-    _add_limit(p)
-    _add_json(p)
+    _add_report(p)
     p.set_defaults(func=_cmd_verify_theorem2)
 
     p = vsub.add_parser("corollary", help="chi/omega/bound separation check")
     for flag in ("--l", "--m", "--p", "--q"):
         p.add_argument(flag, type=int, required=True)
-    _add_limit(p)
-    _add_json(p)
+    _add_report(p)
     p.set_defaults(func=_cmd_verify_corollary)
 
     p = vsub.add_parser("suite", help="run the whole verification suite")
@@ -292,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the larger q=5, q=6 and q=7 separation cases",
     )
-    _add_limit(p)
     p.add_argument(
         "--json", metavar="FILE", default="-", help="write the suite report ('-' = stdout)"
     )

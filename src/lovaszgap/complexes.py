@@ -65,21 +65,6 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self.facets
 
-    def validate(self) -> None:
-        seen = set(self.facets)
-        if len(seen) != len(self.facets):
-            raise ParameterError("duplicate facets")
-        for face in self.facets:
-            if not face:
-                raise ParameterError("empty facet")
-            if list(face) != sorted(set(face)):
-                raise ParameterError(f"facet {face} not sorted and duplicate-free")
-            if face[0] < 0 or face[-1] >= self.num_vertices:
-                raise ParameterError(f"facet {face} out of ground-set range")
-        for a, b in itertools.permutations(self.facets, 2):
-            if set(a) <= set(b):
-                raise ParameterError(f"facet {a} contained in facet {b}")
-
 
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
     """Complex whose faces are the vertex sets with a common neighbor; its

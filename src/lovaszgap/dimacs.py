@@ -1,9 +1,9 @@
 """DIMACS .col graph files.
 
 Format: optional ``c`` comment lines, one ``p edge <n> <m>`` header, then
-``e <u> <v>`` lines with 1-based vertex ids.  The writer emits edges with
-u < v in lexicographic order.  Duplicate edges in inputs are tolerated and
-deduplicated with a warning, since published instances contain them.
+``e <u> <v>`` lines with 1-based vertex ids.  ``format_graph`` emits edges
+with u < v in lexicographic order.  Duplicate edges in inputs are tolerated
+and deduplicated with a warning, since published instances contain them.
 """
 
 from __future__ import annotations
@@ -84,8 +84,3 @@ def format_graph(g: Graph) -> str:
     lines = [f"p edge {g.n} {g.m}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def write_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_graph(g))

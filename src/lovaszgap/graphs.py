@@ -61,19 +61,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def validate(self) -> None:
-        """Check symmetry, irreflexivity and id range; raise on violation."""
-        if len(self.adj) != self.n:
-            raise ParameterError("adjacency length disagrees with vertex count")
-        for v, nbrs in enumerate(self.adj):
-            for u in nbrs:
-                if not (0 <= u < self.n):
-                    raise ParameterError(f"neighbor {u} of {v} out of range")
-                if u == v:
-                    raise ParameterError(f"loop at vertex {v}")
-                if v not in self.adj[u]:
-                    raise ParameterError(f"asymmetric edge ({v},{u})")
-
 
 # ---------------------------------------------------------------------------
 # standard families
@@ -246,7 +233,6 @@ class CorollaryResult:
     s_first: int
     s_second: int
     z: int
-    block_size: int  # vertex count of one composite block
 
 
 def _corollary_block(params: CorollaryParams) -> Graph:
@@ -284,7 +270,6 @@ def build_corollary_graph(params: CorollaryParams) -> CorollaryResult:
         s_first=built.x,
         s_second=built.y,
         z=built.z,
-        block_size=block.n,
     )
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 from typing import Iterable, Iterator
 
@@ -116,45 +117,40 @@ def fan_columns(
 ) -> Iterator[tuple[int, int, list[Face]]]:
     """(j, apex, taus) for the fan faces {apex} + tau, apex = min F and tau
     a j-subset of F minus min F, for j = 2..top + 1, each face once, from
-    one walk over the facets F: one batch per (facet, j), its taus in
+    one walk over the facets F in sorted order, so the walk depends only on
+    the set of facets: one batch per (facet, j), its taus in
     ``itertools.combinations`` order less those yielded before.  A fan
-    face's least vertex is its apex, so each apex keeps its own set of the
-    taus it has yielded, dropped after the apex's last facet.  The faces
-    count against ``limit`` on top of the ``used`` faces already held,
-    checked once per batch as in ``face_sets``: before it, when the
+    face's least vertex is its apex, and sorted facets come grouped by
+    apex, so each group keeps one set of the taus it has yielded.  The
+    faces count against ``limit`` on top of the ``used`` faces already
+    held, checked once per batch as in ``face_sets``: before it, when the
     facet's C(|F| - 1, j) taus alone would take the count past ``limit``,
     and after it; so the dimension named is the one a face-by-face count
     would cross in.  No batch enumerates more than ``limit`` taus, so at
     worst twice the budget is held."""
-    last = {facet[0]: k for k, facet in enumerate(c.facets)}
-    seen: dict[int, set[Face]] = {}
     total = used
-    for k, facet in enumerate(c.facets):
-        apex, rest = facet[0], facet[1:]
-        taus = seen.setdefault(apex, set())
-        for j in range(2, min(top + 1, len(rest)) + 1):
-            if total - len(taus) + comb(len(rest), j) > limit:
-                raise BudgetExceededError(dimension=j, limit=limit)
-            batch = [tau for tau in itertools.combinations(rest, j) if tau not in taus]
-            taus.update(batch)
-            total += len(batch)
-            if total > limit:
-                raise BudgetExceededError(dimension=j, limit=limit)
-            yield j, apex, batch
-        if last[apex] == k:
-            del seen[apex]
+    for apex, group in groupby(sorted(c.facets), key=lambda facet: facet[0]):
+        taus: set[Face] = set()
+        for facet in group:
+            rest = facet[1:]
+            for j in range(2, min(top + 1, len(rest)) + 1):
+                if total - len(taus) + comb(len(rest), j) > limit:
+                    raise BudgetExceededError(dimension=j, limit=limit)
+                batch = [tau for tau in itertools.combinations(rest, j) if tau not in taus]
+                taus.update(batch)
+                total += len(batch)
+                if total > limit:
+                    raise BudgetExceededError(dimension=j, limit=limit)
+                yield j, apex, batch
 
 
-def skeleton_components(
-    vertices: Iterable[int], edges: Iterable[Face], n: int
-) -> list[int]:
-    """The codes u*n + v of the edges (u, v), u < v, of a spanning forest of
-    the 1-skeleton, given its vertex ids and its edges in any order, from
-    one depth-first walk that takes the vertices, and each vertex's
-    neighbours, in increasing order; so the skeleton has
-    #vertices - len(forest) components (isolated complex vertices
-    included).  The vertices are dict keys, since facet files may name them
-    by arbitrary ids."""
+def skeleton_components(vertices: Iterable[int], edges: Iterable[Face]) -> list[Face]:
+    """The edges (u, v), u < v, of a spanning forest of the 1-skeleton,
+    given its vertex ids and its edges in any order, from one depth-first
+    walk that takes the vertices, and each vertex's neighbours, in
+    increasing order; so the skeleton has #vertices - len(forest)
+    components (isolated complex vertices included).  The vertices are dict
+    keys, since facet files may name them by arbitrary ids."""
     adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
     for u, v in edges:
         adj[u].append(v)
@@ -162,7 +158,7 @@ def skeleton_components(
     for neighbours in adj.values():
         neighbours.sort()
     seen: set[int] = set()
-    forest: list[int] = []
+    forest: list[Face] = []
     for start in adj:
         if start in seen:
             continue
@@ -173,7 +169,7 @@ def skeleton_components(
             for u in adj[v]:
                 if u not in seen:
                     seen.add(u)
-                    forest.append(u * n + v if u < v else v * n + u)
+                    forest.append((u, v) if u < v else (v, u))
                     stack.append(u)
     return forest
 
@@ -237,14 +233,14 @@ def homology_pass(
     if c.is_empty():
         trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
         return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
-    n = c.num_vertices
     counts = [len(level) for level in levels] + [0] * (top + 1 - len(levels))
     edges = levels[1] if len(levels) > 1 else ()  # none in dimension 0
-    forest = skeleton_components((v for (v,) in levels[0]), edges, n)
+    forest = skeleton_components((v for (v,) in levels[0]), edges)
     del levels, edges  # no face tuple is held past the forest
     components = counts[0] - len(forest)
     # no degree above the complex's dimension has a fan face
     last = min(top + 1, c.dim)
+    n = c.num_vertices
     walk = fan_columns(c, top, sum(counts), limit)
     later: dict[int, list[int]] = {j: [] for j in range(3, last + 1)}
 
@@ -275,7 +271,7 @@ def homology_pass(
     # entry to degree i, cleared holds the codes of (i-1)-faces whose
     # boundaries form a basis of the image of boundary_{i-1}
     snfs = [SnfResult(1), SnfResult(len(forest))]
-    cleared = forest
+    cleared = [u * n + v for u, v in forest]
     for i in range(2, last + 1):
         snfs.append(eliminate(boundaries(i), cleared))
         cleared = snfs[-1].pivots or []

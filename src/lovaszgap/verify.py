@@ -289,19 +289,17 @@ def _report_json(
     homology,
     witnesses: dict,
     passed: bool,
-    *,
-    chi: int | None = None,
-    omega: int | None = None,
 ) -> dict:
     """The fields every report carries; ``witnesses`` gains the
-    connectivity certificate.  ``wall_time_ms`` stays None here: only the
-    CLI, which times a whole command, fills it."""
+    connectivity certificate.  ``chi`` and ``omega`` stay None here: only
+    a bound comparison fills them.  ``wall_time_ms`` stays None too: only
+    the CLI, which times a whole command, fills it."""
     return {
         "case": case,
         "params": params,
         "graph_stats": {"n": g.n, "m": g.m},
-        "chi": chi,
-        "omega": omega,
+        "chi": None,
+        "omega": None,
         "lovasz": _lovasz_json(certificate),
         "homology": _homology_json(homology),
         "witnesses": dict(witnesses, certificate=_certificate_json(certificate)),
@@ -352,25 +350,38 @@ def _planted_json(built: CorollaryResult) -> dict:
     }
 
 
-def corollary_report_json(report: CorollaryReport) -> dict:
-    p = report.params
-    built = report.built
-    bound = report.bound
+def _bound_report_json(
+    case: str, params: dict, g: Graph, bound: BoundReport, passed: bool, witnesses: dict
+) -> dict:
+    """A report on a bound comparison: ``chi``, ``omega`` and the coloring,
+    chi_lower and clique witnesses, besides the given ``witnesses``."""
     payload = _report_json(
-        f"corollary(l={p.l},m={p.m},p={p.p},q={p.q})",
-        {"l": p.l, "m": p.m, "p": p.p, "q": p.q},
-        built.graph,
+        case,
+        params,
+        g,
         bound.certificate,
         bound.homology,
         {
             "coloring": list(bound.coloring.assignment),
             "chi_lower": _chi_lower_json(bound.chi_lower),
             "clique": list(bound.clique.vertices),
-            **_planted_json(built),
+            **witnesses,
         },
+        passed,
+    )
+    payload.update(chi=bound.chi, omega=bound.omega)
+    return payload
+
+
+def corollary_report_json(report: CorollaryReport) -> dict:
+    p = report.params
+    payload = _bound_report_json(
+        f"corollary(l={p.l},m={p.m},p={p.p},q={p.q})",
+        {"l": p.l, "m": p.m, "p": p.p, "q": p.q},
+        report.built.graph,
+        report.bound,
         report.passed,
-        chi=bound.chi,
-        omega=bound.omega,
+        _planted_json(report.built),
     )
     payload["clauses"] = [
         {"clause": c.name, "expected": c.expected, "actual": c.actual, "ok": c.ok}
@@ -380,23 +391,11 @@ def corollary_report_json(report: CorollaryReport) -> dict:
 
 
 def bounds_report_json(case: str, g: Graph, report: BoundReport) -> dict:
-    return _report_json(
-        case,
-        {},
-        g,
-        report.certificate,
-        report.homology,
-        {
-            "coloring": list(report.coloring.assignment),
-            "chi_lower": _chi_lower_json(report.chi_lower),
-            "clique": list(report.clique.vertices),
-            "greedy_upper": report.greedy_upper,
-            "homological_connectivity": report.homological_connectivity,
-        },
-        True,
-        chi=report.chi,
-        omega=report.omega,
-    )
+    extra = {
+        "greedy_upper": report.greedy_upper,
+        "homological_connectivity": report.homological_connectivity,
+    }
+    return _bound_report_json(case, {}, g, report, True, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +459,17 @@ def suite_cases(seed: int, full: bool = False) -> list[tuple]:
     return cases
 
 
-def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
+def run_suite_case(case: tuple) -> dict:
     kind = case[0]
     if kind == "theorem2":
         _, name_h, x, name_k, y, cap = case
         spec = GadgetSpec(h=_suite_graph(name_h), x=x, k=_suite_graph(name_k), y=y)
-        report = verify_wedge_decomposition(spec, cap=cap, limit=limit)
+        report = verify_wedge_decomposition(spec, cap=cap)
         return wedge_report_json(report, name_h, x, name_k, y, cap)
     if kind == "certificate":
         _, name, expectation = case
         g = _suite_graph(name)
-        cert = certify_conn_zero(neighborhood_complex(g), limit)
+        cert = certify_conn_zero(neighborhood_complex(g))
         ok = cert.homological_connectivity == _EXPECTED_CONN[expectation]
         return _report_json(
             f"certificate({name})",
@@ -483,17 +482,15 @@ def run_suite_case(case: tuple, limit: int = DEFAULT_FACE_BUDGET) -> dict:
         )
     if kind == "corollary":
         _, l, m, p, q = case
-        report = verify_corollary(CorollaryParams(l, m, p, q), limit)
+        report = verify_corollary(CorollaryParams(l, m, p, q))
         return corollary_report_json(report)
     raise ValueError(f"unknown case kind {kind!r}")
 
 
-def run_suite(
-    seed: int = 0, full: bool = False, limit: int = DEFAULT_FACE_BUDGET
-) -> dict:
+def run_suite(seed: int = 0, full: bool = False) -> dict:
     """Run every suite case; the result dict is deterministic for a given
     seed (cases sorted by key, no wall-clock fields)."""
-    reports = [run_suite_case(case, limit) for case in suite_cases(seed, full)]
+    reports = [run_suite_case(case) for case in suite_cases(seed, full)]
     reports.sort(key=lambda r: r["case"])
     return {
         "seed": seed,

@@ -44,11 +44,10 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def skeleton_forest(c):
     """The sorted vertex ids and edges of a complex's 1-skeleton, from the
     oracle's enumeration, and the edges of the spanning forest that
-    ``skeleton_components`` walks over them, decoded from their codes."""
-    n = c.num_vertices
+    ``skeleton_components`` walks over them."""
     vertices, edges = faces_by_dim(c, 1)
-    codes = skeleton_components([v for (v,) in vertices], edges, n)
-    return [v for (v,) in vertices], edges, [divmod(code, n) for code in codes]
+    ids = [v for (v,) in vertices]
+    return ids, edges, skeleton_components(ids, edges)
 
 
 @pytest.fixture

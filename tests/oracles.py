@@ -20,7 +20,9 @@ and check the budget after each, where the library adds a (facet, size)
 batch at a time and checks the budget once per batch.  The
 incidence-graph builder gives the wedge check parts whose neighborhood
 complexes carry a chosen complex's torsion, and the Schrijver graphs give
-complexes with a known sphere's homology.
+complexes with a known sphere's homology.  The structure checkers read a
+graph as a set of arcs and a complex's facets as sets, and ``write_graph``
+saves the library's DIMACS text to a file.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from lovaszgap import (
     SimplicialComplex,
     SnfResult,
 )
+from lovaszgap.dimacs import format_graph
 from lovaszgap.snf import eliminate
 
 
@@ -542,3 +545,47 @@ def schrijver_graph(n: int, k: int) -> Graph:
         if not set(stable[i]) & set(stable[j])
     ]
     return Graph.from_edges(len(stable), edges)
+
+
+def validate_graph(g) -> None:
+    """Raise ParameterError unless ``g.adj`` holds one neighbour set per
+    vertex, every neighbour an id in 0..n-1 other than the vertex itself,
+    and every arc (v, u) matched by its reverse (u, v)."""
+    if len(g.adj) != g.n:
+        raise ParameterError(f"{len(g.adj)} neighbour sets for {g.n} vertices")
+    arcs = set()
+    for v, nbrs in enumerate(g.adj):
+        for u in nbrs:
+            if not 0 <= u < g.n:
+                raise ParameterError(f"neighbour {u} of {v} out of range")
+            if u == v:
+                raise ParameterError(f"loop at vertex {v}")
+            arcs.add((v, u))
+    for v, u in sorted(arcs):
+        if (u, v) not in arcs:
+            raise ParameterError(f"arc ({v},{u}) without its reverse")
+
+
+def validate_complex(c) -> None:
+    """Raise ParameterError unless the facets are distinct, nonempty,
+    strictly increasing tuples of ids in 0..num_vertices-1, none a subset
+    of another."""
+    if len(set(c.facets)) != len(c.facets):
+        raise ParameterError("duplicate facets")
+    for facet in c.facets:
+        if not facet:
+            raise ParameterError("empty facet")
+        if any(a >= b for a, b in zip(facet, facet[1:])):
+            raise ParameterError(f"facet {facet} not strictly increasing")
+        if not all(0 <= v < c.num_vertices for v in facet):
+            raise ParameterError(f"facet {facet} out of ground-set range")
+    sets = [frozenset(facet) for facet in c.facets]
+    for a, b in itertools.permutations(range(len(sets)), 2):
+        if sets[a] < sets[b]:
+            raise ParameterError(f"facet {c.facets[a]} inside facet {c.facets[b]}")
+
+
+def write_graph(g, path) -> None:
+    """Save a graph as a DIMACS .col file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(format_graph(g))

@@ -20,7 +20,9 @@ from lovaszgap import (
 )
 from lovaszgap.cli import main
 from lovaszgap.complexes import format_facets
-from lovaszgap.dimacs import read_graph, write_graph
+from lovaszgap.dimacs import read_graph
+
+from oracles import write_graph
 
 
 def run_cli(args, **kwargs):
@@ -332,6 +334,27 @@ def test_bounds_rejects_a_zero_limit_on_every_graph(tmp_path, capsys, graph):
     )
 
 
+# each command that takes --max-dim, over the graph_files fixture
+_MAX_DIM_COMMANDS = {
+    "homology": ["homology", "--complex", "{facets}"],
+    "bounds": ["bounds", "{c5}"],
+    "theorem2": ["verify", "theorem2", "--h", "{k3}", "--k", "{c5}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MAX_DIM_COMMANDS))
+def test_a_max_dim_past_the_face_budget_is_a_parameter_error(graph_files, capsys, command):
+    # a report holds one group per degree, so the face budget bounds
+    # --max-dim as well; a huge value used to run out of memory (exit 4)
+    argv = [arg.format(**graph_files) for arg in _MAX_DIM_COMMANDS[command]]
+    for extra, message in (
+        (["--max-dim", "1000000000000"], "--max-dim 1000000000000 exceeds the face budget 10000000"),
+        (["--max-dim", "5", "--limit", "4"], "--max-dim 5 exceeds the face budget 4"),
+    ):
+        assert main([*argv, *extra]) == 2
+        assert capsys.readouterr().err == f"error:parameter: {message}\n"
+
+
 def test_unexpected_exception_exit_four(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom\nsecond line")
@@ -520,8 +543,8 @@ def test_verify_theorem2_failure_writes_the_report_and_one_error(graph_files, mo
 def test_verify_suite_failure_names_the_failing_cases(monkeypatch, capsys):
     real = lovaszgap.verify.run_suite_case
 
-    def broken(case, limit):
-        report = real(case, limit)
+    def broken(case):
+        report = real(case)
         if report["case"] == "certificate(K3)":
             report["pass"] = False
         return report

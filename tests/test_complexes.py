@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lovaszgap import (
     BudgetExceededError,
+    ParameterError,
     SimplicialComplex,
     complete_graph,
     cycle_graph,
@@ -17,7 +19,7 @@ from lovaszgap import (
 from lovaszgap.complexes import face_sets, format_facets, parse_faces
 
 from conftest import graphs, skeleton_forest
-from oracles import cone, euler_characteristic
+from oracles import cone, euler_characteristic, validate_complex
 
 
 @st.composite
@@ -51,7 +53,7 @@ def test_neighborhood_complex_c5():
 @given(graphs(max_n=8))
 @settings(max_examples=60)
 def test_neighborhood_complex_antichain(g):
-    neighborhood_complex(g).validate()
+    validate_complex(neighborhood_complex(g))
 
 
 def test_faces_full_simplex():
@@ -131,7 +133,22 @@ def test_parse_faces_maximalizes_and_skips_comments():
     assert c.facets == ((0, 1, 2),)
 
 
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        (((0, 1), (0, 1)), "duplicate facets"),
+        (((0, 1), ()), "empty facet"),
+        (((1, 0),), "facet (1, 0) not strictly increasing"),
+        (((0, 4),), "facet (0, 4) out of ground-set range"),
+        (((0, 1), (0, 1, 2)), "facet (0, 1) inside facet (0, 1, 2)"),
+    ],
+)
+def test_complex_checker_rejects_each_fault(facets, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        validate_complex(SimplicialComplex(4, facets))
+
+
 def test_from_faces_dedupes_and_keeps_maximal():
     c = SimplicialComplex.from_faces(5, [[2, 1], [1, 2], [1, 2, 3], [4]])
     assert c.facets == ((1, 2, 3), (4,))
-    c.validate()
+    validate_complex(c)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from lovaszgap import Graph, InputError, complete_graph, kneser_graph
-from lovaszgap.dimacs import format_graph, parse_graph, read_graph, write_graph
+from lovaszgap.dimacs import format_graph, parse_graph, read_graph
 
 from conftest import graphs
+from oracles import write_graph
 
 
 def test_parse_k3():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from lovaszgap.dimacs import read_graph
 from lovaszgap.graphs import FAMILIES
 
 from conftest import graphs
-from oracles import brute_force_triangle_free
+from oracles import brute_force_triangle_free, validate_graph
 
 
 def test_complete_graph():
@@ -108,7 +109,7 @@ def test_mycielskian_groetzsch():
 @settings(max_examples=60)
 def test_mycielskian_edge_count(g):
     m = mycielskian(g)
-    m.validate()
+    validate_graph(m)
     assert m.n == 2 * g.n + 1
     assert m.m == 3 * g.m + g.n
 
@@ -159,7 +160,7 @@ def test_gadget_rejects_bad_attachment():
 @settings(max_examples=40)
 def test_gadget_counts(h, k):
     built = build_gadget(GadgetSpec(h=h, x=0, k=k, y=0))
-    built.graph.validate()
+    validate_graph(built.graph)
     assert built.graph.n == h.n + k.n + 1
     assert built.graph.m == h.m + k.m + 2
     assert built.graph.degree(built.z) == 2
@@ -171,11 +172,12 @@ def test_gadget_counts(h, k):
 )
 def test_corollary_graph_sizes(params, block, total):
     built = build_corollary_graph(CorollaryParams(*params))
-    assert built.block_size == block
+    # the second block starts at vertex block and the bridge follows it
+    assert built.z == 2 * block
     assert built.graph.n == total
     assert built.graph.degree(built.z) == 2
     assert sorted(built.graph.adj[built.z]) == sorted([built.s_first, built.s_second])
-    built.graph.validate()
+    validate_graph(built.graph)
 
 
 @pytest.mark.parametrize("params", [(2, 2, 1, 3), (2, 2, 3, 2), (2, 2, 2, 2), (0, 2, 2, 3)])
@@ -231,7 +233,22 @@ def test_graph_validation_errors():
 
 def test_corpus_graphs_validate(corpus):
     for g in corpus.values():
-        g.validate()
+        validate_graph(g)
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (3, [{1}, {0}], "2 neighbour sets for 3 vertices"),
+        (2, [{1}, set()], "arc (0,1) without its reverse"),
+        (2, [{0, 1}, {0}], "loop at vertex 0"),
+        (2, [{2}, set()], "neighbour 2 of 0 out of range"),
+    ],
+)
+def test_graph_checker_rejects_each_fault(n, adj, message):
+    bad = Graph(n, tuple(frozenset(s) for s in adj))
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        validate_graph(bad)
 
 
 def test_biconnected_components_fixed_graph():

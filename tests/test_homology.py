@@ -247,22 +247,53 @@ def test_homology_independent_of_facet_order(c):
     assert homology_profile(c, 2) == homology_profile(other, 2)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 6, 7])
-def test_separation_ladder_is_independent_of_facet_order(q):
-    # the separation gadgets (2,2,3,q): the pass streams the fan columns in
-    # facet order, so other orders peel other columns first
-    built = build_corollary_graph(CorollaryParams(2, 2, 3, q))
-    c = neighborhood_complex(built.graph)
+def recorded_pass(monkeypatch, pivot_calls, c, cap):
+    """The pass over c, the SnfResult of each elimination it ran with that
+    result's pivots, and its number of ``snf._pivot`` calls."""
+    results = []
+    real = lovaszgap.homology.eliminate
+
+    def eliminating(columns, dropped_rows=()):
+        result = real(columns, dropped_rows)
+        results.append((result, result.pivots))
+        return result
+
+    before = pivot_calls[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(lovaszgap.homology, "eliminate", eliminating)
+        topology = homology_pass(c, cap)
+    return topology, results, pivot_calls[0] - before
+
+
+def assert_pass_is_independent_of_facet_order(monkeypatch, pivot_calls, c, cap, seed):
+    # the pass walks the facets sorted, so any listing of the same facets
+    # streams the same columns in the same order: the same pivots, the same
+    # eliminations and the same groups
+    expected = recorded_pass(monkeypatch, pivot_calls, c, cap)
+    facets = list(reversed(c.facets))
+    for order in ("reversed", "shuffled"):
+        if order == "shuffled":
+            random.Random(seed).shuffle(facets)
+        other = SimplicialComplex(c.num_vertices, tuple(facets))
+        assert recorded_pass(monkeypatch, pivot_calls, other, cap) == expected, (order, cap)
+    return expected[0]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8])
+def test_separation_ladder_is_independent_of_facet_order(monkeypatch, pivot_calls, q):
+    # the separation gadgets (2,2,3,q)
+    c = neighborhood_complex(build_corollary_graph(CorollaryParams(2, 2, 3, q)).graph)
     for cap in (1, 2) if q <= 6 else (1,):
-        expected = homology_pass(c, cap)
-        rng = random.Random(q)
-        for order in ("reversed", "shuffled"):
-            facets = list(reversed(c.facets))
-            if order == "shuffled":
-                rng.shuffle(facets)
-            other = homology_pass(SimplicialComplex(c.num_vertices, tuple(facets)), cap)
-            assert other == expected, (order, cap)
-    assert expected.certificate.certified_conn_zero
+        topology = assert_pass_is_independent_of_facet_order(
+            monkeypatch, pivot_calls, c, cap, q
+        )
+        assert topology.certificate.certified_conn_zero
+
+
+@pytest.mark.parametrize("n, k, cap", [(7, 2, 3), (8, 3, 2)])
+def test_kneser_passes_are_independent_of_facet_order(monkeypatch, pivot_calls, n, k, cap):
+    c = neighborhood_complex(kneser_graph(n, k))
+    assert_pass_is_independent_of_facet_order(monkeypatch, pivot_calls, c, cap, n)
 
 
 @given(complexes(max_vertices=7))
@@ -350,6 +381,18 @@ def wide_complexes(draw):
         st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), min_size=1, max_size=5)
     )
     return SimplicialComplex.from_faces(n, faces)
+
+
+@st.composite
+def apex_complexes(draw):
+    # most facets hold the least vertex 0, so their fans share faces and a
+    # facet's batch of taus often holds some that an earlier facet yielded
+    n = draw(st.integers(3, 9))
+    rests = draw(
+        st.lists(st.lists(st.integers(1, n - 1), min_size=2, max_size=6), min_size=2, max_size=5)
+    )
+    others = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), max_size=2))
+    return SimplicialComplex.from_faces(n, [[0, *rest] for rest in rests] + others)
 
 
 def reference_pass(c, cap):
@@ -590,6 +633,12 @@ def test_fan_walk_matches_per_face_walk_on_random_complexes(c, top):
     assert_fan_walk_matches_reference(c, top)
 
 
+@given(apex_complexes(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_fan_walk_matches_per_face_walk_around_a_shared_apex(c, top):
+    assert_fan_walk_matches_reference(c, top)
+
+
 def test_fan_walk_matches_per_face_walk_on_corpus(corpus):
     for name, g in corpus.items():
         for top in (1, 2, 3):
@@ -642,6 +691,14 @@ def assert_pass_budget_names_the_per_face_dimension(c, cap):
 @example(SimplicialComplex.from_faces(5, [[0, 1, 2, 3], [0, 1, 2, 4]]), 1)
 @settings(max_examples=60, deadline=None)
 def test_pass_budget_names_the_per_face_dimension(c, cap):
+    assert_pass_budget_names_the_per_face_dimension(c, cap)
+
+
+@given(apex_complexes(), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_pass_budget_names_the_per_face_dimension_around_a_shared_apex(c, cap):
+    # walks where a facet's batch repeats taus of earlier facets are the
+    # rule here, so a precheck that forgets them names the wrong dimension
     assert_pass_budget_names_the_per_face_dimension(c, cap)
 
 
@@ -760,10 +817,9 @@ def test_spanning_forest_is_depth_first_in_increasing_order():
     # the forest fixes the rows cleared from boundary_2, so it must not
     # depend on the order of its input: the walk takes the vertices, and
     # each vertex's neighbours, in increasing order
-    n = 10
     edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 6)]
-    forest = skeleton_components([6, 4, 9, 3, 2, 1, 0, 5], reversed(edges), n)
-    assert [divmod(code, n) for code in forest] == [(0, 1), (0, 2), (2, 3), (3, 4), (5, 6)]
+    forest = skeleton_components([6, 4, 9, 3, 2, 1, 0, 5], reversed(edges))
+    assert forest == [(0, 1), (0, 2), (2, 3), (3, 4), (5, 6)]
 
 
 def test_spanning_forest_on_corpus(corpus):

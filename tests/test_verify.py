@@ -33,7 +33,6 @@ from lovaszgap import (
     verify_wedge_decomposition,
 )
 from lovaszgap.cli import main
-from lovaszgap.dimacs import write_graph
 from lovaszgap.invariants import _induced
 from lovaszgap.verify import (
     certified_bound,
@@ -43,7 +42,7 @@ from lovaszgap.verify import (
 )
 
 from conftest import graphs
-from oracles import incidence_graph_with_triangle
+from oracles import incidence_graph_with_triangle, write_graph
 from test_homology import RP2
 
 
