@@ -1,12 +1,13 @@
 """Neighborhood complexes and facet-wise simplicial complexes.
 
-Complexes are stored by their maximal faces only.  ``face_sets`` gives
-the lower faces as one unsorted set per dimension, counted against a face
-budget, for the homology pass to count and to take the 1-skeleton from.
-Certifying conn = 0 needs the vertices and edges plus the fan triangles
-{min F, a, b} of each facet F (see ``homology``), which stays polynomial
-even when the full closure would be exponential (one side of the biclique
-complex alone has 2^m - 1 faces).
+Complexes are stored by their maximal faces only.  ``face_counts`` counts
+the lower faces of dimension 2 and up against a face budget, for the
+homology pass; the vertices and edges are counted by the pass's walk over
+the 1-skeleton (``homology.skeleton_components``), which holds no edge but
+the spanning forest's.  Certifying conn = 0 needs the vertices and edges
+plus the fan triangles {min F, a, b} of each facet F (see ``homology``),
+which stays polynomial even when the full closure would be exponential
+(one side of the biclique complex alone has 2^m - 1 faces).
 """
 
 from __future__ import annotations
@@ -75,38 +76,32 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     )
 
 
-def face_sets(
-    c: SimplicialComplex, d: int, limit: int = DEFAULT_FACE_BUDGET
-) -> list[set[Face]]:
-    """The distinct faces of each dimension 0..min(d, c.dim), as unsorted
-    sets; no dimension above the complex's own is enumerated.  Aborts with
-    a size-guard error naming the offending dimension once the total face
-    count passes ``limit``.
+def face_counts(c: SimplicialComplex, d: int, used: int, limit: int) -> list[int]:
+    """The number of distinct faces of each dimension 2..min(d, c.dim); no
+    dimension above the complex's own is enumerated.  Vertices and edges are
+    not counted here: the walk over the 1-skeleton counts them without
+    holding them.  Aborts with a size-guard error naming the offending
+    dimension once ``used`` plus the faces counted pass ``limit``.
 
-    Faces are added one (facet, size) batch at a time, and the budget is
-    checked once per batch: before it, when this facet's C(|F|, size) faces
-    alone would take the count past ``limit``, and after it.  The dimension
-    named is the one a face-by-face count would cross in, since every
-    earlier batch stayed within the budget and this one ends past it.  No
-    batch enumerates more than ``limit`` faces, so at worst twice the
-    budget is held."""
-    if d < 0:
-        raise ParameterError(f"dimension bound must be >= 0, got {d}")
-    if limit < 1:
-        raise ParameterError(f"face budget must be >= 1, got {limit}")
-    levels: list[set[Face]] = []
-    below = 0  # the faces of the dimensions done
-    for size in range(1, min(d, c.dim) + 2):
+    A dimension's faces are held as one set until counted, added one
+    (facet, size) batch at a time, and the budget is checked once per batch:
+    before it, when this facet's C(|F|, size) faces alone would take the
+    count past ``limit``, and after it.  The dimension named is the one a
+    face-by-face count would cross in, since every earlier batch stayed
+    within the budget and this one ends past it.  No batch enumerates more
+    than ``limit`` faces, so at worst twice the budget is held."""
+    counts: list[int] = []
+    for size in range(3, min(d, c.dim) + 2):
         level: set[Face] = set()
-        levels.append(level)
         for facet in c.facets:
-            if below + comb(len(facet), size) > limit:
+            if used + comb(len(facet), size) > limit:
                 raise BudgetExceededError(dimension=size - 1, limit=limit)
             level.update(itertools.combinations(facet, size))
-            if below + len(level) > limit:
+            if used + len(level) > limit:
                 raise BudgetExceededError(dimension=size - 1, limit=limit)
-        below += len(level)
-    return levels
+        counts.append(len(level))
+        used += len(level)
+    return counts
 
 
 # ---------------------------------------------------------------------------

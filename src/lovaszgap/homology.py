@@ -8,8 +8,9 @@ certificate that the space's connectivity is exactly 0: path-connectedness
 plus H_1 != 0 forces a nontrivial loop, while nothing here ever claims the
 converse for higher degrees (homological connectivity can overshoot the
 homotopical one, and reports are flagged accordingly).
-``homology_pass`` derives all of it from the faces through dimension
-max(cap, 1), which it only counts and takes the 1-skeleton from, and one
+``homology_pass`` derives all of it from one walk over the 1-skeleton,
+which counts the vertices and edges and gives a spanning forest without
+holding the vertex or edge set, the counts of the faces of dimensions 2..cap, and one
 streamed elimination per boundary; the other entry points are views of
 it.
 
@@ -51,9 +52,9 @@ import itertools
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .complexes import DEFAULT_FACE_BUDGET, Face, SimplicialComplex, face_sets
+from .complexes import DEFAULT_FACE_BUDGET, Face, SimplicialComplex, face_counts
 from .errors import BudgetExceededError, ParameterError
 from .snf import SnfResult, eliminate, torsion_factors
 
@@ -123,7 +124,7 @@ def fan_columns(
     face's least vertex is its apex, and sorted facets come grouped by
     apex, so each group keeps one set of the taus it has yielded.  The
     faces count against ``limit`` on top of the ``used`` faces already
-    held, checked once per batch as in ``face_sets``: before it, when the
+    held, checked once per batch as in ``face_counts``: before it, when the
     facet's C(|F| - 1, j) taus alone would take the count past ``limit``,
     and after it; so the dimension named is the one a face-by-face count
     would cross in.  No batch enumerates more than ``limit`` taus, so at
@@ -144,34 +145,50 @@ def fan_columns(
                 yield j, apex, batch
 
 
-def skeleton_components(vertices: Iterable[int], edges: Iterable[Face]) -> list[Face]:
-    """The edges (u, v), u < v, of a spanning forest of the 1-skeleton,
-    given its vertex ids and its edges in any order, from one depth-first
-    walk that takes the vertices, and each vertex's neighbours, in
-    increasing order; so the skeleton has #vertices - len(forest)
-    components (isolated complex vertices included).  The vertices are dict
-    keys, since facet files may name them by arbitrary ids."""
-    adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for neighbours in adj.values():
-        neighbours.sort()
+def skeleton_components(
+    c: SimplicialComplex, limit: int = DEFAULT_FACE_BUDGET
+) -> tuple[int, int, list[tuple[int, int]]]:
+    """The vertex and edge counts of the 1-skeleton and the edges (u, v),
+    u < v, of a spanning forest of it, from one depth-first walk that takes
+    the vertices, and each vertex's neighbours, in increasing order; so the
+    skeleton has #vertices - len(forest) components (isolated complex
+    vertices included).  A vertex's neighbours are the union of the facets
+    that hold it, less itself, formed when the walk reaches it and dropped
+    after: the edges are half the degree sum, and the forest's are the only
+    edge tuples built.  The vertices are dict keys, since facet files may name them by
+    arbitrary ids.  The budget counts the vertices, then the edges, as a
+    face-by-face count would: dimension 0 when the vertices alone pass
+    ``limit``, else dimension 1 as soon as the largest facet's C(|F|, 2)
+    edges, or half the degrees walked so far, leave no room; so a giant
+    facet fails before any neighbourhood is formed."""
+    holding: dict[int, list[Face]] = {}
+    for facet in c.facets:
+        for v in facet:
+            holding.setdefault(v, []).append(facet)
+    if len(holding) > limit:
+        raise BudgetExceededError(dimension=0, limit=limit)
+    room = 2 * (limit - len(holding))  # the degree sum that still fits
+    if 2 * comb(c.dim + 1, 2) > room:
+        raise BudgetExceededError(dimension=1, limit=limit)
+    degrees = 0
     seen: set[int] = set()
-    forest: list[Face] = []
-    for start in adj:
+    forest: list[tuple[int, int]] = []
+    for start in sorted(holding):
         if start in seen:
             continue
         seen.add(start)
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    forest.append((u, v) if u < v else (v, u))
-                    stack.append(u)
-    return forest
+            neighbours = set().union(*holding[v])
+            degrees += len(neighbours) - 1
+            if degrees > room:
+                raise BudgetExceededError(dimension=1, limit=limit)
+            for u in sorted(neighbours - seen):
+                seen.add(u)
+                forest.append((u, v) if u < v else (v, u))
+                stack.append(u)
+    return len(holding), degrees // 2, forest
 
 
 _EMPTY_CERTIFICATE = ConnectivityCertificate(
@@ -201,10 +218,12 @@ def homology_pass(
     c: SimplicialComplex, cap: int, limit: int = DEFAULT_FACE_BUDGET
 ) -> HomologyPass:
     """Reduced homology in degrees 0..cap, the conn = 0 certificate and the
-    homological connectivity, from faces through dimension max(cap, 1).
-    Those are enumerated only as far as the complex's own dimension, and
-    held only to be counted and to give the 1-skeleton; every degree above
-    has no face.
+    homological connectivity, from the faces through dimension max(cap, 1),
+    which are only counted.  The vertices and edges are counted by the walk
+    over the 1-skeleton (``skeleton_components``), which gives its spanning
+    forest and holds neither; the faces of dimensions 2..cap are counted by
+    ``face_counts`` only as far as the complex's own dimension, since every
+    degree above has no face.
 
     betti_i = #(i-faces) - rank(boundary_i) - rank(boundary_{i+1}), with the
     augmentation map standing in for the degree-0 boundary; torsion in
@@ -228,16 +247,15 @@ def homology_pass(
     of a nontrivial fundamental group)."""
     if cap < 0:
         raise ParameterError(f"cap must be >= 0, got {cap}")
+    if limit < 1:
+        raise ParameterError(f"face budget must be >= 1, got {limit}")
     top = max(cap, 1)
-    levels = face_sets(c, top, limit)
+    vertices, edges, forest = skeleton_components(c, limit)
+    # no dimension above the complex's own has a face
+    counts = [vertices, edges, *face_counts(c, top, vertices + edges, limit)] + [0] * top
     if c.is_empty():
         trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
         return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
-    counts = [len(level) for level in levels] + [0] * (top + 1 - len(levels))
-    edges = levels[1] if len(levels) > 1 else ()  # none in dimension 0
-    forest = skeleton_components((v for (v,) in levels[0]), edges)
-    del levels, edges  # no face tuple is held past the forest
-    components = counts[0] - len(forest)
     # no degree above the complex's dimension has a fan face
     last = min(top + 1, c.dim)
     n = c.num_vertices
@@ -285,7 +303,7 @@ def homology_pass(
     conn = _connectivity(groups[:2])
     certificate = ConnectivityCertificate(
         nonempty=True,
-        connected=components == 1,
+        connected=vertices - len(forest) == 1,
         h1=groups[1],
         certified_conn_zero=conn == 0,
         homological_connectivity=conn,

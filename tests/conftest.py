@@ -44,10 +44,9 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def skeleton_forest(c):
     """The sorted vertex ids and edges of a complex's 1-skeleton, from the
     oracle's enumeration, and the edges of the spanning forest that
-    ``skeleton_components`` walks over them."""
+    ``skeleton_components`` walks from the facets."""
     vertices, edges = faces_by_dim(c, 1)
-    ids = [v for (v,) in vertices]
-    return ids, edges, skeleton_components(ids, edges)
+    return [v for (v,) in vertices], edges, skeleton_components(c)[2]
 
 
 @pytest.fixture

@@ -394,6 +394,35 @@ def faces_by_dim(c, d: int) -> list[list[tuple[int, ...]]]:
     return [sorted(level) for level in levels]
 
 
+def skeleton_components(vertices, edges) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of a spanning forest of a graph given by its
+    vertex ids and its edges in any order, from one depth-first walk over
+    sorted adjacency lists that takes the vertices, and each vertex's
+    neighbours, in increasing order: the reference for the library's walk,
+    which forms no edge."""
+    adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for neighbours in adj.values():
+        neighbours.sort()
+    seen: set[int] = set()
+    forest: list[tuple[int, int]] = []
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    forest.append((u, v) if u < v else (v, u))
+                    stack.append(u)
+    return forest
+
+
 def per_face_face_sets(c, d: int, limit: int) -> list[set[tuple[int, ...]]]:
     """The faces of each dimension 0..min(d, c.dim), added one at a time;
     raises the budget error at the first face past ``limit``."""

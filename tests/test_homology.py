@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -30,7 +31,7 @@ from lovaszgap import (
     neighborhood_complex,
     triangle_free_chromatic,
 )
-from lovaszgap.complexes import face_sets, parse_faces
+from lovaszgap.complexes import parse_faces
 from lovaszgap.homology import (
     EMPTY_SENTINEL,
     FLAG_EMPTY,
@@ -41,6 +42,7 @@ from lovaszgap.homology import (
     skeleton_components,
 )
 
+import oracles
 from conftest import skeleton_forest
 from oracles import (
     boundary,
@@ -60,7 +62,7 @@ from oracles import (
     schrijver_graph,
     smith_normal_form,
 )
-from test_complexes import complexes
+from test_complexes import complexes, counted_faces
 
 
 def boundary_sphere(n: int) -> SimplicialComplex:
@@ -141,6 +143,8 @@ def test_skeleton_is_counted_on_relabelled_vertex_ids():
     c = parse_faces(["0 1000000000", "1000000000 7", "7 0"])
     assert len(skeleton_forest(c)[2]) == 2
     assert homology_pass(c, 1).profile == (HomologyGroup(0, 0, ()), HomologyGroup(1, 1, ()))
+    assert_skeleton_walk_matches_reference(c)
+    assert_skeleton_walk_matches_reference(parse_faces(["0 7 1000000000"]))
 
 
 def test_nk4_is_a_two_sphere():
@@ -583,24 +587,14 @@ def recorded_combinations():
 @example(SimplicialComplex.from_faces(4, [[0, 1, 2], [2, 3]]), 1000)
 @settings(max_examples=40, deadline=None)
 def test_pass_enumerates_faces_through_max_cap_1(c, cap):
-    asked = []
-    real = lovaszgap.homology.face_sets
-
-    def recording(complex_, d, limit):
-        asked.append(d)
-        return real(complex_, d, limit)
-
-    lovaszgap.homology.face_sets = recording
-    try:
-        with recorded_combinations() as calls:
-            homology_pass(c, cap)
-    finally:
-        lovaszgap.homology.face_sets = real
-    assert all(d <= max(cap, 1) for d in asked)
-    assert asked or c.is_empty()
-    # however high the cap, no face above the complex's dimension is sought
+    with recorded_combinations() as calls:
+        homology_pass(c, cap)
+    # the walk over the 1-skeleton forms no vertex or edge, so the faces
+    # enumerated are those of dimensions 2..cap, and however high the cap,
+    # none above the complex's dimension
     sizes = [size for module, _, size in calls if module == "complexes"]
-    assert all(size <= c.dim + 1 for size in sizes)
+    assert all(3 <= size <= min(cap, c.dim) + 1 for size in sizes)
+    assert sizes or cap <= 1 or c.dim <= 1
 
 
 def test_fan_columns_count_against_the_face_budget():
@@ -608,7 +602,7 @@ def test_fan_columns_count_against_the_face_budget():
     # five tetrahedra fan out from their smallest vertices into 9 of its
     # 10 triangles, so the pass holds 24 faces where every triangle is 25
     c = boundary_sphere(4)
-    assert sum(len(level) for level in face_sets(c, 1)) == 15
+    assert skeleton_components(c)[:2] == (5, 10)
     assert [j for j, _ in fan_codes(fan_columns(c, 1, 0), 5)] == [2] * 9
     assert homology_pass(c, 1, limit=24).profile[1].is_trivial()
     for limit in (15, 20, 23):
@@ -665,13 +659,15 @@ def budget_dimension(run) -> int | None:
     return None
 
 
-@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 4))
+# the walk over the 1-skeleton always counts the edges, so the counts
+# start at dimension 1
+@given(st.one_of(complexes(), wide_complexes(), apex_complexes()), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
-def test_face_sets_budget_names_the_per_face_dimension(c, d):
+def test_face_counts_budget_names_the_per_face_dimension(c, d):
     needed = sum(len(level) for level in per_face_face_sets(c, d, 10**9))
     for limit in limit_grid(needed):
         expected = budget_dimension(lambda: per_face_face_sets(c, d, limit))
-        assert budget_dimension(lambda: face_sets(c, d, limit)) == expected, limit
+        assert budget_dimension(lambda: counted_faces(c, d, limit)) == expected, limit
         assert (expected is None) == (limit >= needed)
 
 
@@ -719,13 +715,14 @@ def test_no_batch_enumerates_more_faces_than_the_budget(c, cap, limit):
 
 def test_a_facet_past_the_budget_forms_no_face_of_that_size():
     # one 12-vertex facet: 12 vertices, then C(12, 2) = 66 edges, which alone
-    # pass a budget of 50, so no edge is formed
+    # pass a budget of 50, so no face is formed at all
     c = SimplicialComplex.from_faces(12, [range(12)])
     with recorded_combinations() as calls:
         with pytest.raises(BudgetExceededError) as caught:
-            face_sets(c, 3, limit=50)
+            homology_pass(c, 3, limit=50)
     assert caught.value.dimension == 1
-    assert [size for _, _, size in calls] == [1]
+    assert calls == []
+    assert per_face_pass_budget(c, 3, 50) == 1
     # through dimension 3 it holds 12 + 66 + 220 + 495 = 793 faces; the fan
     # then adds C(11, 2) = 55 triangles and C(11, 3) = 165 tetrahedra, and
     # C(11, 4) = 330 more 4-faces would pass 1,100, so none is formed
@@ -735,6 +732,29 @@ def test_a_facet_past_the_budget_forms_no_face_of_that_size():
     assert caught.value.dimension == 4
     assert [size for module, _, size in calls if module == "homology"] == [2, 3]
     assert per_face_pass_budget(c, 3, 1100) == 4
+
+
+class CountedFacet(tuple):
+    """A facet that counts how often it is iterated over."""
+
+    iterations = 0
+
+    def __iter__(self):
+        CountedFacet.iterations += 1
+        return super().__iter__()
+
+
+def test_a_giant_facet_fails_before_any_neighbourhood_is_formed():
+    # a path on 0..10 that the walk takes first, then a 50-vertex facet on
+    # 10..59: its C(50, 2) = 1,225 edges alone pass the budget, so the walk
+    # reads each facet once, to file it under its vertices, and stops there
+    facets = [(v, v + 1) for v in range(10)] + [tuple(range(10, 60))]
+    c = SimplicialComplex(60, tuple(CountedFacet(f) for f in facets))
+    CountedFacet.iterations = 0
+    with pytest.raises(BudgetExceededError) as caught:
+        skeleton_components(c, limit=1000)
+    assert caught.value.dimension == 1
+    assert CountedFacet.iterations == len(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -815,11 +835,47 @@ def test_boundary_two_loses_the_spanning_forest_rows():
 
 def test_spanning_forest_is_depth_first_in_increasing_order():
     # the forest fixes the rows cleared from boundary_2, so it must not
-    # depend on the order of its input: the walk takes the vertices, and
-    # each vertex's neighbours, in increasing order
+    # depend on the order the facets are listed in: the walk takes the
+    # vertices, and each vertex's neighbours, in increasing order
     edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 6)]
-    forest = skeleton_components([6, 4, 9, 3, 2, 1, 0, 5], reversed(edges))
-    assert forest == [(0, 1), (0, 2), (2, 3), (3, 4), (5, 6)]
+    c = SimplicialComplex(10, ((9,), *reversed(edges)))
+    forest = [(0, 1), (0, 2), (2, 3), (3, 4), (5, 6)]
+    assert skeleton_components(c) == (8, 6, forest)
+
+
+def assert_skeleton_walk_matches_reference(c):
+    vertices, edges = faces_by_dim(c, 1)
+    forest = oracles.skeleton_components([v for (v,) in vertices], edges)
+    assert skeleton_components(c) == (len(vertices), len(edges), forest)
+
+
+@given(st.one_of(complexes(), wide_complexes(), apex_complexes()), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_skeleton_walk_matches_reference_in_any_facet_order(c, rng):
+    facets = list(c.facets)
+    for order in (facets, facets[::-1], rng.sample(facets, len(facets))):
+        assert_skeleton_walk_matches_reference(SimplicialComplex(c.num_vertices, tuple(order)))
+
+
+def test_skeleton_walk_matches_reference_on_corpus(corpus):
+    for name, g in corpus.items():
+        assert_skeleton_walk_matches_reference(neighborhood_complex(g))
+
+
+def test_pass_memory_is_linear_in_a_sparse_complex():
+    # a 30,000-vertex cycle has 30,000 edges: the walk holds each vertex's
+    # facets, the seen set and the forest, about 8 MiB traced, where an
+    # n-bit neighbour mask per vertex takes n**2 / 16 bytes, about 59 MiB
+    n = 30_000
+    c = SimplicialComplex(n, tuple(sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])))
+    tracemalloc.start()
+    try:
+        topology = homology_pass(c, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert topology.profile == (HomologyGroup(0, 0, ()), HomologyGroup(1, 1, ()))
+    assert peak < 32 * 2**20
 
 
 def test_spanning_forest_on_corpus(corpus):
