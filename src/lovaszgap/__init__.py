@@ -1,7 +1,7 @@
 """Graph gadgets, neighborhood complexes, exact integer homology, and
 certified topological lower bounds for the chromatic number."""
 
-from .complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, neighborhood_complex
+from .complexes import SimplicialComplex, neighborhood_complex
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -30,6 +30,7 @@ from .graphs import (
     triangle_free_chromatic,
 )
 from .homology import (
+    DEFAULT_FACE_BUDGET,
     ConnectivityCertificate,
     HomologyGroup,
     HomologyPass,

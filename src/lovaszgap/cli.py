@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 from . import complexes, dimacs, verify
-from .complexes import DEFAULT_FACE_BUDGET
 from .errors import BudgetExceededError, OutputError, ParameterError, ToolkitError
 from .graphs import (
     FAMILIES,
@@ -25,7 +24,7 @@ from .graphs import (
     build_gadget,
     mycielskian,
 )
-from .homology import homology_pass
+from .homology import DEFAULT_FACE_BUDGET, homology_pass
 from .invariants import chromatic_number, max_clique
 
 EXIT_OK = 0

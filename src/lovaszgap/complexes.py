@@ -1,26 +1,20 @@
 """Neighborhood complexes and facet-wise simplicial complexes.
 
-Complexes are stored by their maximal faces only.  ``face_counts`` counts
-the lower faces of dimension 2 and up against a face budget, for the
-homology pass; the vertices and edges are counted by the pass's walk over
-the 1-skeleton (``homology.skeleton_components``), which holds no edge but
-the spanning forest's.  Certifying conn = 0 needs the vertices and edges
-plus the fan triangles {min F, a, b} of each facet F (see ``homology``),
-which stays polynomial even when the full closure would be exponential
-(one side of the biclique complex alone has 2^m - 1 faces).
+Complexes are stored by their maximal faces only; nothing here enumerates
+a lower face.  The homology pass (see ``homology``) counts the faces, and
+certifies conn = 0 from the vertices and edges plus the fan triangles
+{min F, a, b} of each facet F, which stays polynomial even when the full
+closure would be exponential (one side of the biclique complex alone has
+2^m - 1 faces).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable
 
-from .errors import BudgetExceededError, InputError, ParameterError
+from .errors import InputError, ParameterError
 from .graphs import Graph
-
-DEFAULT_FACE_BUDGET = 10_000_000
 
 Face = tuple[int, ...]
 
@@ -74,34 +68,6 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex.from_faces(
         g.n, (sorted(g.adj[v]) for v in range(g.n) if g.adj[v])
     )
-
-
-def face_counts(c: SimplicialComplex, d: int, used: int, limit: int) -> list[int]:
-    """The number of distinct faces of each dimension 2..min(d, c.dim); no
-    dimension above the complex's own is enumerated.  Vertices and edges are
-    not counted here: the walk over the 1-skeleton counts them without
-    holding them.  Aborts with a size-guard error naming the offending
-    dimension once ``used`` plus the faces counted pass ``limit``.
-
-    A dimension's faces are held as one set until counted, added one
-    (facet, size) batch at a time, and the budget is checked once per batch:
-    before it, when this facet's C(|F|, size) faces alone would take the
-    count past ``limit``, and after it.  The dimension named is the one a
-    face-by-face count would cross in, since every earlier batch stayed
-    within the budget and this one ends past it.  No batch enumerates more
-    than ``limit`` faces, so at worst twice the budget is held."""
-    counts: list[int] = []
-    for size in range(3, min(d, c.dim) + 2):
-        level: set[Face] = set()
-        for facet in c.facets:
-            if used + comb(len(facet), size) > limit:
-                raise BudgetExceededError(dimension=size - 1, limit=limit)
-            level.update(itertools.combinations(facet, size))
-            if used + len(level) > limit:
-                raise BudgetExceededError(dimension=size - 1, limit=limit)
-        counts.append(len(level))
-        used += len(level)
-    return counts
 
 
 # ---------------------------------------------------------------------------

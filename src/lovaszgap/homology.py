@@ -10,20 +10,23 @@ converse for higher degrees (homological connectivity can overshoot the
 homotopical one, and reports are flagged accordingly).
 ``homology_pass`` derives all of it from one walk over the 1-skeleton,
 which counts the vertices and edges and gives a spanning forest without
-holding the vertex or edge set, the counts of the faces of dimensions 2..cap, and one
-streamed elimination per boundary; the other entry points are views of
-it.
+holding the vertex or edge set; from one walk over the faces above
+dimension 1 by their least vertex (``least_vertex_faces``), which counts
+the faces of dimensions 2..cap a vertex at a time and yields the fan
+faces; and from one streamed elimination per boundary.  The other entry
+points are views of it, and this module alone enumerates faces and keeps
+the face budget.
 
 Boundaries of degree 2 and up are taken over fan columns, never over every
 face of their degree.  Within a facet F, dd = 0 on {min F} + tau writes the
 boundary of any face tau avoiding min F as an integer sum of boundaries of
 faces containing min F, so those fan faces span the same column lattice:
-rank and invariant factors are those of the full boundary, and no face of
-dimension max(cap, 1) + 1 is ever enumerated.  No boundary is built as a
-matrix either: a face v_0 < ... < v_j is coded as the int with those
-base-n digits, n the size of the ground set, and each fan face's boundary
-goes, as the codes of its faces with their signs, straight into
-``snf.eliminate`` as the walk over the facets finds it, one (facet, size)
+rank and invariant factors are those of the full boundary, and of
+dimension max(cap, 1) + 1 only the fan faces are enumerated.  No boundary
+is built as a matrix either: a face v_0 < ... < v_j is coded as the int
+with those base-n digits, n the size of the ground set, and each fan
+face's boundary goes, as the codes of its faces with their signs, straight
+into ``snf.eliminate`` as the walk finds it, one (vertex, facet, size)
 batch at a time, a triangle's coded straight from its vertices; only the
 codes of fan faces above degree 2 are kept until their degree's turn.
 
@@ -50,13 +53,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import filterfalse
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .complexes import DEFAULT_FACE_BUDGET, Face, SimplicialComplex, face_counts
+from .complexes import Face, SimplicialComplex
 from .errors import BudgetExceededError, ParameterError
 from .snf import SnfResult, eliminate, torsion_factors
+
+DEFAULT_FACE_BUDGET = 10_000_000  # faces a pass may hold
 
 EMPTY_SENTINEL = -2  # "connectivity" of the empty complex
 
@@ -113,62 +118,71 @@ class HomologyPass:
     homological_connectivity: int | str
 
 
-def fan_columns(
-    c: SimplicialComplex, top: int, used: int, limit: int = DEFAULT_FACE_BUDGET
+def least_vertex_faces(
+    filed: dict[int, list[Face]], sizes: Sequence[int], used: int, limit: int
 ) -> Iterator[tuple[int, int, list[Face]]]:
-    """(j, apex, taus) for the fan faces {apex} + tau, apex = min F and tau
-    a j-subset of F minus min F, for j = 2..top + 1, each face once, from
-    one walk over the facets F in sorted order, so the walk depends only on
-    the set of facets: one batch per (facet, j), its taus in
-    ``itertools.combinations`` order less those yielded before.  A fan
-    face's least vertex is its apex, and sorted facets come grouped by
-    apex, so each group keeps one set of the taus it has yielded.  The
-    faces count against ``limit`` on top of the ``used`` faces already
-    held, checked once per batch as in ``face_counts``: before it, when the
-    facet's C(|F| - 1, j) taus alone would take the count past ``limit``,
-    and after it; so the dimension named is the one a face-by-face count
-    would cross in.  No batch enumerates more than ``limit`` taus, so at
-    worst twice the budget is held."""
+    """(j, v, taus) for the j-faces {v} + tau, tau a j-subset of the
+    vertices above v in a facet filed under v, for each j of the ascending
+    ``sizes``, each face once: one batch per (vertex, facet, j), in the
+    order of ``filed``, then of its lists, then of ``sizes``, its taus in
+    ``itertools.combinations`` order less those yielded before.  Each face's
+    least vertex is v, so one set of taus per vertex finds the repeats, and
+    the walk holds one vertex's taus at a time.  The caller's filing decides
+    which faces come out: filed under each of their vertices, the facets
+    give every face of the dimensions ``sizes``; filed under their least
+    vertex, only the fan faces {min F} + tau.
+
+    The faces count against ``limit`` on top of the ``used`` faces already
+    held, checked once per batch: before it, when the C(r, j) j-subsets of
+    the facet's r vertices above v, less the taus v has yielded, would take
+    the count past ``limit``, and after it; so the dimension named is the
+    one a face-by-face count would cross in.  No batch enumerates more than
+    ``limit`` taus, so at worst twice the budget is held."""
     total = used
-    for apex, group in groupby(sorted(c.facets), key=lambda facet: facet[0]):
+    for v, facets in filed.items():
         taus: set[Face] = set()
-        for facet in group:
-            rest = facet[1:]
-            for j in range(2, min(top + 1, len(rest)) + 1):
+        for facet in facets:
+            above = facet.index(v) + 1
+            if len(facet) - above < sizes[0]:
+                continue
+            rest = facet[above:]
+            for j in sizes:
+                if j > len(rest):
+                    break
                 if total - len(taus) + comb(len(rest), j) > limit:
                     raise BudgetExceededError(dimension=j, limit=limit)
-                batch = [tau for tau in itertools.combinations(rest, j) if tau not in taus]
+                combos = itertools.combinations(rest, j)
+                # until v has yielded a tau, there is nothing to filter out
+                batch = list(filterfalse(taus.__contains__, combos) if taus else combos)
                 taus.update(batch)
                 total += len(batch)
                 if total > limit:
                     raise BudgetExceededError(dimension=j, limit=limit)
-                yield j, apex, batch
+                yield j, v, batch
 
 
 def skeleton_components(
-    c: SimplicialComplex, limit: int = DEFAULT_FACE_BUDGET
+    holding: dict[int, list[Face]], dim: int, limit: int = DEFAULT_FACE_BUDGET
 ) -> tuple[int, int, list[tuple[int, int]]]:
-    """The vertex and edge counts of the 1-skeleton and the edges (u, v),
-    u < v, of a spanning forest of it, from one depth-first walk that takes
-    the vertices, and each vertex's neighbours, in increasing order; so the
-    skeleton has #vertices - len(forest) components (isolated complex
-    vertices included).  A vertex's neighbours are the union of the facets
-    that hold it, less itself, formed when the walk reaches it and dropped
-    after: the edges are half the degree sum, and the forest's are the only
-    edge tuples built.  The vertices are dict keys, since facet files may name them by
-    arbitrary ids.  The budget counts the vertices, then the edges, as a
-    face-by-face count would: dimension 0 when the vertices alone pass
-    ``limit``, else dimension 1 as soon as the largest facet's C(|F|, 2)
-    edges, or half the degrees walked so far, leave no room; so a giant
-    facet fails before any neighbourhood is formed."""
-    holding: dict[int, list[Face]] = {}
-    for facet in c.facets:
-        for v in facet:
-            holding.setdefault(v, []).append(facet)
+    """The vertex and edge counts of the 1-skeleton of a complex of
+    dimension ``dim`` whose vertices ``holding`` maps to the facets that
+    hold them, and the edges (u, v), u < v, of a spanning forest of it, from
+    one depth-first walk that takes the vertices, and each vertex's
+    neighbours, in increasing order; so the skeleton has #vertices -
+    len(forest) components (isolated complex vertices included).  A
+    vertex's neighbours are the union of its facets, less itself, formed
+    when the walk reaches it and dropped after: the edges are half the
+    degree sum, and the forest's are the only edge tuples built.  The
+    vertices are dict keys, since facet files may name them by arbitrary
+    ids.  The budget counts the vertices, then the edges, as a face-by-face
+    count would: dimension 0 when the vertices alone pass ``limit``, else
+    dimension 1 as soon as the largest facet's C(dim + 1, 2) edges, or half
+    the degrees walked so far, leave no room; so a giant facet fails before
+    any neighbourhood is formed."""
     if len(holding) > limit:
         raise BudgetExceededError(dimension=0, limit=limit)
     room = 2 * (limit - len(holding))  # the degree sum that still fits
-    if 2 * comb(c.dim + 1, 2) > room:
+    if 2 * comb(dim + 1, 2) > room:
         raise BudgetExceededError(dimension=1, limit=limit)
     degrees = 0
     seen: set[int] = set()
@@ -219,11 +233,13 @@ def homology_pass(
 ) -> HomologyPass:
     """Reduced homology in degrees 0..cap, the conn = 0 certificate and the
     homological connectivity, from the faces through dimension max(cap, 1),
-    which are only counted.  The vertices and edges are counted by the walk
-    over the 1-skeleton (``skeleton_components``), which gives its spanning
-    forest and holds neither; the faces of dimensions 2..cap are counted by
-    ``face_counts`` only as far as the complex's own dimension, since every
-    degree above has no face.
+    which are only counted.  The facets are filed once, sorted, under each
+    of their vertices and under their least vertex.  The vertices and edges
+    are counted by the walk over the 1-skeleton (``skeleton_components``),
+    which gives its spanning forest and holds neither; each dimension j =
+    2..cap is counted by summing the batches of ``least_vertex_faces`` over
+    each vertex's facets, only as far as the complex's own dimension, since
+    every degree above has no face.
 
     betti_i = #(i-faces) - rank(boundary_i) - rank(boundary_{i+1}), with the
     augmentation map standing in for the degree-0 boundary; torsion in
@@ -232,8 +248,9 @@ def homology_pass(
     hence connectedness, and the degree-1 SNF: that boundary is the
     incidence matrix of a graph, which is totally unimodular, so its rank
     is the forest's edge count and every invariant factor is 1.
-    Boundaries 2..max(cap, 1) + 1 are taken on fan columns (``fan_columns``,
-    counted against ``limit`` after those faces, one check per batch), each
+    Boundaries 2..max(cap, 1) + 1 are taken on fan columns, the batches of
+    ``least_vertex_faces`` over the facets filed under their least vertex
+    (counted against ``limit`` after those faces, one check per batch), each
     column streamed into ``eliminate`` as the boundary of a face code over
     the codes of its faces; the fan 2-faces go in during the walk over the
     facets, their boundaries coded from their vertices, the higher ones,
@@ -250,16 +267,28 @@ def homology_pass(
     if limit < 1:
         raise ParameterError(f"face budget must be >= 1, got {limit}")
     top = max(cap, 1)
-    vertices, edges, forest = skeleton_components(c, limit)
+    dim = c.dim
+    # each vertex's facets, and the facets that start at it, in sorted order
+    holding: dict[int, list[Face]] = {}
+    starts: dict[int, list[Face]] = {}
+    for facet in sorted(c.facets):
+        starts.setdefault(facet[0], []).append(facet)
+        for v in facet:
+            holding.setdefault(v, []).append(facet)
+    vertices, edges, forest = skeleton_components(holding, dim, limit)
+    counts = [vertices, edges]
     # no dimension above the complex's own has a face
-    counts = [vertices, edges, *face_counts(c, top, vertices + edges, limit)] + [0] * top
-    if c.is_empty():
+    for j in range(2, min(cap, dim) + 1):
+        walk = least_vertex_faces(holding, (j,), sum(counts), limit)
+        counts.append(sum(len(taus) for _, _, taus in walk))
+    counts += [0] * top
+    if dim < 0:
         trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
         return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
     # no degree above the complex's dimension has a fan face
-    last = min(top + 1, c.dim)
+    last = min(top + 1, dim)
     n = c.num_vertices
-    walk = fan_columns(c, top, sum(counts), limit)
+    walk = least_vertex_faces(starts, range(2, top + 2), sum(counts), limit)
     later: dict[int, list[int]] = {j: [] for j in range(3, last + 1)}
 
     def boundaries(i: int) -> Iterator[tuple[int, dict[int, int]]]:

@@ -62,7 +62,8 @@ from typing import Iterable
 @dataclass(frozen=True)
 class SnfResult:
     """The rank r and the invariant factors above 1 (``torsion``) in
-    divisibility order; the other r - len(torsion) factors are 1.
+    divisibility order; the other r - len(torsion) factors are 1, so the
+    two fields are the whole Smith normal form.
 
     The peel, the row singletons and the unit pivots give the factors 1;
     Euclid steps, the fallback once no +-1 entry is left, give the rest.
@@ -74,11 +75,6 @@ class SnfResult:
     rank: int
     torsion: tuple[int, ...] = ()
     pivots: tuple[int, ...] | None = field(default=None, compare=False)
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        """d_1 | d_2 | ... | d_r, all positive."""
-        return (1,) * (self.rank - len(self.torsion)) + self.torsion
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import DEFAULT_FACE_BUDGET, neighborhood_complex
+from .complexes import neighborhood_complex
 from .errors import PreconditionError
 from .graphs import (
     CorollaryParams,
@@ -30,6 +30,7 @@ from .graphs import (
     is_connected,
 )
 from .homology import (
+    DEFAULT_FACE_BUDGET,
     ConnectivityCertificate,
     HomologyGroup,
     certify_conn_zero,

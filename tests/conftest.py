@@ -20,7 +20,7 @@ from lovaszgap import (
     mycielskian,
     triangle_free_chromatic,
 )
-from lovaszgap.homology import skeleton_components
+from lovaszgap.homology import least_vertex_faces, skeleton_components
 
 from oracles import faces_by_dim
 
@@ -41,12 +41,35 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def filed_facets(c):
+    """Each vertex's facets, and the facets that start at it, filed from
+    the sorted facets as ``homology_pass`` files them."""
+    holding: dict[int, list] = {}
+    starts: dict[int, list] = {}
+    for facet in sorted(c.facets):
+        starts.setdefault(facet[0], []).append(facet)
+        for v in facet:
+            holding.setdefault(v, []).append(facet)
+    return holding, starts
+
+
+def skeleton_walk(c, limit: int = 10**9):
+    """``skeleton_components`` on a complex's filed facets."""
+    return skeleton_components(filed_facets(c)[0], c.dim, limit)
+
+
+def fan_walk(c, top: int, used: int = 0, limit: int = 10**9):
+    """The batches of the fan faces of dimensions 2..top + 1, from
+    ``least_vertex_faces`` on the facets filed under their least vertex."""
+    return least_vertex_faces(filed_facets(c)[1], range(2, top + 2), used, limit)
+
+
 def skeleton_forest(c):
     """The sorted vertex ids and edges of a complex's 1-skeleton, from the
     oracle's enumeration, and the edges of the spanning forest that
     ``skeleton_components`` walks from the facets."""
     vertices, edges = faces_by_dim(c, 1)
-    return [v for (v,) in vertices], edges, skeleton_components(c)[2]
+    return [v for (v,) in vertices], edges, skeleton_walk(c)[2]
 
 
 @pytest.fixture

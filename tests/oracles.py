@@ -16,7 +16,7 @@ library's elimination.  The cone is built on the facets
 alone, and the Euler characteristic counts the oracle's own enumeration of
 faces.  Face codes are a sum of powers where the library runs Horner's
 rule.  The per-face walks add the faces, and the fan faces, one at a time
-and check the budget after each, where the library adds a (facet, size)
+and check the budget after each, where the library adds a (vertex, facet, size)
 batch at a time and checks the budget once per batch.  The
 incidence-graph builder gives the wedge check parts whose neighborhood
 complexes carry a chosen complex's torsion, and the Schrijver graphs give
@@ -225,6 +225,12 @@ def determinant(matrix: list[list[int]]) -> int:
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         total += (-1) ** j * head * determinant(minor)
     return total
+
+
+def invariant_factors(result: SnfResult) -> tuple[int, ...]:
+    """d_1 | d_2 | ... | d_r, all positive: the factors 1 of an SNF result's
+    rank, then its torsion."""
+    return (1,) * (result.rank - len(result.torsion)) + result.torsion
 
 
 def minor_gcd_invariant_factors(dense: list[list[int]]) -> tuple[int, ...]:

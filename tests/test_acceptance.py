@@ -42,6 +42,7 @@ from oracles import (
     brute_force_max_clique,
     cone,
     faces_by_dim,
+    invariant_factors,
     is_zero_matrix,
     mat_mult,
     minor_gcd_invariant_factors,
@@ -203,7 +204,7 @@ def test_criterion_4_homology_engine_oracles():
     for _ in range(200):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         dense = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        factors = smith_normal_form(IntegerMatrix.from_dense(dense)).invariant_factors
+        factors = invariant_factors(smith_normal_form(IntegerMatrix.from_dense(dense)))
         if factors != minor_gcd_invariant_factors(dense):
             ok = False
             notes.append(f"snf mismatch on {dense}")

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import lovaszgap.complexes
 import lovaszgap.homology
 from lovaszgap import (
     BudgetExceededError,
@@ -38,12 +37,11 @@ from lovaszgap.homology import (
     FLAG_HOMOLOGICAL_ONLY,
     FLAG_NO_CERTIFICATE,
     HomologyGroup,
-    fan_columns,
-    skeleton_components,
+    least_vertex_faces,
 )
 
 import oracles
-from conftest import skeleton_forest
+from conftest import fan_walk, filed_facets, skeleton_forest, skeleton_walk
 from oracles import (
     boundary,
     boundary_matrix,
@@ -53,6 +51,7 @@ from oracles import (
     faces_by_dim,
     fan_codes,
     full_boundary_profile,
+    invariant_factors,
     is_zero_matrix,
     mat_mult,
     max_apex_fan_profile,
@@ -444,7 +443,7 @@ def assert_component_rank_is_exact(c):
     # the degree-1 SNF that homology_pass reads off the spanning forest
     fast = SnfResult(len(forest))
     assert fast == exact
-    assert fast.invariant_factors == (1,) * fast.rank
+    assert invariant_factors(fast) == (1,) * fast.rank
 
 
 SMALL_COMPLEXES = {
@@ -497,9 +496,9 @@ def test_pass_matches_reference_on_corpus(corpus):
 
 
 def fan_faces(c, top) -> dict[int, list]:
-    """The faces ``fan_columns`` yields, by dimension, decoded through the
+    """The fan faces the walk yields, by dimension, decoded through the
     codes of every face of the complex; each is yielded once."""
-    walk = fan_codes(fan_columns(c, top, 0), c.num_vertices)
+    walk = fan_codes(fan_walk(c, top), c.num_vertices)
     assert len(set(walk)) == len(walk)
     full = faces_by_dim(c, top + 1)
     by_code = {
@@ -563,23 +562,27 @@ def test_max_apex_fan_agrees_on_random_complexes(c, cap):
 
 @contextmanager
 def recorded_combinations():
-    """The (module, items, size) of every ``itertools.combinations`` call
-    that ``complexes`` and ``homology`` make while the block runs."""
-    calls = []
+    """The sizes of each walk over the faces that ``homology`` starts while
+    the block runs, in order, and the (walk, items, size) of every
+    ``itertools.combinations`` call it makes, the walk by its place in
+    that list."""
+    walks, calls = [], []
+    real = lovaszgap.homology.least_vertex_faces
 
-    def recording(module):
-        def combinations(items, size):
-            calls.append((module, tuple(items), size))
-            return itertools.combinations(items, size)
+    def walk(filed, sizes, used, limit):
+        walks.append(tuple(sizes))
+        return real(filed, sizes, used, limit)
 
-        return SimpleNamespace(combinations=combinations)
+    def combinations(items, size):
+        calls.append((len(walks) - 1, tuple(items), size))
+        return itertools.combinations(items, size)
 
-    lovaszgap.complexes.itertools = recording("complexes")
-    lovaszgap.homology.itertools = recording("homology")
+    lovaszgap.homology.least_vertex_faces = walk
+    lovaszgap.homology.itertools = SimpleNamespace(combinations=combinations)
     try:
-        yield calls
+        yield walks, calls
     finally:
-        lovaszgap.complexes.itertools = itertools
+        lovaszgap.homology.least_vertex_faces = real
         lovaszgap.homology.itertools = itertools
 
 
@@ -587,14 +590,17 @@ def recorded_combinations():
 @example(SimplicialComplex.from_faces(4, [[0, 1, 2], [2, 3]]), 1000)
 @settings(max_examples=40, deadline=None)
 def test_pass_enumerates_faces_through_max_cap_1(c, cap):
-    with recorded_combinations() as calls:
+    with recorded_combinations() as (walks, calls):
         homology_pass(c, cap)
-    # the walk over the 1-skeleton forms no vertex or edge, so the faces
-    # enumerated are those of dimensions 2..cap, and however high the cap,
-    # none above the complex's dimension
-    sizes = [size for module, _, size in calls if module == "complexes"]
-    assert all(3 <= size <= min(cap, c.dim) + 1 for size in sizes)
-    assert sizes or cap <= 1 or c.dim <= 1
+    # the walk over the 1-skeleton forms no vertex or edge; each dimension
+    # 2..cap is counted by a walk of its own, but none above the complex's
+    # dimension, however high the cap, and the fan faces of dimensions
+    # 2..max(cap, 1) + 1 come from one walk after them
+    counted = [(j,) for j in range(2, min(cap, c.dim) + 1)]
+    assert walks == counted + [tuple(range(2, max(cap, 1) + 2))]
+    assert all(size in walks[walk] and size <= c.dim for walk, _, size in calls)
+    # every counting walk enumerates faces: the complex has one of its size
+    assert {walk for walk, _, _ in calls} >= set(range(len(counted)))
 
 
 def test_fan_columns_count_against_the_face_budget():
@@ -602,8 +608,8 @@ def test_fan_columns_count_against_the_face_budget():
     # five tetrahedra fan out from their smallest vertices into 9 of its
     # 10 triangles, so the pass holds 24 faces where every triangle is 25
     c = boundary_sphere(4)
-    assert skeleton_components(c)[:2] == (5, 10)
-    assert [j for j, _ in fan_codes(fan_columns(c, 1, 0), 5)] == [2] * 9
+    assert skeleton_walk(c)[:2] == (5, 10)
+    assert [j for j, _ in fan_codes(fan_walk(c, 1), 5)] == [2] * 9
     assert homology_pass(c, 1, limit=24).profile[1].is_trivial()
     for limit in (15, 20, 23):
         with pytest.raises(BudgetExceededError) as caught:
@@ -613,35 +619,49 @@ def test_fan_columns_count_against_the_face_budget():
 
 
 # ---------------------------------------------------------------------------
-# the batched walks against the per-face reference walks
+# the batched walk against the oracle's faces and the per-face fan walk
 
 
-def assert_fan_walk_matches_reference(c, top):
-    walk = fan_codes(fan_columns(c, top, 0), c.num_vertices)
-    assert walk == list(per_face_fan_columns(c, top, 0, 10**9))
+def assert_fan_walk_matches_reference(c, top, rng):
+    """The least-vertex walk over the facets listed sorted, reversed and
+    shuffled counts the faces of each dimension 2..top + 1 as the oracle
+    does, and yields the fan faces of those dimensions in the order of the
+    per-face walk over the sorted facets."""
+    facets = sorted(c.facets)
+    levels = faces_by_dim(c, top + 1)
+    fans = list(per_face_fan_columns(SimplicialComplex(c.num_vertices, tuple(facets)), top, 0, 10**9))
+    for order in (facets, facets[::-1], rng.sample(facets, len(facets))):
+        listed = SimplicialComplex(c.num_vertices, tuple(order))
+        holding = filed_facets(listed)[0]
+        for j in range(2, top + 2):
+            walk = least_vertex_faces(holding, (j,), 0, 10**9)
+            assert sum(len(taus) for _, _, taus in walk) == len(levels[j]), j
+        assert fan_codes(fan_walk(listed, top), c.num_vertices) == fans
 
 
-@given(st.one_of(complexes(), wide_complexes()), st.integers(1, 4))
+@given(st.one_of(complexes(), wide_complexes()), st.integers(1, 4), st.randoms())
 @settings(max_examples=150, deadline=None)
-def test_fan_walk_matches_per_face_walk_on_random_complexes(c, top):
-    assert_fan_walk_matches_reference(c, top)
+def test_fan_walk_matches_per_face_walk_on_random_complexes(c, top, rng):
+    assert_fan_walk_matches_reference(c, top, rng)
 
 
-@given(apex_complexes(), st.integers(1, 4))
+@given(apex_complexes(), st.integers(1, 4), st.randoms())
 @settings(max_examples=60, deadline=None)
-def test_fan_walk_matches_per_face_walk_around_a_shared_apex(c, top):
-    assert_fan_walk_matches_reference(c, top)
+def test_fan_walk_matches_per_face_walk_around_a_shared_apex(c, top, rng):
+    assert_fan_walk_matches_reference(c, top, rng)
 
 
 def test_fan_walk_matches_per_face_walk_on_corpus(corpus):
+    rng = random.Random(5)
     for name, g in corpus.items():
         for top in (1, 2, 3):
-            assert_fan_walk_matches_reference(neighborhood_complex(g), top)
+            assert_fan_walk_matches_reference(neighborhood_complex(g), top, rng)
 
 
 @pytest.mark.parametrize("n, k, cap", [(7, 2, 3), (8, 3, 2), (8, 2, 2), (9, 3, 1)])
 def test_fan_walk_matches_per_face_walk_on_kneser_rungs(n, k, cap):
-    assert_fan_walk_matches_reference(neighborhood_complex(kneser_graph(n, k)), cap)
+    c = neighborhood_complex(kneser_graph(n, k))
+    assert_fan_walk_matches_reference(c, cap, random.Random(n))
 
 
 def limit_grid(needed: int) -> list[int]:
@@ -708,7 +728,7 @@ def test_pass_budget_names_the_per_face_dimension_on_corpus(corpus):
 @given(st.one_of(complexes(), wide_complexes()), st.integers(0, 3), st.integers(1, 80))
 @settings(max_examples=60, deadline=None)
 def test_no_batch_enumerates_more_faces_than_the_budget(c, cap, limit):
-    with recorded_combinations() as calls:
+    with recorded_combinations() as (_, calls):
         budget_dimension(lambda: homology_pass(c, cap, limit))
     assert all(math.comb(len(items), size) <= limit for _, items, size in calls)
 
@@ -717,20 +737,23 @@ def test_a_facet_past_the_budget_forms_no_face_of_that_size():
     # one 12-vertex facet: 12 vertices, then C(12, 2) = 66 edges, which alone
     # pass a budget of 50, so no face is formed at all
     c = SimplicialComplex.from_faces(12, [range(12)])
-    with recorded_combinations() as calls:
+    with recorded_combinations() as (walks, calls):
         with pytest.raises(BudgetExceededError) as caught:
             homology_pass(c, 3, limit=50)
     assert caught.value.dimension == 1
-    assert calls == []
+    assert (walks, calls) == ([], [])
     assert per_face_pass_budget(c, 3, 50) == 1
-    # through dimension 3 it holds 12 + 66 + 220 + 495 = 793 faces; the fan
+    # through dimension 3 it holds 12 + 66 + 220 + 495 = 793 faces, counted
+    # from the 10 vertices with two above them and the 9 with three; the fan
     # then adds C(11, 2) = 55 triangles and C(11, 3) = 165 tetrahedra, and
     # C(11, 4) = 330 more 4-faces would pass 1,100, so none is formed
-    with recorded_combinations() as calls:
+    with recorded_combinations() as (walks, calls):
         with pytest.raises(BudgetExceededError) as caught:
             homology_pass(c, 3, limit=1100)
     assert caught.value.dimension == 4
-    assert [size for module, _, size in calls if module == "homology"] == [2, 3]
+    assert walks == [(2,), (3,), (2, 3, 4)]
+    sizes = [(walk, size) for walk, _, size in calls]
+    assert sizes == [(0, 2)] * 10 + [(1, 3)] * 9 + [(2, 2), (2, 3)]
     assert per_face_pass_budget(c, 3, 1100) == 4
 
 
@@ -746,13 +769,13 @@ class CountedFacet(tuple):
 
 def test_a_giant_facet_fails_before_any_neighbourhood_is_formed():
     # a path on 0..10 that the walk takes first, then a 50-vertex facet on
-    # 10..59: its C(50, 2) = 1,225 edges alone pass the budget, so the walk
+    # 10..59: its C(50, 2) = 1,225 edges alone pass the budget, so the pass
     # reads each facet once, to file it under its vertices, and stops there
     facets = [(v, v + 1) for v in range(10)] + [tuple(range(10, 60))]
     c = SimplicialComplex(60, tuple(CountedFacet(f) for f in facets))
     CountedFacet.iterations = 0
     with pytest.raises(BudgetExceededError) as caught:
-        skeleton_components(c, limit=1000)
+        homology_pass(c, 1, limit=1000)
     assert caught.value.dimension == 1
     assert CountedFacet.iterations == len(facets)
 
@@ -840,13 +863,13 @@ def test_spanning_forest_is_depth_first_in_increasing_order():
     edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 6)]
     c = SimplicialComplex(10, ((9,), *reversed(edges)))
     forest = [(0, 1), (0, 2), (2, 3), (3, 4), (5, 6)]
-    assert skeleton_components(c) == (8, 6, forest)
+    assert skeleton_walk(c) == (8, 6, forest)
 
 
 def assert_skeleton_walk_matches_reference(c):
     vertices, edges = faces_by_dim(c, 1)
     forest = oracles.skeleton_components([v for (v,) in vertices], edges)
-    assert skeleton_components(c) == (len(vertices), len(edges), forest)
+    assert skeleton_walk(c) == (len(vertices), len(edges), forest)
 
 
 @given(st.one_of(complexes(), wide_complexes(), apex_complexes()), st.randoms())

@@ -6,6 +6,7 @@ from lovaszgap.snf import eliminate
 from oracles import (
     IntegerMatrix,
     dense_snf,
+    invariant_factors,
     minor_gcd_invariant_factors,
     smith_normal_form,
 )
@@ -24,26 +25,26 @@ def small_matrices(draw, max_dim: int = 5, max_entry: int = 9):
 
 def test_diagonal_example():
     result = smith_normal_form(IntegerMatrix.from_dense([[2, 0], [0, 3]]))
-    assert result.invariant_factors == (1, 6)
+    assert invariant_factors(result) == (1, 6)
 
 
 def test_zero_matrix():
     result = smith_normal_form(IntegerMatrix.from_dense([[0] * 4 for _ in range(3)]))
     assert result.rank == 0
-    assert result.invariant_factors == ()
+    assert invariant_factors(result) == ()
 
 
 def test_euclid_finds_a_unit_without_a_unit_entry():
     # no entry is +-1, yet gcd(2, 3) = 1: the residual is finished by Euclid
     result = smith_normal_form(IntegerMatrix.from_dense([[2, 3]]))
-    assert result.invariant_factors == (1,)
+    assert invariant_factors(result) == (1,)
     assert result.rank == 1
     assert result.pivots is None
 
 
 def test_two_by_two_with_torsion():
     result = smith_normal_form(IntegerMatrix.from_dense([[2, 4], [6, 8]]))
-    assert result.invariant_factors == (2, 4)
+    assert invariant_factors(result) == (2, 4)
     assert result.rank == 2
 
 
@@ -56,7 +57,7 @@ def test_empty_matrix():
 @settings(max_examples=120, deadline=None)
 def test_divisibility_chain_and_minor_oracle(dense):
     result = smith_normal_form(IntegerMatrix.from_dense(dense))
-    factors = result.invariant_factors
+    factors = invariant_factors(result)
     assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
     assert all(d > 0 for d in factors)
     assert factors == minor_gcd_invariant_factors(dense)
@@ -73,7 +74,7 @@ def test_sparse_and_dense_paths_agree():
     m = IntegerMatrix.from_dense(dense)
     via_sparse = smith_normal_form(m)
     via_dense = dense_snf(m)
-    assert via_sparse.invariant_factors == via_dense.invariant_factors
+    assert invariant_factors(via_sparse) == invariant_factors(via_dense)
     assert via_sparse.rank == via_dense.rank
 
 
@@ -96,7 +97,7 @@ def sparse_unit_matrices(draw, max_dim: int = 25):
 def test_unit_pivot_rule_matches_dense(m):
     via_sparse = smith_normal_form(m)
     via_dense = dense_snf(m)
-    assert via_sparse.invariant_factors == via_dense.invariant_factors
+    assert invariant_factors(via_sparse) == invariant_factors(via_dense)
     assert via_sparse.rank == via_dense.rank
 
 
@@ -136,7 +137,7 @@ def test_unit_pivots_run_out_into_torsion_residual():
     m = IntegerMatrix.from_dense(dense)
     result = smith_normal_form(m)
     assert result.pivots is None
-    assert result.invariant_factors == (1, 1, 1, 2, 4)
+    assert invariant_factors(result) == (1, 1, 1, 2, 4)
     assert result == dense_snf(m)
 
 
@@ -188,7 +189,7 @@ def test_skipped_column_returns_after_pivot():
     # row 0 turns its 3 into 1, so it is eliminated without a residual
     result = smith_normal_form(IntegerMatrix.from_dense([[2, 1], [3, 1]]))
     assert result.pivots is not None
-    assert result.invariant_factors == (1, 1)
+    assert invariant_factors(result) == (1, 1)
 
 
 def test_euclid_step_hands_back_to_unit_pivots():
@@ -197,7 +198,7 @@ def test_euclid_step_hands_back_to_unit_pivots():
     # alone as the torsion
     m = IntegerMatrix.from_dense([[2, 3], [4, 5]])
     result = smith_normal_form(m)
-    assert result.invariant_factors == (1, 2)
+    assert invariant_factors(result) == (1, 2)
     assert result.torsion == (2,)
     assert result.pivots is None
     assert result == dense_snf(m)
@@ -207,7 +208,7 @@ def test_euclid_step_hands_back_to_unit_pivots():
 @settings(max_examples=60, deadline=None)
 def test_paths_agree_randomized(dense):
     m = IntegerMatrix.from_dense(dense)
-    assert smith_normal_form(m).invariant_factors == dense_snf(m).invariant_factors
+    assert invariant_factors(smith_normal_form(m)) == invariant_factors(dense_snf(m))
 
 
 def test_determinism():
