@@ -1,9 +1,11 @@
 """Finite simple graphs and the constructions the verification pipelines run on.
 
-Vertex ids are contiguous 0-based integers everywhere.  Composite
-constructions (gadget, corollary graph) return explicit offset information
-so that witnesses located in a building block can be found again in the
-composite.
+Vertex ids are contiguous 0-based integers everywhere.  Composites (the
+Mycielskian, the gadget and the separation block) are glued from their
+parts' adjacency sets, each part's ids offset by the vertices of the parts
+before it, and only the new edges are added.  Composite constructions
+(gadget, corollary graph) return explicit offset information so that
+witnesses located in a building block can be found again in the composite.
 """
 
 from __future__ import annotations
@@ -62,6 +64,23 @@ class Graph:
         return v in self.adj[u]
 
 
+def _glue(parts, edges=(), fresh: int = 0) -> Graph:
+    """The parts' adjacency side by side, each part's ids shifted by the
+    vertices of the parts before it, then ``fresh`` new vertices, then
+    ``edges`` over the combined ids.  The callers' edges are in range and
+    loop-free by construction, so nothing is checked again."""
+    sets: list[set[int]] = []
+    for part in parts:
+        off = len(sets)  # read before extend consumes the generator
+        sets.extend({off + u for u in s} for s in part.adj)
+    sets.extend(set() for _ in range(fresh))
+    for u, v in edges:
+        sets[u].add(v)
+        sets[v].add(u)
+    # a tuple from a list, for the reason given in Graph.from_edges
+    return Graph(len(sets), tuple([frozenset(s) for s in sets]))
+
+
 # ---------------------------------------------------------------------------
 # standard families
 
@@ -106,20 +125,15 @@ def kneser_graph(n: int, k: int) -> Graph:
 
 
 def mycielskian(g: Graph) -> Graph:
-    """Mycielski construction: original vertices 0..n-1, shadow vertices
-    n..2n-1 (shadow i adjacent to the neighbors of i), apex 2n adjacent to
-    every shadow.  Raises the chromatic number by one without creating
-    triangles."""
+    """Mycielski construction, glued onto ``g``: original vertices 0..n-1,
+    shadow vertices n..2n-1 (shadow i adjacent to the neighbors of i), apex
+    2n adjacent to every shadow.  Raises the chromatic number by one without
+    creating triangles."""
     if g.n < 1:
         raise ParameterError("mycielskian needs at least one vertex")
     n = g.n
-    edges: list[Edge] = list(g.edges())
-    for v in range(n):
-        for u in sorted(g.adj[v]):
-            edges.append((n + v, u))
-    apex = 2 * n
-    edges.extend((n + v, apex) for v in range(n))
-    return Graph.from_edges(2 * n + 1, edges)
+    shadows = [(n + v, u) for v in range(n) for u in g.adj[v]]
+    return _glue((g,), shadows + [(n + v, 2 * n) for v in range(n)], fresh=n + 1)
 
 
 def triangle_free_chromatic(q: int) -> Graph:
@@ -178,22 +192,14 @@ class GadgetResult:
 
 
 def build_gadget(spec: GadgetSpec) -> GadgetResult:
-    """Disjoint copies of the two graphs plus a bridge vertex z adjacent to
+    """The two graphs glued side by side plus a bridge vertex z adjacent to
     exactly the two attachment vertices.  First graph keeps its ids, second
     graph is shifted by ``h.n``, and ``z = h.n + k.n``."""
     spec.validate()
-    off = spec.h.n
+    y = spec.h.n + spec.y
     z = spec.h.n + spec.k.n
-    edges: list[Edge] = list(spec.h.edges())
-    edges.extend((off + u, off + v) for u, v in spec.k.edges())
-    edges.append((spec.x, z))
-    edges.append((off + spec.y, z))
-    return GadgetResult(
-        graph=Graph.from_edges(z + 1, edges),
-        z=z,
-        x=spec.x,
-        y=off + spec.y,
-    )
+    graph = _glue((spec.h, spec.k), ((spec.x, z), (y, z)), fresh=1)
+    return GadgetResult(graph=graph, z=z, x=spec.x, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +242,13 @@ class CorollaryResult:
 
 
 def _corollary_block(params: CorollaryParams) -> Graph:
-    """One block: K_p, K_{l,m} and the triangle-free q-chromatic graph,
-    glued by the two edges {a,c} and {b,d} with a=0, b=1 in the clique,
-    c = first biclique vertex, d = first vertex of the triangle-free part."""
-    clique = complete_graph(params.p)
-    biclique = complete_bipartite(params.l, params.m)
-    tfree = triangle_free_chromatic(params.q)
-    off_b = clique.n
-    off_t = clique.n + biclique.n
-    edges: list[Edge] = list(clique.edges())
-    edges.extend((off_b + u, off_b + v) for u, v in biclique.edges())
-    edges.extend((off_t + u, off_t + v) for u, v in tfree.edges())
-    edges.append((0, off_b))      # a-c
-    edges.append((1, off_t))      # b-d
-    return Graph.from_edges(off_t + tfree.n, edges)
+    """One block: K_p, K_{l,m} and the triangle-free q-chromatic graph glued
+    side by side in that order, joined by the two edges {a,c} and {b,d} with
+    a=0, b=1 in the clique, c = first biclique vertex, d = first vertex of
+    the triangle-free part."""
+    p, l, m = params.p, params.l, params.m
+    parts = (complete_graph(p), complete_bipartite(l, m), triangle_free_chromatic(params.q))
+    return _glue(parts, ((0, p), (1, p + l + m)))  # a-c, b-d
 
 
 def build_corollary_graph(params: CorollaryParams) -> CorollaryResult:

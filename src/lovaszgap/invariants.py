@@ -310,17 +310,10 @@ def is_k_colorable(
     a clique of ``g``, else CertificateError."""
     if k < 0:
         raise ParameterError(f"color count must be >= 0, got {k}")
-    if clique is not None:
-        CliqueWitness(tuple(sorted(clique))).validate(g)
-    if g.n == 0:
-        return ColoringWitness(0, ())
-    if k == 0:
-        return None
-    if g.m == 0:
-        return ColoringWitness(1, (0,) * g.n)
     if clique is None:
-        _, cw = max_clique(g)
-        clique = cw.vertices
+        clique = max_clique(g)[1].vertices
+    else:
+        CliqueWitness(tuple(sorted(clique))).validate(g)
     if len(clique) > k:
         return None
     return _dsatur(g, k, clique)
@@ -463,7 +456,7 @@ def _color_block(
         lower = mycielski_lower_bound(g, clique)
     start = max(lower.bound, floor)
     for k in range(start, upper):
-        witness = is_k_colorable(g, k, clique=clique.vertices)
+        witness = _dsatur(g, k, clique.vertices)
         if witness is not None:
             if k > start:
                 lower = SearchWitness(tuple(range(g.n)), k)

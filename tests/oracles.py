@@ -20,7 +20,10 @@ and check the budget after each, where the library adds a (vertex, facet, size)
 batch at a time and checks the budget once per batch.  The
 incidence-graph builder gives the wedge check parts whose neighborhood
 complexes carry a chosen complex's torsion, and the Schrijver graphs give
-complexes with a known sphere's homology.  The structure checkers read a
+complexes with a known sphere's homology.  The edge-list composite puts
+graphs side by side through ``Graph.from_edges`` over every part's sorted
+edges, shifted, where the library lays the parts' neighbour sets side by
+side and adds only the new edges.  The structure checkers read a
 graph as a set of arcs and a complex's facets as sets, and ``write_graph``
 saves the library's DIMACS text to a file.
 """
@@ -580,6 +583,18 @@ def schrijver_graph(n: int, k: int) -> Graph:
         if not set(stable[i]) & set(stable[j])
     ]
     return Graph.from_edges(len(stable), edges)
+
+
+def edge_list_composite(parts, edges=(), fresh: int = 0) -> Graph:
+    """The parts side by side, then ``fresh`` new vertices, then ``edges``,
+    as one explicit edge list: each part's edges in sorted order, shifted
+    by the vertices of the parts before it."""
+    listed = []
+    offset = 0
+    for part in parts:
+        listed.extend((offset + u, offset + v) for u, v in part.edges())
+        offset += part.n
+    return Graph.from_edges(offset + fresh, listed + list(edges))
 
 
 def validate_graph(g) -> None:

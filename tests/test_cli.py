@@ -576,6 +576,38 @@ def test_non_utf8_input_is_an_input_error(tmp_path, capsys, argv, text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["chromatic"], "p edge 2 1\np edge 2 1\ne 1 2\n", ":2: repeated problem line"),
+        (["chromatic"], "p edge -1 0\n", ":1: negative sizes in header"),
+        (["chromatic"], "p edge 3 1\ne 1 2 3\n", ":2: malformed edge line 'e 1 2 3'"),
+        (["chromatic"], "p edge 3 1\ne 1 x\n", ":2: non-integer vertex id"),
+        (["chromatic"], "c only a comment\n", ": missing problem line"),
+        (["homology", "--complex"], "0 1\n1 two\n", ":2: non-integer vertex id in '1 two'"),
+        (["homology", "--complex"], "0 1\n-1 2\n", ":2: negative vertex id"),
+    ],
+    ids=["repeated-p", "negative-n", "edge-fields", "edge-id", "no-p", "face-id", "face-negative"],
+)
+def test_malformed_input_is_one_input_error(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "bad.in"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error:input: {path}{message}\n"
+    assert captured.out == ""
+
+
+def test_gadget_attachment_out_of_range_is_a_parameter_error(tmp_path, capsys):
+    base = tmp_path / "k3.col"
+    write_graph(complete_graph(3), str(base))
+    argv = ["construct", "gadget", "--h", str(base), "--k", str(base), "--y", "3"]
+    assert main([*argv, "-o", str(tmp_path / "g.col")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error:parameter: attachment vertex y=3 not in second graph\n"
+    assert not (tmp_path / "g.col").exists()
+
+
 def test_unwritable_graph_output_is_an_output_error(tmp_path, capsys):
     out = tmp_path / "nodir" / "x.col"
     assert main(["construct", "complete", "--p", "3", "-o", str(out)]) == 2

@@ -180,3 +180,15 @@ def test_from_faces_dedupes_and_keeps_maximal():
     c = SimplicialComplex.from_faces(5, [[2, 1], [1, 2], [1, 2, 3], [4]])
     assert c.facets == ((1, 2, 3), (4,))
     validate_complex(c)
+
+
+def test_from_faces_drops_empty_faces():
+    c = SimplicialComplex.from_faces(3, [[], [0, 1], []])
+    assert c == SimplicialComplex(3, ((0, 1),))
+    assert SimplicialComplex.from_faces(3, [[]]).is_empty()
+
+
+@pytest.mark.parametrize("face", [[0, 3], [-1, 0]])
+def test_from_faces_rejects_a_face_out_of_range(face):
+    with pytest.raises(ParameterError, match=re.escape("out of range for ground set 0..2")):
+        SimplicialComplex.from_faces(3, [[0, 1], face])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import re
 
 import pytest
@@ -27,7 +29,7 @@ from lovaszgap.dimacs import read_graph
 from lovaszgap.graphs import FAMILIES
 
 from conftest import graphs
-from oracles import brute_force_triangle_free, validate_graph
+from oracles import brute_force_triangle_free, edge_list_composite, validate_graph
 
 
 def test_complete_graph():
@@ -154,6 +156,8 @@ def test_gadget_c5_k3():
 def test_gadget_rejects_bad_attachment():
     with pytest.raises(ParameterError):
         build_gadget(GadgetSpec(h=complete_graph(3), x=3, k=complete_graph(3), y=0))
+    with pytest.raises(ParameterError, match="y=-1 not in second graph"):
+        build_gadget(GadgetSpec(h=complete_graph(3), x=0, k=complete_graph(3), y=-1))
 
 
 @given(graphs(max_n=6, min_n=1), graphs(max_n=6, min_n=1))
@@ -184,6 +188,61 @@ def test_corollary_graph_sizes(params, block, total):
 def test_corollary_params_rejected(params):
     with pytest.raises(ParameterError):
         build_corollary_graph(CorollaryParams(*params))
+
+
+# ---------------------------------------------------------------------------
+# the glued composites against the edge-list reference
+
+
+def reference_mycielskian(g):
+    n = g.n
+    shadows = [(n + v, u) for v in range(n) for u in sorted(g.adj[v])]
+    return edge_list_composite((g,), shadows + [(n + v, 2 * n) for v in range(n)], n + 1)
+
+
+def reference_gadget(h, x, k, y):
+    z = h.n + k.n
+    return edge_list_composite((h, k), [(x, z), (h.n + y, z)], 1)
+
+
+def reference_corollary(l, m, p, q):
+    tfree = complete_graph(2)
+    for _ in range(q - 2):
+        tfree = reference_mycielskian(tfree)
+    parts = (complete_graph(p), complete_bipartite(l, m), tfree)
+    block = edge_list_composite(parts, [(0, p), (1, p + l + m)])
+    return reference_gadget(block, 0, block, 0)
+
+
+def test_mycielski_iterates_equal_the_edge_list_reference():
+    reference = complete_graph(2)
+    for q in range(3, 9):
+        reference = reference_mycielskian(reference)
+        assert triangle_free_chromatic(q) == reference
+
+
+def test_mycielskians_of_the_corpus_equal_the_edge_list_reference(corpus):
+    for g in corpus.values():
+        assert mycielskian(g) == reference_mycielskian(g)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_corollary_graphs_equal_the_edge_list_reference(q):
+    # three parts in a block: an offset read after the list grew would
+    # shift the triangle-free part
+    for l, m in itertools.product(range(1, 4), repeat=2):
+        for p in range(2, q + 1):
+            built = build_corollary_graph(CorollaryParams(l, m, p, q))
+            assert built.graph == reference_corollary(l, m, p, q)
+
+
+def test_gadgets_equal_the_edge_list_reference(corpus):
+    rng = random.Random(5)
+    for h, k in itertools.product(corpus.values(), repeat=2):
+        for x, y in [(0, 0), (h.n - 1, k.n - 1), (rng.randrange(h.n), rng.randrange(k.n))]:
+            built = build_gadget(GadgetSpec(h=h, x=x, k=k, y=y))
+            assert built.graph == reference_gadget(h, x, k, y)
+            assert (built.x, built.y, built.z) == (x, h.n + y, h.n + k.n)
 
 
 def test_bipartite_witnesses():
@@ -229,6 +288,13 @@ def test_graph_validation_errors():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ParameterError):
         Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(ParameterError, match="vertex count must be non-negative, got -1"):
+        Graph.from_edges(-1, [])
+
+
+def test_mycielskian_rejects_the_empty_graph():
+    with pytest.raises(ParameterError, match="needs at least one vertex"):
+        mycielskian(Graph.from_edges(0, []))
 
 
 def test_corpus_graphs_validate(corpus):

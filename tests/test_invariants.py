@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 import lovaszgap.invariants as invariants
 from lovaszgap import (
     CertificateError,
+    CliqueWitness,
+    ColoringWitness,
     GadgetSpec,
     Graph,
+    ParameterError,
     build_gadget,
     chromatic_number,
     complete_bipartite,
@@ -61,6 +65,58 @@ def test_is_k_colorable_rejects_a_clique_hint_that_is_no_clique(k, clique):
     # vertex, and trusting it left a vertex uncolored
     with pytest.raises(CertificateError):
         is_k_colorable(cycle_graph(4), k, clique=clique)
+
+
+EMPTY = Graph.from_edges(0, [])
+EDGELESS = Graph.from_edges(4, [])
+
+
+@pytest.mark.parametrize(
+    "g, k, clique, expected",
+    [
+        (EMPTY, 0, None, ColoringWitness(0, ())),
+        (EMPTY, 2, (), ColoringWitness(0, ())),
+        (complete_graph(3), 0, None, None),
+        (complete_graph(3), 0, (0, 1), None),
+        (EDGELESS, 0, None, None),
+        (EDGELESS, 1, None, ColoringWitness(1, (0,) * 4)),
+        (EDGELESS, 3, (2,), ColoringWitness(1, (0,) * 4)),
+        (complete_graph(4), 3, None, None),
+        (complete_graph(4), 3, (0, 1, 2, 3), None),
+        (complete_graph(4), 3, (1, 2), None),
+    ],
+    ids=[
+        "empty-k0", "empty-k2", "K3-k0", "K3-k0-hint", "edgeless-k0", "edgeless-k1",
+        "edgeless-k3-hint", "K4-k3", "K4-k3-hint-too-big", "K4-k3-search",
+    ],
+)
+def test_is_k_colorable_on_the_edge_cases(g, k, clique, expected):
+    # the empty graph, k = 0, no edges, and a hint larger than k
+    assert is_k_colorable(g, k, clique=clique) == expected
+
+
+def test_is_k_colorable_rejects_a_negative_color_count():
+    with pytest.raises(ParameterError, match="color count must be >= 0, got -1"):
+        is_k_colorable(complete_graph(3), -1)
+
+
+@pytest.mark.parametrize(
+    "witness, g, message",
+    [
+        (ColoringWitness(2, (0, 1)), complete_graph(3), "coloring length disagrees"),
+        (ColoringWitness(1, ()), EMPTY, "empty graph must have an empty coloring"),
+        (ColoringWitness(2, (0, 1, 0, 1, 0)), cycle_graph(5), "monochromatic edge (0,4)"),
+    ],
+    ids=["length", "empty-graph", "monochromatic"],
+)
+def test_coloring_witness_rejects_each_fault(witness, g, message):
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        witness.validate(g)
+
+
+def test_clique_witness_rejects_a_vertex_out_of_range():
+    with pytest.raises(CertificateError, match="clique vertex 3 out of range"):
+        CliqueWitness((3,)).validate(complete_graph(3))
 
 
 def test_groetzsch_not_three_colorable():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lovaszgap.homology
 import lovaszgap.invariants as invariants
+import lovaszgap.verify
 from lovaszgap import (
     CliqueWitness,
     CorollaryParams,
@@ -37,6 +39,7 @@ from lovaszgap.invariants import _induced
 from lovaszgap.verify import (
     certified_bound,
     corollary_report_json,
+    run_suite_case,
     suite_cases,
     wedge_report_json,
 )
@@ -124,6 +127,25 @@ def test_wedge_rejects_disconnected_part():
     disconnected = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(PreconditionError):
         verify_wedge_decomposition(spec(disconnected, complete_graph(3)))
+
+
+@pytest.mark.parametrize(
+    "h, k, passed",
+    [
+        (complete_graph(3), complete_graph(3), [7, 3]),
+        (complete_graph(3), cycle_graph(5), [9, 3, 5]),
+        (cycle_graph(5), complete_graph(3), [9, 5, 3]),
+    ],
+    ids=["K3-K3", "K3-C5", "C5-K3"],
+)
+def test_equal_wedge_parts_share_one_pass(monkeypatch, h, k, passed):
+    # the gadget's pass, then the first part's, then the second part's
+    # unless it equals the first: K3 v K3 takes 2 passes, not 3
+    ran = []
+    for module in (lovaszgap.homology, lovaszgap.verify):
+        monkeypatch.setattr(module, "homology_pass", recording(ran, module.homology_pass))
+    assert verify_wedge_decomposition(spec(h, k)).passed
+    assert [c.num_vertices for c in ran] == passed
 
 
 def test_wedge_base_point_independence():
@@ -259,6 +281,20 @@ def test_bound_report_requires_chi_lower_to_pin_chi():
         dataclasses.replace(report, chi_lower=SearchWitness(tuple(range(5)), 4)).validate()
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"omega": 4}, "bound sandwich violated: 4 <= 3 <= 3"),
+        ({"greedy_upper": 2}, "bound sandwich violated: 2 <= 3 <= 2"),
+        ({"lovasz_certified": 4}, "certified bound 4 exceeds chromatic number 3"),
+    ],
+)
+def test_bound_report_rejects_each_inconsistency(change, message):
+    report = compare_bounds(cycle_graph(5))
+    with pytest.raises(RuntimeError, match=message):
+        dataclasses.replace(report, **change).validate()
+
+
 def test_certified_bound_never_exceeds_chi(corpus):
     for name, g in corpus.items():
         if g.n > 45:
@@ -336,6 +372,11 @@ def test_suite_cases_deterministic():
     assert suite_cases(0) == suite_cases(0)
     assert suite_cases(1) != suite_cases(2) or True  # seeds may collide; just run both
     assert len([c for c in suite_cases(0) if c[0] == "theorem2"]) == 20
+
+
+def test_run_suite_case_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown case kind 'wedge'"):
+        run_suite_case(("wedge", "K3", 0, "K3", 0, 2))
 
 
 def test_run_suite_passes_and_is_deterministic():

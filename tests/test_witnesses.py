@@ -172,6 +172,16 @@ def test_validator_rejects_shadow_inside_the_inner_set():
         with_outer_shadows(witness, moved).validate(M4)
 
 
+@pytest.mark.parametrize("where", ["out of range", "inside"])
+def test_validator_rejects_an_apex_out_of_range_or_inside_the_inner_set(where):
+    witness = m4_witness()
+    _, shadows = witness.layers[-1]
+    apex = M4.n if where == "out of range" else shadows[0][0]
+    moved = dataclasses.replace(witness, layers=witness.layers[:-1] + ((apex, shadows),))
+    with pytest.raises(CertificateError, match=f"apex {apex} out of range or inside"):
+        moved.validate(M4)
+
+
 def test_validator_rejects_shadow_map_missing_an_inner_vertex():
     witness = m4_witness()
     with pytest.raises(CertificateError, match="cover"):
@@ -193,6 +203,12 @@ def test_search_witness_repeats_the_search():
         SearchWitness(tuple(range(10)), 4).validate(petersen)
 
 
+@pytest.mark.parametrize("vertices", [(1, 0), (0, 0), (0, 3), (-1, 0)])
+def test_search_witness_rejects_vertices_unsorted_or_out_of_range(vertices):
+    with pytest.raises(CertificateError, match="not sorted, distinct, in range"):
+        SearchWitness(vertices, 2).validate(complete_graph(3))
+
+
 # ---------------------------------------------------------------------------
 # fallback: blocks with no Mycielski structure are searched
 
@@ -206,4 +222,27 @@ def test_non_mycielski_blocks_fall_back_to_search(g, chi):
     result = chromatic_number(g)
     assert result.chi == chi
     assert result.chi_lower == SearchWitness(tuple(range(g.n)), chi)
+    assert_witnesses_hold(g, result)
+
+
+# omega = 4, chi = 5 and greedy DSATUR 6, with no Mycielski chain above the
+# clique: found by a seeded random search (random.Random(3), 6-10 vertices)
+SEARCHED_PAST_THE_CLIQUE = Graph.from_edges(
+    10,
+    [
+        (0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 8), (0, 9), (1, 3), (1, 6),
+        (1, 7), (1, 8), (2, 4), (2, 6), (2, 7), (2, 8), (2, 9), (3, 5), (3, 6),
+        (3, 7), (3, 9), (4, 6), (4, 7), (4, 8), (4, 9), (6, 7), (6, 8), (6, 9),
+    ],
+)
+
+
+def test_search_that_refutes_its_start_witnesses_chi_above_it():
+    g = SEARCHED_PAST_THE_CLIQUE
+    result = chromatic_number(g)
+    # the search starts at the clique's 4, refutes it and colors with 5,
+    # below the greedy 6
+    assert (len(result.clique.vertices), result.chi, result.greedy_upper) == (4, 5, 6)
+    assert result.chi == brute_force_chromatic(g)
+    assert result.chi_lower == SearchWitness(tuple(range(g.n)), 5)
     assert_witnesses_hold(g, result)
