@@ -34,7 +34,6 @@ from .homology import (
     ConnectivityCertificate,
     HomologyGroup,
     HomologyPass,
-    certify_conn_zero,
     homology_pass,
     homology_profile,
 )

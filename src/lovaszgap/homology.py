@@ -13,9 +13,9 @@ which counts the vertices and edges and gives a spanning forest without
 holding the vertex or edge set; from one walk over the faces above
 dimension 1 by their least vertex (``least_vertex_faces``), which counts
 the faces of dimensions 2..cap a vertex at a time and yields the fan
-faces; and from one streamed elimination per boundary.  The other entry
-points are views of it, and this module alone enumerates faces and keeps
-the face budget.
+faces; and from one streamed elimination per boundary, the empty complex
+included.  ``homology_profile`` is a view of it, and this module alone
+enumerates faces and keeps the face budget.
 
 Boundaries of degree 2 and up are taken over fan columns, never over every
 face of their degree.  Within a facet F, dd = 0 on {min F} + tau writes the
@@ -205,23 +205,23 @@ def skeleton_components(
     return len(holding), degrees // 2, forest
 
 
-_EMPTY_CERTIFICATE = ConnectivityCertificate(
-    False, False, HomologyGroup(1, 0, ()), False, EMPTY_SENTINEL, (FLAG_EMPTY,)
-)
-
 # the certificate's flags by its connectivity: connected with trivial H_1
 # means every reduced group vanishes through degree 1, so conn >= 1
 # homologically and is homotopically unknown
 _CERTIFICATE_FLAGS = {
+    EMPTY_SENTINEL: (FLAG_EMPTY,),
     -1: (FLAG_NO_CERTIFICATE,),
     0: (),
     ">=1": (FLAG_NO_CERTIFICATE, FLAG_HOMOLOGICAL_ONLY),
 }
 
 
-def _connectivity(groups: tuple[HomologyGroup, ...]) -> int | str:
-    """Homological connectivity from reduced homology in degrees 0..k: one
-    below the first nontrivial degree, else ">=k"."""
+def _connectivity(groups: tuple[HomologyGroup, ...], nonempty: bool) -> int | str:
+    """Homological connectivity from reduced homology in degrees 0..k:
+    EMPTY_SENTINEL for the empty complex, else one below the first
+    nontrivial degree, else ">=k"."""
+    if not nonempty:
+        return EMPTY_SENTINEL
     for g in groups:
         if not g.is_trivial():
             return g.dimension - 1
@@ -282,9 +282,6 @@ def homology_pass(
         walk = least_vertex_faces(holding, (j,), sum(counts), limit)
         counts.append(sum(len(taus) for _, _, taus in walk))
     counts += [0] * top
-    if dim < 0:
-        trivial = tuple(HomologyGroup(i, 0, ()) for i in range(cap + 1))
-        return HomologyPass(trivial, _EMPTY_CERTIFICATE, EMPTY_SENTINEL)
     # no degree above the complex's dimension has a fan face
     last = min(top + 1, dim)
     n = c.num_vertices
@@ -314,10 +311,12 @@ def homology_pass(
         for code in later.pop(i):
             yield code, {code // hi * lo + code % lo: s for hi, lo, s in digits}
 
-    # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0; on
-    # entry to degree i, cleared holds the codes of (i-1)-faces whose
-    # boundaries form a basis of the image of boundary_{i-1}
-    snfs = [SnfResult(1), SnfResult(len(forest))]
+    # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0
+    # (zero on the empty complex); on entry to degree i, cleared holds the
+    # codes of (i-1)-faces whose boundaries form a basis of the image of
+    # boundary_{i-1}
+    nonempty = vertices > 0
+    snfs = [SnfResult(int(nonempty)), SnfResult(len(forest))]
     cleared = [u * n + v for u, v in forest]
     for i in range(2, last + 1):
         snfs.append(eliminate(boundaries(i), cleared))
@@ -329,9 +328,9 @@ def homology_pass(
         )
         for i in range(top + 1)
     )
-    conn = _connectivity(groups[:2])
+    conn = _connectivity(groups[:2], nonempty)
     certificate = ConnectivityCertificate(
-        nonempty=True,
+        nonempty=nonempty,
         connected=vertices - len(forest) == 1,
         h1=groups[1],
         certified_conn_zero=conn == 0,
@@ -339,19 +338,13 @@ def homology_pass(
         flags=_CERTIFICATE_FLAGS[conn],
     )
     profile = groups[: cap + 1]
-    return HomologyPass(profile, certificate, _connectivity(profile))
+    return HomologyPass(profile, certificate, _connectivity(profile, nonempty))
 
 
 def homology_profile(
     c: SimplicialComplex, max_dim: int, limit: int = DEFAULT_FACE_BUDGET
 ) -> tuple[HomologyGroup, ...]:
     """Reduced homology in degrees 0..max_dim (trivial groups for the empty
-    complex)."""
+    complex), the profile of ``homology_pass``; kept as an entry point for
+    the benchmark cases."""
     return homology_pass(c, max_dim, limit).profile
-
-
-def certify_conn_zero(
-    c: SimplicialComplex, limit: int = DEFAULT_FACE_BUDGET
-) -> ConnectivityCertificate:
-    """Certify conn = 0 for the complex's realization."""
-    return homology_pass(c, 1, limit).certificate

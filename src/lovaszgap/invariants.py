@@ -12,14 +12,13 @@ problem, starting at the lower bound, with the maximum clique precolored
 and new colors introduced in order (0, 1, 2, ...) to break color
 symmetry; its witness records that search.  Greedy DSATUR is the same
 search allowed n colors, which never backtracks.  The clique solver is a
-branch-and-bound with greedy-coloring upper bounds over a degeneracy
-vertex order.  Everything is deterministic: saturation ties break by
-degree, then by vertex id.
+branch-and-bound with greedy-coloring upper bounds over the vertices
+ranked once by degree.  Everything is deterministic: saturation ties
+break by degree, then by vertex id.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -175,39 +174,18 @@ def _adj_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _degeneracy_order(g: Graph) -> list[int]:
-    """Smallest-last order: repeatedly remove a minimum-degree vertex
-    (smallest id on ties).  A lazy heap of (degree, id) takes one push per
-    vertex and per edge, and entries whose degree is out of date are
-    dropped when popped, so this is O((n + m) log n)."""
-    degrees = [g.degree(v) for v in range(g.n)]
-    heap = [(d, v) for v, d in enumerate(degrees)]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degrees[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for u in g.adj[v]:
-            if not removed[u]:
-                degrees[u] -= 1
-                heapq.heappush(heap, (degrees[u], u))
-    return order
-
-
 # ---------------------------------------------------------------------------
 # cliques
 
 
 def max_clique(g: Graph) -> tuple[int, CliqueWitness]:
     """Maximum clique via branch and bound: candidates are greedily colored
-    and a branch is cut when |current| + color bound cannot beat the best."""
+    and a branch is cut when |current| + color bound cannot beat the best.
+    They are ranked once by non-increasing degree, larger id first on ties,
+    the initial order of Tomita & Seki's MCQ (2003)."""
     if g.n == 0:
         return 0, CliqueWitness(())
-    search_order = tuple(reversed(_degeneracy_order(g)))
+    search_order = tuple(reversed(sorted(range(g.n), key=g.degree)))
     # vertices are renamed by their positions in search_order, so the first
     # vertex of a candidate set in that order is its lowest bit
     masks = _adj_masks(_induced(g, search_order))
@@ -301,19 +279,13 @@ def greedy_dsatur_bound(g: Graph) -> tuple[int, ColoringWitness]:
     return witness.k, witness
 
 
-def is_k_colorable(
-    g: Graph, k: int, clique: tuple[int, ...] | None = None
-) -> ColoringWitness | None:
+def is_k_colorable(g: Graph, k: int) -> ColoringWitness | None:
     """Exhaustive k-colorability decision.  Returns a proper coloring
     (normalized so that exactly its ``k`` colors are used) or None when no
-    proper k-coloring exists.  A ``clique`` hint is precolored; it must be
-    a clique of ``g``, else CertificateError."""
+    proper k-coloring exists.  A maximum clique is precolored."""
     if k < 0:
         raise ParameterError(f"color count must be >= 0, got {k}")
-    if clique is None:
-        clique = max_clique(g)[1].vertices
-    else:
-        CliqueWitness(tuple(sorted(clique))).validate(g)
+    clique = max_clique(g)[1].vertices
     if len(clique) > k:
         return None
     return _dsatur(g, k, clique)

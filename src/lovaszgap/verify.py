@@ -33,9 +33,7 @@ from .homology import (
     DEFAULT_FACE_BUDGET,
     ConnectivityCertificate,
     HomologyGroup,
-    certify_conn_zero,
     homology_pass,
-    homology_profile,
 )
 from .invariants import (
     CliqueWitness,
@@ -92,9 +90,9 @@ def verify_wedge_decomposition(
     built = build_gadget(spec)
     gadget = homology_pass(neighborhood_complex(built.graph), cap, limit)
     distinct = dict.fromkeys((spec.h, spec.k))  # first part first, so errors stay the same
-    profiles = {g: homology_profile(neighborhood_complex(g), cap, limit) for g in distinct}
+    passes = {g: homology_pass(neighborhood_complex(g), cap, limit) for g in distinct}
     # the expected group adds the extra circle, Z in degree 1
-    parts = zip(gadget.profile, profiles[spec.h], profiles[spec.k])
+    parts = zip(gadget.profile, passes[spec.h].profile, passes[spec.k].profile)
     rows = tuple(
         WedgeCheckRow(g, a, b, a + b + HomologyGroup(i, int(i == 1), ()))
         for i, (g, a, b) in enumerate(parts)
@@ -470,7 +468,7 @@ def run_suite_case(case: tuple) -> dict:
     if kind == "certificate":
         _, name, expectation = case
         g = _suite_graph(name)
-        cert = certify_conn_zero(neighborhood_complex(g))
+        cert = homology_pass(neighborhood_complex(g), 1).certificate
         ok = cert.homological_connectivity == _EXPECTED_CONN[expectation]
         return _report_json(
             f"certificate({name})",

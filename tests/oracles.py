@@ -140,22 +140,14 @@ def greedy_dsatur_coloring(g) -> tuple[int, ...]:
 
 def branch_and_bound_clique(g) -> tuple[tuple[int, ...], int]:
     """The library's maximum-clique search, written recursively over vertex
-    sets: candidates are ranked by reverse smallest-last order (smallest id
-    on degree ties), greedily colored in that rank, branched on from the
+    sets: candidates are ranked by non-increasing degree (larger id first
+    on ties), greedily colored in that rank, branched on from the
     last colored vertex down, cut once |current| + color <= |best|, and each
     branched vertex leaves the candidates of its later siblings.  Returns
     the witness and the search's steps (vertices colored plus branches
     taken), which together pin the exact search order."""
-    degrees = {v: len(g.adj[v]) for v in range(g.n)}
-    smallest_last: list[int] = []
-    while degrees:
-        v = min(degrees, key=lambda u: (degrees[u], u))
-        del degrees[v]
-        smallest_last.append(v)
-        for u in g.adj[v]:
-            if u in degrees:
-                degrees[u] -= 1
-    rank = {v: i for i, v in enumerate(reversed(smallest_last))}
+    by_degree = sorted(range(g.n), key=lambda v: len(g.adj[v]))
+    rank = {v: i for i, v in enumerate(reversed(by_degree))}
     best: list[int] = []
     steps = 0
 

@@ -18,12 +18,12 @@ from lovaszgap import (
     GadgetSpec,
     SimplicialComplex,
     build_gadget,
-    certify_conn_zero,
     chromatic_number,
     compare_bounds,
     complete_graph,
     cycle_graph,
     greedy_dsatur_bound,
+    homology_pass,
     homology_profile,
     is_bipartite,
     is_connected,
@@ -121,20 +121,20 @@ def test_criterion_3_conn_zero_certificates():
     notes = []
     for name_h, h, x, name_k, k, y, cap in wedge_pairs():
         built = build_gadget(GadgetSpec(h=h, x=x, k=k, y=y))
-        cert = certify_conn_zero(neighborhood_complex(built.graph))
+        cert = homology_pass(neighborhood_complex(built.graph), 1).certificate
         if not cert.certified_conn_zero:
             ok = False
             notes.append(f"gadget({name_h},{name_k}) uncertified")
     for g in (cycle_graph(5), complete_graph(3)):
-        if not certify_conn_zero(neighborhood_complex(g)).certified_conn_zero:
+        if not homology_pass(neighborhood_complex(g), 1).certificate.certified_conn_zero:
             ok = False
             notes.append("positive case uncertified")
     for g in (cycle_graph(4), complete_graph(2)):
-        cert = certify_conn_zero(neighborhood_complex(g))
+        cert = homology_pass(neighborhood_complex(g), 1).certificate
         if cert.certified_conn_zero or cert.connected:
             ok = False
             notes.append("disconnected case not rejected")
-    cert = certify_conn_zero(neighborhood_complex(complete_graph(4)))
+    cert = homology_pass(neighborhood_complex(complete_graph(4)), 1).certificate
     if (
         cert.certified_conn_zero
         or not cert.connected

@@ -20,7 +20,6 @@ from lovaszgap import (
     SnfResult,
     build_corollary_graph,
     build_gadget,
-    certify_conn_zero,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -309,7 +308,7 @@ def test_euler_equals_alternating_betti_sum(c):
 
 
 def test_certificate_nc5():
-    cert = certify_conn_zero(neighborhood_complex(cycle_graph(5)))
+    cert = homology_pass(neighborhood_complex(cycle_graph(5)), 1).certificate
     assert cert.certified_conn_zero
     assert cert.connected
     assert cert.h1.betti == 1
@@ -319,7 +318,7 @@ def test_certificate_nc5():
 
 def test_certificate_gadget_k3_k3():
     built = build_gadget(GadgetSpec(h=complete_graph(3), x=0, k=complete_graph(3), y=0))
-    cert = certify_conn_zero(neighborhood_complex(built.graph))
+    cert = homology_pass(neighborhood_complex(built.graph), 1).certificate
     assert cert.certified_conn_zero
     assert cert.h1.betti == 3
     assert cert.h1.torsion == ()
@@ -327,7 +326,7 @@ def test_certificate_gadget_k3_k3():
 
 def test_certificate_disconnected_complexes():
     for g in (cycle_graph(4), complete_graph(2)):
-        cert = certify_conn_zero(neighborhood_complex(g))
+        cert = homology_pass(neighborhood_complex(g), 1).certificate
         assert not cert.certified_conn_zero
         assert not cert.connected
         assert cert.homological_connectivity == -1
@@ -335,7 +334,7 @@ def test_certificate_disconnected_complexes():
 
 
 def test_certificate_nk4_trivial_h1():
-    cert = certify_conn_zero(neighborhood_complex(complete_graph(4)))
+    cert = homology_pass(neighborhood_complex(complete_graph(4)), 1).certificate
     assert not cert.certified_conn_zero
     assert cert.connected
     assert cert.h1.is_trivial()
@@ -345,7 +344,7 @@ def test_certificate_nk4_trivial_h1():
 
 
 def test_certificate_empty_complex():
-    cert = certify_conn_zero(SimplicialComplex.from_faces(3, []))
+    cert = homology_pass(SimplicialComplex.from_faces(3, []), 1).certificate
     assert not cert.nonempty
     assert not cert.certified_conn_zero
     assert cert.homological_connectivity == EMPTY_SENTINEL
@@ -366,7 +365,7 @@ def test_homological_connectivity_values():
 def test_certificate_invariant(corpus):
     # certified implies nonempty, connected, nontrivial H1
     for name, g in corpus.items():
-        cert = certify_conn_zero(neighborhood_complex(g))
+        cert = homology_pass(neighborhood_complex(g), 1).certificate
         if cert.certified_conn_zero:
             assert cert.nonempty and cert.connected, name
             assert not cert.h1.is_trivial(), name
@@ -432,9 +431,8 @@ def assert_pass_matches_reference(c, cap):
     else:
         assert cert.homological_connectivity == ">=1"
         assert cert.flags == (FLAG_NO_CERTIFICATE, FLAG_HOMOLOGICAL_ONLY)
-    # the views agree with the pass
+    # the view agrees with the pass
     assert homology_profile(c, cap) == result.profile
-    assert certify_conn_zero(c) == homology_pass(c, 1).certificate
 
 
 def assert_component_rank_is_exact(c):

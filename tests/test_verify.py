@@ -389,8 +389,11 @@ def test_run_suite_passes_and_is_deterministic():
 
 
 def test_certified_bound_helper():
-    from lovaszgap import certify_conn_zero, neighborhood_complex
+    from lovaszgap import homology_pass, neighborhood_complex
 
-    assert certified_bound(certify_conn_zero(neighborhood_complex(cycle_graph(5)))) == 3
-    assert certified_bound(certify_conn_zero(neighborhood_complex(cycle_graph(4)))) == 2
-    assert certified_bound(certify_conn_zero(neighborhood_complex(complete_graph(4)))) is None
+    def bound(g):
+        return certified_bound(homology_pass(neighborhood_complex(g), 1).certificate)
+
+    assert bound(cycle_graph(5)) == 3
+    assert bound(cycle_graph(4)) == 2
+    assert bound(complete_graph(4)) is None
