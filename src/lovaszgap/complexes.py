@@ -64,10 +64,16 @@ class SimplicialComplex:
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
     """Complex whose faces are the vertex sets with a common neighbor; its
     facets are the maximal neighbor sets.  Isolated vertices contribute
-    nothing."""
-    return SimplicialComplex.from_faces(
-        g.n, (sorted(g.adj[v]) for v in range(g.n) if g.adj[v])
-    )
+    nothing.  N(v) within N(w) makes w adjacent to every neighbor of v, so
+    the only candidates w are the neighbors of v's least-degree neighbor."""
+    adj = g.adj
+    degree = [len(nv) for nv in adj]
+    facets: set[Face] = set()
+    for nv in filter(None, adj):
+        least = min(nv, key=degree.__getitem__)
+        if not any(nv < adj[w] for w in adj[least]):
+            facets.add(tuple(sorted(nv)))
+    return SimplicialComplex(g.n, tuple(sorted(facets)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ consequence of collapsing the bridge.  The separation check builds the
 composite graph and verifies, all exactly, that its chromatic number hits
 the target, the clique number stays at the planted clique, the planted
 biclique is present, and the certified topological bound is stuck at 3.
+
+The batch suite runs many wedge checks on parts drawn from four small
+graphs.  One ``run_suite`` call passes each part's complex once per cap:
+its cases share one dict, which holds the family graphs and the parts'
+passes and lives only for that call.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -71,31 +76,35 @@ class WedgeCheckReport:
     passed: bool
 
 
-def _require_wedge_hypotheses(g: Graph, which: str) -> None:
-    if not is_connected(g):
-        raise PreconditionError(f"{which} graph must be connected")
-    bipartite, _ = is_bipartite(g)
-    if bipartite:
-        raise PreconditionError(f"{which} graph must be non-bipartite")
-
-
 def verify_wedge_decomposition(
-    spec: GadgetSpec, cap: int = 2, limit: int = DEFAULT_FACE_BUDGET
+    spec: GadgetSpec,
+    cap: int = 2,
+    limit: int = DEFAULT_FACE_BUDGET,
+    parts: dict | None = None,
 ) -> WedgeCheckReport:
     """Check that the gadget's neighborhood complex carries exactly the
     homology of the two parts' complexes plus one extra circle, and that
-    the conn = 0 certificate holds on it.  Equal parts share one pass."""
-    _require_wedge_hypotheses(spec.h, "first")
-    _require_wedge_hypotheses(spec.k, "second")
+    the conn = 0 certificate holds on it.  ``parts`` maps (part graph, cap,
+    limit) to that part's pass: equal parts share one pass, and a caller
+    that checks many gadgets passes one dict to pass each part once."""
+    parts = {} if parts is None else parts
+    keys = ((spec.h, cap, limit), (spec.k, cap, limit))
+    # a part with a pass in ``parts`` has met the hypotheses already
+    for key, which in zip(keys, ("first", "second")):
+        if key not in parts and not is_connected(key[0]):
+            raise PreconditionError(f"{which} graph must be connected")
+        if key not in parts and is_bipartite(key[0])[0]:
+            raise PreconditionError(f"{which} graph must be non-bipartite")
     built = build_gadget(spec)
     gadget = homology_pass(neighborhood_complex(built.graph), cap, limit)
-    distinct = dict.fromkeys((spec.h, spec.k))  # first part first, so errors stay the same
-    passes = {g: homology_pass(neighborhood_complex(g), cap, limit) for g in distinct}
+    for key in keys:
+        if key not in parts:
+            parts[key] = homology_pass(neighborhood_complex(key[0]), cap, limit)
     # the expected group adds the extra circle, Z in degree 1
-    parts = zip(gadget.profile, passes[spec.h].profile, passes[spec.k].profile)
+    profiles = zip(gadget.profile, *(parts[key].profile for key in keys))
     rows = tuple(
         WedgeCheckRow(g, a, b, a + b + HomologyGroup(i, int(i == 1), ()))
-        for i, (g, a, b) in enumerate(parts)
+        for i, (g, a, b) in enumerate(profiles)
     )
     passed = all(r.ok for r in rows) and gadget.certificate.certified_conn_zero
     return WedgeCheckReport(rows, gadget.certificate, built.graph, passed)
@@ -432,10 +441,13 @@ FULL_COROLLARY_PARAMS = SUITE_COROLLARY_PARAMS + (
 )
 
 
-def _suite_graph(name: str) -> Graph:
-    """``K<p>`` is the complete graph on p vertices, ``C<n>`` the n-cycle."""
-    build = complete_graph if name[0] == "K" else cycle_graph
-    return build(int(name[1:]))
+def _suite_graph(name: str, run: dict) -> Graph:
+    """``K<p>`` is the complete graph on p vertices, ``C<n>`` the n-cycle;
+    each is built once per suite run and kept in ``run`` under its name."""
+    if name not in run:
+        build = complete_graph if name[0] == "K" else cycle_graph
+        run[name] = build(int(name[1:]))
+    return run[name]
 
 
 def suite_cases(seed: int, full: bool = False) -> list[tuple]:
@@ -446,9 +458,8 @@ def suite_cases(seed: int, full: bool = False) -> list[tuple]:
     for i, name_h in enumerate(SUITE_FAMILIES):
         for name_k in SUITE_FAMILIES[i:]:
             cap = 3 if "K4" in (name_h, name_k) else 2
-            h = _suite_graph(name_h)
-            k = _suite_graph(name_k)
-            rx, ry = rng.randrange(h.n), rng.randrange(k.n)
+            # a family name ends in its graph's vertex count
+            rx, ry = rng.randrange(int(name_h[1:])), rng.randrange(int(name_k[1:]))
             cases.append(("theorem2", name_h, 0, name_k, 0, cap))
             cases.append(("theorem2", name_h, rx, name_k, ry, cap))
     for name, expectation in CERTIFICATE_CASES:
@@ -458,16 +469,20 @@ def suite_cases(seed: int, full: bool = False) -> list[tuple]:
     return cases
 
 
-def run_suite_case(case: tuple) -> dict:
+def run_suite_case(case: tuple, run: dict | None = None) -> dict:
+    """One case's report.  ``run`` holds what one suite run computes once:
+    each family graph by name, and each wedge part's pass keyed as
+    ``verify_wedge_decomposition`` keys it."""
+    run = {} if run is None else run
     kind = case[0]
     if kind == "theorem2":
         _, name_h, x, name_k, y, cap = case
-        spec = GadgetSpec(h=_suite_graph(name_h), x=x, k=_suite_graph(name_k), y=y)
-        report = verify_wedge_decomposition(spec, cap=cap)
+        spec = GadgetSpec(_suite_graph(name_h, run), x, _suite_graph(name_k, run), y)
+        report = verify_wedge_decomposition(spec, cap=cap, parts=run)
         return wedge_report_json(report, name_h, x, name_k, y, cap)
     if kind == "certificate":
         _, name, expectation = case
-        g = _suite_graph(name)
+        g = _suite_graph(name, run)
         cert = homology_pass(neighborhood_complex(g), 1).certificate
         ok = cert.homological_connectivity == _EXPECTED_CONN[expectation]
         return _report_json(
@@ -488,8 +503,10 @@ def run_suite_case(case: tuple) -> dict:
 
 def run_suite(seed: int = 0, full: bool = False) -> dict:
     """Run every suite case; the result dict is deterministic for a given
-    seed (cases sorted by key, no wall-clock fields)."""
-    reports = [run_suite_case(case) for case in suite_cases(seed, full)]
+    seed (cases sorted by key, no wall-clock fields).  The cases share one
+    ``run`` dict (see ``run_suite_case``), which lives only for this call."""
+    run: dict = {}
+    reports = [run_suite_case(case, run) for case in suite_cases(seed, full)]
     reports.sort(key=lambda r: r["case"])
     return {
         "seed": seed,

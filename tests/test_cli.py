@@ -543,8 +543,8 @@ def test_verify_theorem2_failure_writes_the_report_and_one_error(graph_files, mo
 def test_verify_suite_failure_names_the_failing_cases(monkeypatch, capsys):
     real = lovaszgap.verify.run_suite_case
 
-    def broken(case):
-        report = real(case)
+    def broken(case, run):
+        report = real(case, run)
         if report["case"] == "certificate(K3)":
             report["pass"] = False
         return report

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 from lovaszgap import (
     BudgetExceededError,
+    CorollaryParams,
+    Graph,
     ParameterError,
     SimplicialComplex,
+    build_corollary_graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     is_bipartite,
@@ -64,6 +68,28 @@ def test_neighborhood_complex_c4():
 def test_neighborhood_complex_c5():
     c = neighborhood_complex(cycle_graph(5))
     assert c.facets == ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
+
+
+def assert_facets_match_from_faces(g):
+    # the maximal neighbourhoods, found among all of them by from_faces
+    assert neighborhood_complex(g) == SimplicialComplex.from_faces(g.n, g.adj)
+
+
+def test_facets_from_the_graph_match_from_faces(corpus):
+    twins = complete_bipartite(2, 3)
+    isolated = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    others = [twins, isolated, Graph.from_edges(0, []), kneser_graph(7, 2), kneser_graph(8, 3)]
+    for g in [*corpus.values(), *others]:
+        assert_facets_match_from_faces(g)
+    for l, m, q in itertools.product(range(1, 4), range(1, 4), range(3, 7)):
+        for p in range(2, q + 1):
+            assert_facets_match_from_faces(build_corollary_graph(CorollaryParams(l, m, p, q)).graph)
+
+
+@given(graphs(max_n=9, min_n=0))
+@settings(max_examples=100)
+def test_facets_from_random_graphs_match_from_faces(g):
+    assert_facets_match_from_faces(g)
 
 
 @given(graphs(max_n=8))

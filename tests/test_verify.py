@@ -148,6 +148,23 @@ def test_equal_wedge_parts_share_one_pass(monkeypatch, h, k, passed):
     assert [c.num_vertices for c in ran] == passed
 
 
+@pytest.mark.parametrize(
+    "runs, passes",
+    [([{}], 35), ([{"full": True}], 38), ([{}, {}], 70)],
+    ids=["suite", "full", "twice"],
+)
+def test_a_suite_run_passes_each_wedge_part_once(monkeypatch, runs, passes):
+    # 20 gadgets, 7 distinct (part, cap) pairs, 5 certificates and the
+    # separation graphs; a second run repeats every pass, so no pass
+    # outlives the run that made it
+    ran = []
+    for module in (lovaszgap.homology, lovaszgap.verify):
+        monkeypatch.setattr(module, "homology_pass", recording(ran, module.homology_pass))
+    for kwargs in runs:
+        assert run_suite(0, **kwargs)["pass"]
+    assert len(ran) == passes
+
+
 def test_wedge_base_point_independence():
     h, k = cycle_graph(5), complete_graph(4)
     for x in range(h.n):
