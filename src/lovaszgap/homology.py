@@ -25,10 +25,19 @@ rank and invariant factors are those of the full boundary, and of
 dimension max(cap, 1) + 1 only the fan faces are enumerated.  No boundary
 is built as a matrix either: a face v_0 < ... < v_j is coded as the int
 with those base-n digits, n the size of the ground set, and each fan
-face's boundary goes, as the codes of its faces with their signs, straight
-into ``snf.eliminate`` as the walk finds it, one (vertex, facet, size)
+face's boundary arrives, as the codes of its faces with their signs, in
+an ``snf.Elimination`` as the walk finds it, one (vertex, facet, size)
 batch at a time, a triangle's coded straight from its vertices; only the
 codes of fan faces above degree 2 are kept until their degree's turn.
+The arrival is decided here, against the elimination's dead rows, before
+any column is built: every boundary entry is +-1, so a fan face whose
+rows are all dead is skipped, one with a single live row is peeled on
+it, and only one with two live rows or more is built as {row: sign} and
+added.  These are the decisions the elimination's own ``add`` takes, in
+the same order, so the result is that of streaming every column
+(``snf.eliminate``); a triangle {a, u, v} is decided on its rows au and
+av first, the ones the forest and the earlier peels at a tend to kill,
+and a higher face's rows are read only until a second live one turns up.
 
 Each boundary is also cleared of the rows that the one below it already
 accounts for (the "clearing" of persistent homology, carried over to the
@@ -59,7 +68,7 @@ from typing import Iterator, Sequence
 
 from .complexes import Face, SimplicialComplex
 from .errors import BudgetExceededError, ParameterError
-from .snf import SnfResult, eliminate, torsion_factors
+from .snf import Elimination, SnfResult, torsion_factors
 
 DEFAULT_FACE_BUDGET = 10_000_000  # faces a pass may hold
 
@@ -250,12 +259,13 @@ def homology_pass(
     is the forest's edge count and every invariant factor is 1.
     Boundaries 2..max(cap, 1) + 1 are taken on fan columns, the batches of
     ``least_vertex_faces`` over the facets filed under their least vertex
-    (counted against ``limit`` after those faces, one check per batch), each
-    column streamed into ``eliminate`` as the boundary of a face code over
-    the codes of its faces; the fan 2-faces go in during the walk over the
-    facets, their boundaries coded from their vertices, the higher ones,
-    kept as codes, once the degree below is done.  Each
-    elimination is cleared first (see the module docstring): boundary_2
+    (counted against ``limit`` after those faces, one check per batch),
+    each column the boundary of a face code over the codes of its faces,
+    decided against the elimination's dead rows before it is built (see the
+    module docstring): skipped, peeled, or built and added.  The fan
+    2-faces arrive during the walk over the facets, their boundaries coded
+    from their vertices, the higher ones, kept as codes, once the degree
+    below is done.  Each elimination is cleared first: boundary_2
     loses the rows of a spanning forest of the 1-skeleton, and
     boundary_{i+1} the rows of boundary_i's pivot columns whenever that
     elimination finished on +-1 pivots alone; after any Euclid step nothing
@@ -288,29 +298,6 @@ def homology_pass(
     walk = least_vertex_faces(starts, range(2, top + 2), sum(counts), limit)
     later: dict[int, list[int]] = {j: [] for j in range(3, last + 1)}
 
-    def boundaries(i: int) -> Iterator[tuple[int, dict[int, int]]]:
-        """The fan i-faces' boundaries, as (code, {face code: sign}): those
-        of the 2-faces {a, u, v} straight from their vertices as the walk
-        finds them, keeping the codes of the higher ones for later.  An
-        i-face less its k-th vertex keeps the digits above the k-th, one
-        place lower, and those below it, and has the sign (-1)**k."""
-        if i == 2:
-            for j, apex, taus in walk:
-                if j == 2:
-                    an = apex * n
-                    for u, v in taus:
-                        yield (an + u) * n + v, {u * n + v: 1, an + v: -1, an + u: 1}
-                else:
-                    for tau in taus:
-                        code = apex
-                        for v in tau:
-                            code = code * n + v
-                        later[j].append(code)
-            return
-        digits = [(n ** (i + 1 - k), n ** (i - k), (-1) ** k) for k in range(i + 1)]
-        for code in later.pop(i):
-            yield code, {code // hi * lo + code % lo: s for hi, lo, s in digits}
-
     # snfs[i] is the degree-i boundary's SNF, the augmentation at i = 0
     # (zero on the empty complex); on entry to degree i, cleared holds the
     # codes of (i-1)-faces whose boundaries form a basis of the image of
@@ -319,7 +306,48 @@ def homology_pass(
     snfs = [SnfResult(int(nonempty)), SnfResult(len(forest))]
     cleared = [u * n + v for u, v in forest]
     for i in range(2, last + 1):
-        snfs.append(eliminate(boundaries(i), cleared))
+        elimination = Elimination(cleared)
+        dead, add, peel = elimination.dead, elimination.add, elimination.peel
+        if i == 2:
+            # the fan 2-faces {a, u, v} as the walk finds them, keeping the
+            # codes of the higher ones for later; rows au and av are the
+            # ones the forest and earlier peels at apex a tend to kill
+            for j, apex, taus in walk:
+                if j == 2:
+                    an = apex * n
+                    for u, v in taus:
+                        if an + u in dead and an + v in dead:
+                            uv = u * n + v
+                            if uv not in dead:
+                                peel((an + u) * n + v, uv)
+                        else:
+                            column = {u * n + v: 1, an + v: -1, an + u: 1}
+                            add((an + u) * n + v, column)
+                else:
+                    for tau in taus:
+                        code = apex
+                        for v in tau:
+                            code = code * n + v
+                        later[j].append(code)
+        else:
+            # an i-face less its k-th vertex keeps the digits above the k-th,
+            # one place lower, and those below it, and has the sign (-1)**k;
+            # the column is built only once a second live row turns up
+            digits = [(n ** (i + 1 - k), n ** (i - k), (-1) ** k) for k in range(i + 1)]
+            for code in later.pop(i):
+                live = None
+                for hi, lo, _ in digits:
+                    r = code // hi * lo + code % lo
+                    if r not in dead:
+                        if live is not None:
+                            column = {code // h * l + code % l: s for h, l, s in digits}
+                            add(code, column)
+                            break
+                        live = r
+                else:
+                    if live is not None:
+                        peel(code, live)
+        snfs.append(elimination.result())
         cleared = snfs[-1].pivots or []
     snfs += [SnfResult(0)] * (top + 2 - len(snfs))
     groups = tuple(

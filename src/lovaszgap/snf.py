@@ -1,25 +1,28 @@
 """Exact Smith normal form over the integers.
 
 Invariant factors come from one streaming sparse elimination
-(``eliminate``), which takes the columns one at a time, with no matrix
+(``Elimination``), which takes the columns one at a time, with no matrix
 built first, in three steps:
 
 * peel as they arrive: rows can be dropped up front (the clearing of
-  ``homology``); then each arriving column sheds its entries on dropped or
-  already peeled rows, and is dropped if nothing is left, peeled at once if
-  a single +-1 is left, and stored otherwise.  A peel takes its row out of
-  the stored columns through a row -> column index, and those left with a
-  single +-1 are peeled in turn.  This is sound in any arrival order: a
-  peeled column is a unit vector on the rows still live, so column
-  operations against it clear its row from every other column, earlier or
-  later, and only its row and column change;
-* then take row singletons: a stored row whose one entry is a +-1, in
-  column c, is a pivot without fill.  Row operations against it clear the
-  rest of column c, and since column c then holds the +-1 alone, no column
-  operation is needed and no other column changes; the rows that this
-  leaves with a single entry are taken in turn, and a non-unit single entry
-  is left for the next step.  This runs before any Euclid step, so its
-  pivots are +-1 pivots like the others (Dumas, Saunders & Villard, "On
+  ``homology``); then each arriving column (``add``) sheds its entries on
+  dropped or already peeled rows, and is dropped if nothing is left, peeled
+  at once (``peel``) if a single +-1 is left, and stored otherwise.  The
+  dropped and peeled rows are the ``dead`` set, which a caller may read to
+  take either of the first two decisions itself, before it builds the
+  column; ``homology`` does that for every fan column.  A peel takes its
+  row out of the stored columns through a row -> column index, and those
+  left with a single +-1 are peeled in turn.  This is sound in any arrival
+  order: a peeled column is a unit vector on the rows still live, so
+  column operations against it clear its row from every other column,
+  earlier or later, and only its row and column change;
+* then (``result``) take row singletons: a stored row whose one entry is a
+  +-1, in column c, is a pivot without fill.  Row operations against it
+  clear the rest of column c, and since column c then holds the +-1 alone,
+  no column operation is needed and no other column changes; the rows that
+  this leaves with a single entry are taken in turn, and a non-unit single
+  entry is left for the next step.  This runs before any Euclid step, so
+  its pivots are +-1 pivots like the others (Dumas, Saunders & Villard, "On
   efficient sparse integer matrix Smith normal form computations",
   J. Symbolic Comput. 32 (2001));
 * then one loop over the stored residual pops the shortest live column
@@ -47,6 +50,9 @@ When every pivot was a unit pivot, the result also names the pivot
 columns: their images are independent and span the column lattice (every
 other column was reduced to zero against them), which is what
 ``homology`` needs to clear the next boundary.
+
+``eliminate`` runs the elimination over any stream of (id, column) pairs,
+each through ``add``.
 
 Everything is plain Python ints, so intermediate growth is exact.
 """
@@ -81,32 +87,47 @@ class SnfResult:
 # sparse elimination
 
 
-def eliminate(
-    columns: Iterable[tuple[int, dict[int, int]]], dropped_rows: Iterable[int] = ()
-) -> SnfResult:
-    """SNF of the matrix whose columns arrive as (column id, {row id: value})
-    pairs, with distinct column ids and nonzero values, less the rows
-    ``dropped_rows``; the ids are any ints."""
-    dead = set(dropped_rows)  # the rows dropped up front or peeled
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    pivots: list[int] | None = []
+class Elimination:
+    """The streaming elimination: columns arrive one at a time, through
+    ``add`` or ``peel``, and ``result`` then takes the row singletons and
+    the residual loop.  ``dead`` holds the rows dropped up front or peeled,
+    and a caller may read it, so that a column whose rows it can see are
+    all dead is never built, and one with a single live +-1 goes straight
+    to ``peel``; either decision is the one ``add`` would take."""
 
-    # peel as the columns arrive: an arriving column sheds its entries on
-    # dead rows, and is then dropped if nothing is left, peeled at once if a
-    # single +-1 is left, and stored otherwise.  A peel takes its row out of
-    # the stored columns; those left empty are dropped, and those left with
-    # a single +-1 are peeled in turn.
-    for c, column in columns:
+    def __init__(self, dropped_rows: Iterable[int] = ()) -> None:
+        self.dead = set(dropped_rows)
+        self.rows: dict[int, dict[int, int]] = {}
+        self.cols: dict[int, set[int]] = {}
+        self.pivots: list[int] = []
+
+    def add(self, c: int, column: dict[int, int]) -> None:
+        """Column c arrives as {row id: value}, nonzero values: it sheds its
+        entries on dead rows, and is then dropped if nothing is left, peeled
+        at once if a single +-1 is left, and stored otherwise."""
+        dead = self.dead
         if dead.issuperset(column):
-            continue
+            return
         live = set(column).difference(dead)
         if len(live) > 1 or column[min(live)] not in (1, -1):  # min: its one row
-            cols[c] = live
+            self.cols[c] = live
+            rows = self.rows
             for r in live:
                 rows.setdefault(r, {})[c] = column[r]
-            continue
-        stack = [(c, live.pop())]
+            return
+        self.peel(c, live.pop())
+
+    def peel(self, c: int, r: int) -> None:
+        """Peel column c, whose one live entry is a +-1 on row r: take row r
+        out of the stored columns; those left empty are dropped, and those
+        left with a single +-1 are peeled in turn."""
+        dead, rows, pivots = self.dead, self.rows, self.pivots
+        if r not in rows:  # no stored column holds row r: nothing cascades
+            dead.add(r)
+            pivots.append(c)
+            return
+        cols = self.cols
+        stack = [(c, r)]
         while stack:
             c, r = stack.pop()
             if r in dead:
@@ -121,66 +142,87 @@ def eliminate(
                 elif len(col2) == 1 and rows[min(col2)][c2] in (1, -1):
                     stack.append((c2, min(col2)))
 
-    # row singletons: a row whose one entry is +-1 at column c takes column c
-    # as a pivot by row operations alone, which clear the rest of column c
-    # and touch no other column; rows left with one entry are taken in turn
-    stack = [r for r, row in rows.items() if len(row) == 1]
-    while stack:
-        row = rows.get(stack.pop())
-        if row is None:
-            continue  # an earlier pivot emptied it
-        ((c, val),) = row.items()
-        if val not in (1, -1):
-            continue  # left to the residual loop
-        pivots.append(c)
-        for r2 in cols.pop(c):
-            row2 = rows[r2]
-            del row2[c]
-            if not row2:
-                del rows[r2]
-            elif len(row2) == 1:
-                stack.append(r2)
+    def result(self) -> SnfResult:
+        """The SNF of the columns that arrived, less the dead rows; called
+        once, after the last arrival, since it eliminates in place."""
+        rows, cols = self.rows, self.cols
+        pivots: list[int] | None = self.pivots
+        # row singletons: a row whose one entry is +-1 at column c takes
+        # column c as a pivot by row operations alone, which clear the rest
+        # of column c and touch no other column; rows left with one entry
+        # are taken in turn
+        stack = [r for r, row in rows.items() if len(row) == 1]
+        while stack:
+            row = rows.get(stack.pop())
+            if row is None:
+                continue  # an earlier pivot emptied it
+            ((c, val),) = row.items()
+            if val not in (1, -1):
+                continue  # left to the residual loop
+            pivots.append(c)
+            for r2 in cols.pop(c):
+                row2 = rows[r2]
+                del row2[c]
+                if not row2:
+                    del rows[r2]
+                elif len(row2) == 1:
+                    stack.append(r2)
 
-    # lazy min-heap of (column length, column): an entry whose length is out
-    # of date was pushed again when its column changed, so it is dropped
-    heap = [(len(col), c) for c, col in cols.items()]
-    heapq.heapify(heap)
-    rank = len(pivots)
-    diagonal: list[int] = []  # the Euclid pivots' absolute values
+        # lazy min-heap of (column length, column): an entry whose length is
+        # out of date was pushed again when its column changed, so it is
+        # dropped
+        heap = [(len(col), c) for c, col in cols.items()]
+        heapq.heapify(heap)
+        rank = len(pivots)
+        diagonal: list[int] = []  # the Euclid pivots' absolute values
 
-    while rows:
-        if heap:
-            length, c = heapq.heappop(heap)
-            col = cols.get(c)
-            if col is None or len(col) != length:
-                continue
-            units = [(len(rows[r]), r) for r in col if rows[r][c] in (1, -1)]
-            if not units:
-                continue  # comes back only if a later pivot changes the column
-            r = min(units)[1]
-        else:
-            # no +-1 entry is left: a Euclid step on an entry of least
-            # absolute value, lowest (row, col) on ties
-            _, r, c = min(
-                (abs(val), r2, c2) for r2, row in rows.items() for c2, val in row.items()
-            )
-            pivots = None
-        touched = rows[r]  # the columns this pivot changes (see _pivot)
-        d = _pivot(rows, cols, r, c)
-        if d:
-            rank += 1
-            if d > 1:
-                diagonal.append(d)
-            elif pivots is not None:
-                pivots.append(c)
-        for c2 in touched:
-            col2 = cols[c2]
-            if col2:
-                heapq.heappush(heap, (len(col2), c2))
+        while rows:
+            if heap:
+                length, c = heapq.heappop(heap)
+                col = cols.get(c)
+                if col is None or len(col) != length:
+                    continue
+                units = [(len(rows[r]), r) for r in col if rows[r][c] in (1, -1)]
+                if not units:
+                    continue  # comes back only if a later pivot changes the column
+                r = min(units)[1]
+            else:
+                # no +-1 entry is left: a Euclid step on an entry of least
+                # absolute value, lowest (row, col) on ties
+                _, r, c = min(
+                    (abs(val), r2, c2)
+                    for r2, row in rows.items()
+                    for c2, val in row.items()
+                )
+                pivots = None
+            touched = rows[r]  # the columns this pivot changes (see _pivot)
+            d = _pivot(rows, cols, r, c)
+            if d:
+                rank += 1
+                if d > 1:
+                    diagonal.append(d)
+                elif pivots is not None:
+                    pivots.append(c)
+            for c2 in touched:
+                col2 = cols[c2]
+                if col2:
+                    heapq.heappush(heap, (len(col2), c2))
 
-    return SnfResult(
-        rank, torsion_factors(diagonal), None if pivots is None else tuple(pivots)
-    )
+        return SnfResult(
+            rank, torsion_factors(diagonal), None if pivots is None else tuple(pivots)
+        )
+
+
+def eliminate(
+    columns: Iterable[tuple[int, dict[int, int]]], dropped_rows: Iterable[int] = ()
+) -> SnfResult:
+    """SNF of the matrix whose columns arrive as (column id, {row id: value})
+    pairs, with distinct column ids and nonzero values, less the rows
+    ``dropped_rows``; the ids are any ints."""
+    elimination = Elimination(dropped_rows)
+    for c, column in columns:
+        elimination.add(c, column)
+    return elimination.result()
 
 
 def torsion_factors(diagonal: Iterable[int]) -> tuple[int, ...]:

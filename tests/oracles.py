@@ -17,7 +17,10 @@ alone, and the Euler characteristic counts the oracle's own enumeration of
 faces.  Face codes are a sum of powers where the library runs Horner's
 rule.  The per-face walks add the faces, and the fan faces, one at a time
 and check the budget after each, where the library adds a (vertex, facet, size)
-batch at a time and checks the budget once per batch.  The
+batch at a time and checks the budget once per batch.  The reference fan
+stream builds every fan face's boundary column and hands each to
+``eliminate``, where the library's pass builds only the columns with two
+live rows or more.  The
 incidence-graph builder gives the wedge check parts whose neighborhood
 complexes carry a chosen complex's torsion, and the Schrijver graphs give
 complexes with a known sphere's homology.  The edge-list composite puts
@@ -479,6 +482,41 @@ def per_face_pass_budget(c, cap: int, limit: int) -> int | None:
     except BudgetExceededError as exc:
         return exc.dimension
     return None
+
+
+def fan_boundary_stream(c, top: int) -> dict[int, list[tuple[int, dict[int, int]]]]:
+    """The reference column stream of a homology pass through dimension
+    top: for each degree i = 2..top + 1, every fan i-face's boundary as
+    (code, {face code: sign}), in the order of the per-face walk over the
+    sorted facets, which is the order the pass takes them in.  An i-face
+    less its k-th vertex keeps the digits above the k-th, one place lower,
+    and those below it, and has the sign (-1)**k; the entries are built in
+    that order of k.  Every column is built, whatever its rows."""
+    n = c.num_vertices
+    ordered = SimplicialComplex(n, tuple(sorted(c.facets)))
+    stream: dict[int, list] = {i: [] for i in range(2, top + 2)}
+    for i, code in per_face_fan_columns(ordered, top, 0, float("inf")):
+        digits = [(n ** (i + 1 - k), n ** (i - k), (-1) ** k) for k in range(i + 1)]
+        column = {code // hi * lo + code % lo: s for hi, lo, s in digits}
+        stream[i].append((code, column))
+    return stream
+
+
+def fan_eliminations(c, cap: int) -> list[SnfResult]:
+    """``eliminate`` over the reference stream of each boundary degree
+    2..min(max(cap, 1) + 1, dim), cleared as the pass clears it: degree 2
+    loses the rows of this module's spanning forest, and each degree above
+    the pivot columns of the one below, none after a Euclid step."""
+    top = max(cap, 1)
+    vertices, edges = faces_by_dim(c, 1)
+    forest = skeleton_components([v for (v,) in vertices], edges)
+    cleared = [face_code(edge, c.num_vertices) for edge in forest]
+    stream = fan_boundary_stream(c, top)
+    results = []
+    for i in range(2, min(top + 1, c.dim) + 1):
+        results.append(eliminate(stream[i], cleared))
+        cleared = results[-1].pivots or []
+    return results
 
 
 def euler_characteristic(c) -> int:

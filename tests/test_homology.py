@@ -38,6 +38,7 @@ from lovaszgap.homology import (
     HomologyGroup,
     least_vertex_faces,
 )
+from lovaszgap.snf import Elimination
 
 import oracles
 from conftest import fan_walk, filed_facets, skeleton_forest, skeleton_walk
@@ -49,6 +50,7 @@ from oracles import (
     face_code,
     faces_by_dim,
     fan_codes,
+    fan_eliminations,
     full_boundary_profile,
     invariant_factors,
     is_zero_matrix,
@@ -249,53 +251,84 @@ def test_homology_independent_of_facet_order(c):
     assert homology_profile(c, 2) == homology_profile(other, 2)
 
 
-def recorded_pass(monkeypatch, pivot_calls, c, cap):
-    """The pass over c, the SnfResult of each elimination it ran with that
-    result's pivots, and its number of ``snf._pivot`` calls."""
-    results = []
-    real = lovaszgap.homology.eliminate
+class RecordedElimination(Elimination):
+    """An elimination that keeps its dropped rows, the columns that reach
+    ``add`` by column id, in arrival order, the (column, row) of every peel,
+    its own included, and its result."""
 
-    def eliminating(columns, dropped_rows=()):
-        result = real(columns, dropped_rows)
-        results.append((result, result.pivots))
-        return result
+    def __init__(self, dropped_rows=()):
+        super().__init__(dropped_rows)
+        self.dropped = set(self.dead)
+        self.added: dict[int, dict[int, int]] = {}
+        self.peeled: list[tuple[int, int]] = []
 
-    before = pivot_calls[0]
-    with monkeypatch.context() as patch:
-        patch.setattr(lovaszgap.homology, "eliminate", eliminating)
+    def add(self, c, column):
+        self.added[c] = dict(column)
+        super().add(c, column)
+
+    def peel(self, c, r):
+        self.peeled.append((c, r))
+        super().peel(c, r)
+
+    def result(self):
+        self.snf = super().result()
+        return self.snf
+
+
+def recorded_pass(c, cap):
+    """The pass over c, and its eliminations as ``RecordedElimination``s,
+    lowest degree first: exactly one for each boundary degree
+    2..min(max(cap, 1) + 1, dim) that has a fan face."""
+    made = []
+
+    def making(dropped_rows=()):
+        made.append(RecordedElimination(dropped_rows))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lovaszgap.homology, "Elimination", making)
         topology = homology_pass(c, cap)
-    return topology, results, pivot_calls[0] - before
+    assert len(made) == len(range(2, min(max(cap, 1) + 1, c.dim) + 1))
+    return topology, made
 
 
-def assert_pass_is_independent_of_facet_order(monkeypatch, pivot_calls, c, cap, seed):
+def recorded_arrivals(pivot_calls, c, cap):
+    """The pass over c, each of its eliminations as its SnfResult, that
+    result's pivots, the ids of the columns that reached ``add`` and the
+    peels, and the pass's number of ``snf._pivot`` calls."""
+    before = pivot_calls[0]
+    topology, made = recorded_pass(c, cap)
+    arrivals = [(e.snf, e.snf.pivots, list(e.added), e.peeled) for e in made]
+    return topology, arrivals, pivot_calls[0] - before
+
+
+def assert_pass_is_independent_of_facet_order(pivot_calls, c, cap, seed):
     # the pass walks the facets sorted, so any listing of the same facets
-    # streams the same columns in the same order: the same pivots, the same
-    # eliminations and the same groups
-    expected = recorded_pass(monkeypatch, pivot_calls, c, cap)
+    # streams the same columns in the same order: the same arrivals, pivots
+    # and eliminations, and the same groups
+    expected = recorded_arrivals(pivot_calls, c, cap)
     facets = list(reversed(c.facets))
     for order in ("reversed", "shuffled"):
         if order == "shuffled":
             random.Random(seed).shuffle(facets)
         other = SimplicialComplex(c.num_vertices, tuple(facets))
-        assert recorded_pass(monkeypatch, pivot_calls, other, cap) == expected, (order, cap)
+        assert recorded_arrivals(pivot_calls, other, cap) == expected, (order, cap)
     return expected[0]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8])
-def test_separation_ladder_is_independent_of_facet_order(monkeypatch, pivot_calls, q):
+def test_separation_ladder_is_independent_of_facet_order(pivot_calls, q):
     # the separation gadgets (2,2,3,q)
     c = neighborhood_complex(build_corollary_graph(CorollaryParams(2, 2, 3, q)).graph)
     for cap in (1, 2) if q <= 6 else (1,):
-        topology = assert_pass_is_independent_of_facet_order(
-            monkeypatch, pivot_calls, c, cap, q
-        )
+        topology = assert_pass_is_independent_of_facet_order(pivot_calls, c, cap, q)
         assert topology.certificate.certified_conn_zero
 
 
 @pytest.mark.parametrize("n, k, cap", [(7, 2, 3), (8, 3, 2)])
-def test_kneser_passes_are_independent_of_facet_order(monkeypatch, pivot_calls, n, k, cap):
+def test_kneser_passes_are_independent_of_facet_order(pivot_calls, n, k, cap):
     c = neighborhood_complex(kneser_graph(n, k))
-    assert_pass_is_independent_of_facet_order(monkeypatch, pivot_calls, c, cap, n)
+    assert_pass_is_independent_of_facet_order(pivot_calls, c, cap, n)
 
 
 @given(complexes(max_vertices=7))
@@ -779,6 +812,62 @@ def test_a_giant_facet_fails_before_any_neighbourhood_is_formed():
 
 
 # ---------------------------------------------------------------------------
+# the arrival decided in the pass against every column built and eliminated
+
+
+def assert_arrival_matches_reference_stream(c, cap):
+    # the pass drops and peels columns before building them, where the
+    # reference builds every column and hands it to eliminate: each degree
+    # must come out the same, pivots and their order included
+    made = recorded_pass(c, cap)[1]
+    expected = [(r, r.pivots) for r in fan_eliminations(c, cap)]
+    assert [(e.snf, e.snf.pivots) for e in made] == expected, cap
+
+
+@given(st.one_of(complexes(), wide_complexes()), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_arrival_matches_reference_stream_on_random_complexes(c, cap):
+    assert_arrival_matches_reference_stream(c, cap)
+
+
+def test_arrival_matches_reference_stream_on_corpus(corpus):
+    for name, g in corpus.items():
+        for cap in (1, 2, 3) if g.n <= 15 else (1, 2):
+            assert_arrival_matches_reference_stream(neighborhood_complex(g), cap)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_arrival_matches_reference_stream_on_suspended_projective_planes(k):
+    # the torsion sits in degree k + 1, so a Euclid step runs there
+    c = RP2
+    for _ in range(k):
+        c = suspension(c)
+    assert_arrival_matches_reference_stream(c, k + 2)
+
+
+@pytest.mark.parametrize("n, k, cap", [(7, 2, 3), (8, 3, 2)])
+def test_arrival_matches_reference_stream_on_kneser_rungs(n, k, cap):
+    assert_arrival_matches_reference_stream(neighborhood_complex(kneser_graph(n, k)), cap)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7])
+def test_arrival_matches_reference_stream_on_separation_ladder(q):
+    c = neighborhood_complex(build_corollary_graph(CorollaryParams(2, 2, 3, q)).graph)
+    for cap in (1, 2) if q <= 5 else (1,):
+        assert_arrival_matches_reference_stream(c, cap)
+
+
+def test_most_fan_columns_are_never_built():
+    # N(KG(9,3)) at cap 1 has 9,603 fan triangles, and the pass builds a
+    # column for 64 of them: the others are dropped or peeled against the
+    # dead rows without one, so a pass that builds every column fails here
+    c = neighborhood_complex(kneser_graph(9, 3))
+    topology, (elimination,) = recorded_pass(c, 1)
+    assert topology.profile[1].is_trivial()
+    assert len(elimination.added) == 64
+
+
+# ---------------------------------------------------------------------------
 # clearing: each boundary loses the rows that the one below already spans
 
 
@@ -790,42 +879,27 @@ def suspension(c: SimplicialComplex) -> SimplicialComplex:
     )
 
 
-def recorded_eliminations(c, cap) -> list:
-    """(columns, dropped rows) of each elimination the pass runs, lowest
-    degree first, as {row code: value} per column code and a set of row
-    codes."""
-    seen = []
-    real = lovaszgap.homology.eliminate
-
-    def recording(columns, dropped_rows=()):
-        columns, dropped_rows = dict(columns), set(dropped_rows)
-        seen.append((columns, dropped_rows))
-        return real(columns.items(), dropped_rows)
-
-    lovaszgap.homology.eliminate = recording
-    try:
-        homology_pass(c, cap)
-    finally:
-        lovaszgap.homology.eliminate = real
-    return seen
-
-
-def boundary_rows(c, i, columns, dropped_rows) -> set:
+def boundary_rows(c, i, elimination) -> set:
     """The rows left in the boundary into degree i that the pass eliminated:
     the codes of the i-faces less the dropped ones, after checking that each
-    column is the boundary of the fan face its code names, over the full
-    boundary's rows."""
+    column that reached ``add`` is the boundary of the fan face its code
+    names, over the full boundary's rows, and that each peel's row is a face
+    of its column's face."""
     n = c.num_vertices
     faces = faces_by_dim(c, i + 1)
     rows = {face_code(f, n) for f in faces[i]}
     by_code = {face_code(f, n): f for f in faces[i + 1]}
-    assert dropped_rows <= rows
-    for code, column in columns.items():
+    assert elimination.dropped <= rows
+
+    def column(code):
         face = by_code[code]
-        assert column == {
-            face_code(face[:k] + face[k + 1 :], n): (-1) ** k for k in range(len(face))
-        }
-    return rows - dropped_rows
+        return {face_code(face[:k] + face[k + 1 :], n): (-1) ** k for k in range(len(face))}
+
+    for code, added in elimination.added.items():
+        assert added == column(code)
+    for code, r in elimination.peeled:
+        assert r in column(code)
+    return rows - elimination.dropped
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -840,8 +914,7 @@ def test_suspended_projective_plane_keeps_its_torsion_above_a_cleared_boundary(k
     # the boundary into degree k + 1, which carries the torsion, was cleared:
     # it has fewer rows than there are (k + 1)-faces
     levels = faces_by_dim(c, k + 1)
-    columns, dropped_rows = recorded_eliminations(c, k + 2)[k]
-    rows = boundary_rows(c, k + 1, columns, dropped_rows)
+    rows = boundary_rows(c, k + 1, recorded_pass(c, k + 2)[1][k])
     assert len(rows) < len(levels[k + 1])
 
 
@@ -849,8 +922,7 @@ def test_boundary_two_loses_the_spanning_forest_rows():
     c = neighborhood_complex(kneser_graph(7, 2))
     levels = faces_by_dim(c, 1)
     vertices, edges = len(levels[0]), len(levels[1])
-    columns, dropped_rows = recorded_eliminations(c, 1)[0]
-    rows = boundary_rows(c, 1, columns, dropped_rows)
+    rows = boundary_rows(c, 1, recorded_pass(c, 1)[1][0])
     assert len(rows) == edges - (vertices - 1)
 
 

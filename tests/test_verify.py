@@ -387,8 +387,22 @@ def test_wedge_report_json_deterministic():
 
 def test_suite_cases_deterministic():
     assert suite_cases(0) == suite_cases(0)
-    assert suite_cases(1) != suite_cases(2) or True  # seeds may collide; just run both
+    # the seeds draw different base points: seed 1 draws K3 against K3 at
+    # (0, 2), seed 2 elsewhere
+    assert suite_cases(1) != suite_cases(2)
+    drawn = ("theorem2", "K3", 0, "K3", 2, 2)
+    assert drawn in suite_cases(1) and drawn not in suite_cases(2)
     assert len([c for c in suite_cases(0) if c[0] == "theorem2"]) == 20
+
+
+@pytest.mark.parametrize("seed", range(31))
+def test_suite_cases_hold_each_descriptor_once(seed):
+    # a draw of vertex 0 on both sides repeats that pair's vertex-0 case, as
+    # at seeds 2, 3, 4, 6, 7 and 8, and is then left out
+    cases = suite_cases(seed)
+    assert len(set(cases)) == len(cases)
+    pairs = {(c[1], c[3]) for c in cases if c[0] == "theorem2"}
+    assert ("theorem2", "K3", 0, "K3", 0, 2) in cases and len(pairs) == 10
 
 
 def test_run_suite_case_rejects_an_unknown_kind():
