@@ -190,7 +190,7 @@ def _cmd_verify_corollary(args):
 
 
 def _cmd_verify_suite(args):
-    result = verify.run_suite(seed=args.seed, full=args.full)
+    result = verify.run_suite(full=args.full)
     n = len(result["cases"])
     failed = [c["case"] for c in result["cases"] if not c["pass"]]
     failure = f"failing cases: {','.join(failed)}" if failed else None
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_corollary)
 
     p = vsub.add_parser("suite", help="run the whole verification suite")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--full",
         action="store_true",

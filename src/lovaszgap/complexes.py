@@ -42,14 +42,17 @@ class SimplicialComplex:
                     f"face {tface} out of range for ground set 0..{num_vertices - 1}"
                 )
             cleaned.add(tface)
-        by_size = sorted(cleaned, key=len, reverse=True)
+        # a kept facet is filed under each of its vertices, so one holding a
+        # face is in every file of the face's vertices: test the shortest
+        filed: dict[int, list[frozenset[int]]] = {}
         maximal: list[Face] = []
-        maximal_sets: list[frozenset[int]] = []
-        for face in by_size:
+        for face in sorted(cleaned, key=len, reverse=True):
             fs = frozenset(face)
-            if not any(fs <= other for other in maximal_sets):
+            shortest = min((filed.get(v, ()) for v in face), key=len)
+            if not any(fs <= other for other in shortest):
                 maximal.append(face)
-                maximal_sets.append(fs)
+                for v in face:
+                    filed.setdefault(v, []).append(fs)
         return SimplicialComplex(num_vertices, tuple(sorted(maximal)))
 
     @property

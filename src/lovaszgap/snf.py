@@ -39,7 +39,7 @@ built first, in three steps:
 
 The Euclid fallback serves torsion (RP^2, unit-free test matrices,
 complexes read from facet files).  On the Kneser-graph complexes, the
-separation gadgets (2,2,3,q) for q = 3..8 and the suite at seeds 0..7 it
+separation gadgets (2,2,3,q) for q = 3..8 and the suite's cases it
 never runs: every pivot after the peel is a unit pivot.  On N(KG(8,3)) at
 cap 2, the peel leaves boundary_3 a residual of 2,549 rows and 2,489
 columns, of which the row singletons take 2,054 columns, so that 314

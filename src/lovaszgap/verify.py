@@ -9,7 +9,7 @@ composite graph and verifies, all exactly, that its chromatic number hits
 the target, the clique number stays at the planted clique, the planted
 biclique is present, and the certified topological bound is stuck at 3.
 
-The batch suite runs many wedge checks on parts drawn from four small
+The batch suite runs one wedge check for each pair of four small
 graphs.  One ``run_suite`` call passes each part's complex once per cap:
 its cases share one dict, which holds the family graphs and the parts'
 passes and lives only for that call.  Nothing is cached across calls.
@@ -17,7 +17,6 @@ passes and lives only for that call.  Nothing is cached across calls.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .complexes import neighborhood_complex
@@ -450,20 +449,15 @@ def _suite_graph(name: str, run: dict) -> Graph:
     return run[name]
 
 
-def suite_cases(seed: int, full: bool = False) -> list[tuple]:
-    """Deterministic case descriptors, each once.  Base points: vertex 0 for
-    every pair plus one seeded random pair each, unless the draw is vertex 0
-    on both sides."""
-    rng = random.Random(seed)
+def suite_cases(*, full: bool = False) -> list[tuple]:
+    """Deterministic case descriptors, each once.  Each unordered pair of
+    families is wedged once, at vertex 0 on both sides: every family is
+    vertex-transitive, so another base point gives an isomorphic gadget."""
     cases: list[tuple] = []
     for i, name_h in enumerate(SUITE_FAMILIES):
         for name_k in SUITE_FAMILIES[i:]:
             cap = 3 if "K4" in (name_h, name_k) else 2
-            # a family name ends in its graph's vertex count
-            rx, ry = rng.randrange(int(name_h[1:])), rng.randrange(int(name_k[1:]))
             cases.append(("theorem2", name_h, 0, name_k, 0, cap))
-            if (rx, ry) != (0, 0):  # else the draw repeats the case above
-                cases.append(("theorem2", name_h, rx, name_k, ry, cap))
     for name, expectation in CERTIFICATE_CASES:
         cases.append(("certificate", name, expectation))
     for params in FULL_COROLLARY_PARAMS if full else SUITE_COROLLARY_PARAMS:
@@ -504,11 +498,13 @@ def run_suite_case(case: tuple, run: dict | None = None) -> dict:
 
 
 def run_suite(seed: int = 0, full: bool = False) -> dict:
-    """Run every suite case; the result dict is deterministic for a given
-    seed (cases sorted by key, no wall-clock fields).  The cases share one
-    ``run`` dict (see ``run_suite_case``), which lives only for this call."""
+    """Run every suite case; the result dict is deterministic (cases sorted
+    by key, no wall-clock fields).  The cases share one ``run`` dict (see
+    ``run_suite_case``), which lives only for this call.  ``seed`` selects
+    nothing: the report echoes it under ``seed`` for the benchmark harness,
+    which runs ``run_suite(s)`` over several s and checks the echo."""
     run: dict = {}
-    reports = [run_suite_case(case, run) for case in suite_cases(seed, full)]
+    reports = [run_suite_case(case, run) for case in suite_cases(full=full)]
     reports.sort(key=lambda r: r["case"])
     return {
         "seed": seed,

@@ -28,7 +28,9 @@ graphs side by side through ``Graph.from_edges`` over every part's sorted
 edges, shifted, where the library lays the parts' neighbour sets side by
 side and adds only the new edges.  The structure checkers read a
 graph as a set of arcs and a complex's facets as sets, and ``write_graph``
-saves the library's DIMACS text to a file.
+saves the library's DIMACS text to a file.  The facet filter tests every
+face against every other, where the library tests a face only against the
+kept facets filed under one of its vertices.
 """
 
 from __future__ import annotations
@@ -644,6 +646,13 @@ def validate_graph(g) -> None:
     for v, u in sorted(arcs):
         if (u, v) not in arcs:
             raise ParameterError(f"arc ({v},{u}) without its reverse")
+
+
+def brute_force_facets(faces) -> tuple[tuple[int, ...], ...]:
+    """The inclusion-maximal faces of a face list, each once and sorted,
+    found by testing every distinct nonempty face against every other."""
+    sets = {frozenset(face) for face in faces} - {frozenset()}
+    return tuple(sorted(tuple(sorted(a)) for a in sets if not any(a < b for b in sets)))
 
 
 def validate_complex(c) -> None:

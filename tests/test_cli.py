@@ -375,31 +375,38 @@ def test_cli_subprocess_smoke(tmp_path):
 def test_suite_reports_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert main(["verify", "suite", "--seed", "0", "--json", str(a)]) == 0
-    assert main(["verify", "suite", "--seed", "0", "--json", str(b)]) == 0
+    assert main(["verify", "suite", "--json", str(a)]) == 0
+    assert main(["verify", "suite", "--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-# sha256 of `verify suite --seed 0 --json FILE`; a change to any report byte
-# must update this digest and say why
-SUITE_SEED0_SHA256 = "05b3f924d2c297a2b058f013d9aa2a7b3e9c18c89f3d2478ef5cc0195047df55"
+# sha256 of `verify suite --json FILE`; a change to any report byte must
+# update this digest and say why
+SUITE_SHA256 = "c93e7f3ad9e27018b20eec4d3c0974a519c7bd1441b77e2ae8d95ef7a8371f96"
 
 
 def test_suite_report_matches_pinned_digest(tmp_path):
     path = tmp_path / "suite.json"
-    assert main(["verify", "suite", "--seed", "0", "--json", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_SEED0_SHA256
+    assert main(["verify", "suite", "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_SHA256
 
 
-# sha256 of `verify suite --seed 0 --full --json FILE`, the only pinned
-# report with the Mycielski chains of q = 5..7
-SUITE_SEED0_FULL_SHA256 = "97e5e78baf74b1564ea4ea094e860d92f750395ee6d540db04fe74f1062b38ec"
+# sha256 of `verify suite --full --json FILE`, the only pinned report with
+# the Mycielski chains of q = 5..7
+SUITE_FULL_SHA256 = "d6c01a09dca4a28af2cecd208d190029c88bb864ccf0aa408fefa9190e838d13"
 
 
 def test_full_suite_report_matches_pinned_digest(tmp_path):
     path = tmp_path / "suite.json"
-    assert main(["verify", "suite", "--seed", "0", "--full", "--json", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_SEED0_FULL_SHA256
+    assert main(["verify", "suite", "--full", "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_FULL_SHA256
+
+
+def test_verify_suite_has_no_seed_option(capsys):
+    assert main(["verify", "suite", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:usage:")
+    assert captured.out == ""
 
 
 # sha256 of the reports the suite does not write, each run from the
@@ -468,7 +475,7 @@ def graph_files(tmp_path):
         (["verify", "theorem2", "--h", "{k3}", "--k", "{c5}"], "pass", "pass", True),
         (["verify", "corollary", "--l", "1", "--m", "2", "--p", "2", "--q", "3"],
          "pass chi=3", "pass", True),
-        (["verify", "suite", "--seed", "0"], "suite: 28/28", "pass", True),
+        (["verify", "suite"], "suite: 18/18", "pass", True),
     ],
 )
 def test_json_to_stdout_is_one_document(graph_files, capsys, argv, human, key, value):
@@ -550,10 +557,10 @@ def test_verify_suite_failure_names_the_failing_cases(monkeypatch, capsys):
         return report
 
     monkeypatch.setattr(lovaszgap.verify, "run_suite_case", broken)
-    assert main(["verify", "suite", "--seed", "0"]) == 1
+    assert main(["verify", "suite"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "suite: 27/28 cases passed\nerror:verify: failing cases: certificate(K3)\n"
+        "suite: 17/18 cases passed\nerror:verify: failing cases: certificate(K3)\n"
     )
     assert json.loads(captured.out)["pass"] is False
 

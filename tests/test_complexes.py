@@ -26,7 +26,7 @@ from lovaszgap.complexes import format_facets, parse_faces
 from lovaszgap.homology import DEFAULT_FACE_BUDGET, least_vertex_faces, skeleton_components
 
 from conftest import filed_facets, graphs, skeleton_forest
-from oracles import cone, euler_characteristic, validate_complex
+from oracles import brute_force_facets, cone, euler_characteristic, validate_complex
 
 
 @st.composite
@@ -180,6 +180,32 @@ def test_facet_file_round_trip(tmp_path):
     text = format_facets(c)
     again = parse_faces(io.StringIO(text))
     assert again.facets == c.facets
+
+
+@pytest.mark.parametrize("q", range(3, 9))
+def test_separation_complex_facet_file_round_trip(q):
+    c = neighborhood_complex(build_corollary_graph(CorollaryParams(2, 2, 3, q)).graph)
+    assert parse_faces(io.StringIO(format_facets(c))) == c
+
+
+@st.composite
+def nested_face_lists(draw):
+    """A ground-set size and a shuffled face list that holds, beside each
+    drawn face, a subface of it and a reordered repeat of it."""
+    n = draw(st.integers(1, 9))
+    drawn = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6), max_size=8))
+    faces = list(drawn)
+    for face in filter(None, drawn):
+        faces.append(draw(st.lists(st.sampled_from(face), max_size=len(face))))
+        faces.append(draw(st.permutations(face)))
+    return n, draw(st.permutations(faces))
+
+
+@given(nested_face_lists())
+@settings(max_examples=200)
+def test_from_faces_matches_the_brute_force_filter(drawn):
+    n, faces = drawn
+    assert SimplicialComplex.from_faces(n, faces).facets == brute_force_facets(faces)
 
 
 def test_parse_faces_maximalizes_and_skips_comments():

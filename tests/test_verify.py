@@ -150,13 +150,13 @@ def test_equal_wedge_parts_share_one_pass(monkeypatch, h, k, passed):
 
 @pytest.mark.parametrize(
     "runs, passes",
-    [([{}], 35), ([{"full": True}], 38), ([{}, {}], 70)],
+    [([{}], 25), ([{"full": True}], 28), ([{}, {}], 50)],
     ids=["suite", "full", "twice"],
 )
 def test_a_suite_run_passes_each_wedge_part_once(monkeypatch, runs, passes):
-    # 20 gadgets, 7 distinct (part, cap) pairs, 5 certificates and the
-    # separation graphs; a second run repeats every pass, so no pass
-    # outlives the run that made it
+    # per run: 10 gadgets + 7 distinct (part, cap) pairs + 5 certificates +
+    # 3 separation graphs (6 with full) = 25 (28); a second run repeats
+    # every pass, so no pass outlives the run that made it
     ran = []
     for module in (lovaszgap.homology, lovaszgap.verify):
         monkeypatch.setattr(module, "homology_pass", recording(ran, module.homology_pass))
@@ -386,23 +386,32 @@ def test_wedge_report_json_deterministic():
 
 
 def test_suite_cases_deterministic():
-    assert suite_cases(0) == suite_cases(0)
-    # the seeds draw different base points: seed 1 draws K3 against K3 at
-    # (0, 2), seed 2 elsewhere
-    assert suite_cases(1) != suite_cases(2)
-    drawn = ("theorem2", "K3", 0, "K3", 2, 2)
-    assert drawn in suite_cases(1) and drawn not in suite_cases(2)
-    assert len([c for c in suite_cases(0) if c[0] == "theorem2"]) == 20
+    assert suite_cases() == suite_cases()
+    assert len([c for c in suite_cases() if c[0] == "theorem2"]) == 10
+    assert len(suite_cases(full=True)) == len(suite_cases()) + 3
 
 
 @pytest.mark.parametrize("seed", range(31))
 def test_suite_cases_hold_each_descriptor_once(seed):
-    # a draw of vertex 0 on both sides repeats that pair's vertex-0 case, as
-    # at seeds 2, 3, 4, 6, 7 and 8, and is then left out
-    cases = suite_cases(seed)
-    assert len(set(cases)) == len(cases)
-    pairs = {(c[1], c[3]) for c in cases if c[0] == "theorem2"}
-    assert ("theorem2", "K3", 0, "K3", 0, 2) in cases and len(pairs) == 10
+    # each family is vertex-transitive, so a base point other than 0 would
+    # repeat a case up to isomorphism: each unordered family pair is wedged
+    # once, at vertex 0, whatever seed the report echoes
+    report = run_suite(seed)
+    assert report["seed"] == seed
+    keys = [c["case"] for c in report["cases"]]
+    assert len(set(keys)) == len(keys)
+    params = [c["params"] for c in report["cases"] if c["case"].startswith("theorem2")]
+    pairs = {frozenset((p["h"], p["k"])) for p in params}
+    assert len(pairs) == len(params) == 10
+    assert all(p["x"] == p["y"] == 0 for p in params)
+
+
+def test_run_suite_seed_selects_nothing():
+    # the benchmark's suite workload runs run_suite(s) over consecutive s
+    # and checks that each report echoes its s
+    reports = [run_suite(s, full=False) for s in (0, 7, 23)]
+    assert [r["seed"] for r in reports] == [0, 7, 23]
+    assert reports[0]["cases"] == reports[1]["cases"] == reports[2]["cases"]
 
 
 def test_run_suite_case_rejects_an_unknown_kind():
