@@ -29,15 +29,17 @@ face's boundary arrives, as the codes of its faces with their signs, in
 an ``snf.Elimination`` as the walk finds it, one (vertex, facet, size)
 batch at a time, a triangle's coded straight from its vertices; only the
 codes of fan faces above degree 2 are kept until their degree's turn.
-The arrival is decided here, against the elimination's dead rows, before
-any column is built: every boundary entry is +-1, so a fan face whose
-rows are all dead is skipped, one with a single live row is peeled on
-it, and only one with two live rows or more is built as {row: sign} and
-added.  These are the decisions the elimination's own ``add`` takes, in
-the same order, so the result is that of streaming every column
-(``snf.eliminate``); a triangle {a, u, v} is decided on its rows au and
-av first, the ones the forest and the earlier peels at a tend to kill,
-and a higher face's rows are read only until a second live one turns up.
+The arrival is decided here, against the elimination's dead rows, and no
+column is built: every boundary entry is +-1, so a fan face whose rows
+are all dead is skipped, one with a single live row is peeled on it, and
+only one with two live rows or more is filed, as its live entries with
+their signs in the order of its face's vertices, straight into the
+elimination's row and column index.  These are the decisions and the
+filing of ``Elimination.add``, in the same order, so the result is that
+of streaming every column whole (``snf.eliminate``), pivots and their
+order included; a triangle {a, u, v} is read on its rows au and av
+first, the ones the forest and the earlier peels at a tend to kill, then
+on uv, and each row of a higher face is decoded once.
 
 Each boundary is also cleared of the rows that the one below it already
 accounts for (the "clearing" of persistent homology, carried over to the
@@ -261,8 +263,9 @@ def homology_pass(
     ``least_vertex_faces`` over the facets filed under their least vertex
     (counted against ``limit`` after those faces, one check per batch),
     each column the boundary of a face code over the codes of its faces,
-    decided against the elimination's dead rows before it is built (see the
-    module docstring): skipped, peeled, or built and added.  The fan
+    decided against the elimination's dead rows as its rows are read (see
+    the module docstring): skipped, peeled, or filed as its live entries;
+    ``Elimination.add`` is never called.  The fan
     2-faces arrive during the walk over the facets, their boundaries coded
     from their vertices, the higher ones, kept as codes, once the degree
     below is done.  Each elimination is cleared first: boundary_2
@@ -307,22 +310,35 @@ def homology_pass(
     cleared = [u * n + v for u, v in forest]
     for i in range(2, last + 1):
         elimination = Elimination(cleared)
-        dead, add, peel = elimination.dead, elimination.add, elimination.peel
+        dead, peel = elimination.dead, elimination.peel
+        rows, cols = elimination.rows, elimination.cols
         if i == 2:
             # the fan 2-faces {a, u, v} as the walk finds them, keeping the
             # codes of the higher ones for later; rows au and av are the
-            # ones the forest and earlier peels at apex a tend to kill
+            # ones the forest and earlier peels at apex a tend to kill, and
+            # live rows are filed in the column's order uv, av, au
             for j, apex, taus in walk:
                 if j == 2:
                     an = apex * n
                     for u, v in taus:
-                        if an + u in dead and an + v in dead:
-                            uv = u * n + v
-                            if uv not in dead:
-                                peel((an + u) * n + v, uv)
+                        au, av, uv = an + u, an + v, u * n + v
+                        if au in dead:
+                            if av in dead:
+                                if uv not in dead:
+                                    peel(au * n + v, uv)
+                                continue
+                            live = (av,) if uv in dead else (uv, av)
+                        elif av in dead:
+                            live = (au,) if uv in dead else (uv, au)
                         else:
-                            column = {u * n + v: 1, an + v: -1, an + u: 1}
-                            add((an + u) * n + v, column)
+                            live = (av, au) if uv in dead else (uv, av, au)
+                        c = au * n + v
+                        if len(live) == 1:
+                            peel(c, live[0])
+                        else:
+                            for r in live:
+                                rows.setdefault(r, {})[c] = -1 if r == av else 1
+                            cols[c] = set(live)
                 else:
                     for tau in taus:
                         code = apex
@@ -331,22 +347,35 @@ def homology_pass(
                         later[j].append(code)
         else:
             # an i-face less its k-th vertex keeps the digits above the k-th,
-            # one place lower, and those below it, and has the sign (-1)**k;
-            # the column is built only once a second live row turns up
+            # one place lower, and those below it, and has the sign (-1)**k
             digits = [(n ** (i + 1 - k), n ** (i - k), (-1) ** k) for k in range(i + 1)]
             for code in later.pop(i):
-                live = None
-                for hi, lo, _ in digits:
+                # each row is decoded once, in the order of k: up to the
+                # first live one, then up to a second, then the rest of a
+                # column that is filed
+                rest = iter(digits)
+                for hi, lo, s in rest:
                     r = code // hi * lo + code % lo
                     if r not in dead:
-                        if live is not None:
-                            column = {code // h * l + code % l: s for h, l, s in digits}
-                            add(code, column)
-                            break
-                        live = r
+                        break
                 else:
-                    if live is not None:
-                        peel(code, live)
+                    continue
+                for hi, lo, s2 in rest:
+                    r2 = code // hi * lo + code % lo
+                    if r2 not in dead:
+                        break
+                else:
+                    peel(code, r)
+                    continue
+                rows.setdefault(r, {})[code] = s
+                rows.setdefault(r2, {})[code] = s2
+                col = {r, r2}
+                for hi, lo, s in rest:
+                    r = code // hi * lo + code % lo
+                    if r not in dead:
+                        rows.setdefault(r, {})[code] = s
+                        col.add(r)
+                cols[code] = col
         snfs.append(elimination.result())
         cleared = snfs[-1].pivots or []
     snfs += [SnfResult(0)] * (top + 2 - len(snfs))

@@ -7,12 +7,14 @@ built first, in three steps:
 * peel as they arrive: rows can be dropped up front (the clearing of
   ``homology``); then each arriving column (``add``) sheds its entries on
   dropped or already peeled rows, and is dropped if nothing is left, peeled
-  at once (``peel``) if a single +-1 is left, and stored otherwise.  The
-  dropped and peeled rows are the ``dead`` set, which a caller may read to
-  take either of the first two decisions itself, before it builds the
-  column; ``homology`` does that for every fan column.  A peel takes its
-  row out of the stored columns through a row -> column index, and those
-  left with a single +-1 are peeled in turn.  This is sound in any arrival
+  at once (``peel``) if a single +-1 is left, and filed otherwise, its live
+  entries in the column's order, in the row -> column index ``rows`` and
+  the column -> rows index ``cols``.  The dropped and peeled rows are the
+  ``dead`` set, which a caller may read to take all three decisions itself
+  and file a column without building it; ``homology`` does that for every
+  fan column, and ``add`` serves ``eliminate``.  A peel takes its row out
+  of the filed columns through the row index, and those left with a
+  single +-1 are peeled in turn.  This is sound in any arrival
   order: a peeled column is a unit vector on the rows still live, so
   column operations against it clear its row from every other column,
   earlier or later, and only its row and column change;
@@ -88,12 +90,17 @@ class SnfResult:
 
 
 class Elimination:
-    """The streaming elimination: columns arrive one at a time, through
-    ``add`` or ``peel``, and ``result`` then takes the row singletons and
-    the residual loop.  ``dead`` holds the rows dropped up front or peeled,
-    and a caller may read it, so that a column whose rows it can see are
-    all dead is never built, and one with a single live +-1 goes straight
-    to ``peel``; either decision is the one ``add`` would take."""
+    """The streaming elimination: columns arrive one at a time, and
+    ``result`` then takes the row singletons and the residual loop.
+    ``dead`` holds the rows dropped up front or peeled.  ``add`` takes a
+    whole column and decides its arrival against ``dead``.  A caller that
+    reads ``dead`` itself may take the same decisions without building the
+    column: skip it when every row is dead, ``peel`` it on its one live
+    +-1, or else file its live entries in the column's order, writing
+    rows[r][c] = value for each, then cols[c] = the set of those rows.  The
+    order matters: the order in which rows first arrive, and the sets'
+    order, fix the order in which the row singletons are taken, hence
+    ``pivots``."""
 
     def __init__(self, dropped_rows: Iterable[int] = ()) -> None:
         self.dead = set(dropped_rows)
@@ -104,18 +111,17 @@ class Elimination:
     def add(self, c: int, column: dict[int, int]) -> None:
         """Column c arrives as {row id: value}, nonzero values: it sheds its
         entries on dead rows, and is then dropped if nothing is left, peeled
-        at once if a single +-1 is left, and stored otherwise."""
+        at once if a single +-1 is left, and filed otherwise, its live rows
+        in the column's order."""
         dead = self.dead
-        if dead.issuperset(column):
-            return
-        live = set(column).difference(dead)
-        if len(live) > 1 or column[min(live)] not in (1, -1):  # min: its one row
-            self.cols[c] = live
+        live = [r for r in column if r not in dead]
+        if len(live) == 1 and column[live[0]] in (1, -1):
+            self.peel(c, live[0])
+        elif live:
             rows = self.rows
             for r in live:
                 rows.setdefault(r, {})[c] = column[r]
-            return
-        self.peel(c, live.pop())
+            self.cols[c] = set(live)
 
     def peel(self, c: int, r: int) -> None:
         """Peel column c, whose one live entry is a +-1 on row r: take row r

@@ -19,8 +19,8 @@ rule.  The per-face walks add the faces, and the fan faces, one at a time
 and check the budget after each, where the library adds a (vertex, facet, size)
 batch at a time and checks the budget once per batch.  The reference fan
 stream builds every fan face's boundary column and hands each to
-``eliminate``, where the library's pass builds only the columns with two
-live rows or more.  The
+``eliminate``, where the library's pass builds none and files only the
+live entries of the columns with two live rows or more.  The
 incidence-graph builder gives the wedge check parts whose neighborhood
 complexes carry a chosen complex's torsion, and the Schrijver graphs give
 complexes with a known sphere's homology.  The edge-list composite puts

@@ -251,26 +251,56 @@ def test_homology_independent_of_facet_order(c):
     assert homology_profile(c, 2) == homology_profile(other, 2)
 
 
+class KillLog(set):
+    """An elimination's dead rows that list, in ``killed``, each row added
+    after the dropped ones, in order."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.killed: list[int] = []
+
+    def add(self, r):
+        self.killed.append(r)
+        super().add(r)
+
+
+class FilingLog(dict):
+    """An elimination's column index that keeps, in the elimination's
+    ``filed``, each column filed in it as its entries {row: sign}, read from
+    the row index, which is written first, with the number of rows killed
+    before it."""
+
+    def __init__(self, elimination):
+        super().__init__()
+        self.elimination = elimination
+
+    def __setitem__(self, c, col):
+        e = self.elimination
+        e.filed[c] = ({r: e.rows[r][c] for r in col}, len(e.killed))
+        super().__setitem__(c, col)
+
+
 class RecordedElimination(Elimination):
-    """An elimination that keeps its dropped rows, the columns that reach
-    ``add`` by column id, in arrival order, the (column, row) of every peel,
-    its own included, and its result."""
+    """An elimination that keeps its dropped rows, the rows it kills after
+    them in order, the columns filed before ``result`` by column id, in
+    filing order, the (column, row, rows killed before it) of every peel
+    called from outside, and its result."""
 
     def __init__(self, dropped_rows=()):
         super().__init__(dropped_rows)
         self.dropped = set(self.dead)
-        self.added: dict[int, dict[int, int]] = {}
-        self.peeled: list[tuple[int, int]] = []
-
-    def add(self, c, column):
-        self.added[c] = dict(column)
-        super().add(c, column)
+        self.dead = KillLog(self.dead)
+        self.killed = self.dead.killed
+        self.filed: dict[int, tuple[dict[int, int], int]] = {}
+        self.cols = FilingLog(self)
+        self.peeled: list[tuple[int, int, int]] = []
 
     def peel(self, c, r):
-        self.peeled.append((c, r))
+        self.peeled.append((c, r, len(self.killed)))
         super().peel(c, r)
 
     def result(self):
+        self.cols = dict(self.cols)  # a Euclid step writes columns back
         self.snf = super().result()
         return self.snf
 
@@ -294,11 +324,11 @@ def recorded_pass(c, cap):
 
 def recorded_arrivals(pivot_calls, c, cap):
     """The pass over c, each of its eliminations as its SnfResult, that
-    result's pivots, the ids of the columns that reached ``add`` and the
-    peels, and the pass's number of ``snf._pivot`` calls."""
+    result's pivots, the ids of the filed columns and the peels, and the
+    pass's number of ``snf._pivot`` calls."""
     before = pivot_calls[0]
     topology, made = recorded_pass(c, cap)
-    arrivals = [(e.snf, e.snf.pivots, list(e.added), e.peeled) for e in made]
+    arrivals = [(e.snf, e.snf.pivots, list(e.filed), e.peeled) for e in made]
     return topology, arrivals, pivot_calls[0] - before
 
 
@@ -816,9 +846,9 @@ def test_a_giant_facet_fails_before_any_neighbourhood_is_formed():
 
 
 def assert_arrival_matches_reference_stream(c, cap):
-    # the pass drops and peels columns before building them, where the
-    # reference builds every column and hands it to eliminate: each degree
-    # must come out the same, pivots and their order included
+    # the pass drops, peels or files each column without building it, where
+    # the reference builds every column and hands it to eliminate: each
+    # degree must come out the same, pivots and their order included
     made = recorded_pass(c, cap)[1]
     expected = [(r, r.pivots) for r in fan_eliminations(c, cap)]
     assert [(e.snf, e.snf.pivots) for e in made] == expected, cap
@@ -857,14 +887,66 @@ def test_arrival_matches_reference_stream_on_separation_ladder(q):
         assert_arrival_matches_reference_stream(c, cap)
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    """g with its vertices renamed by a seeded permutation, as the
+    benchmark's Kneser cases rename them."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
+@pytest.mark.parametrize("n, k, cap", [(7, 2, 3), (8, 3, 2)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_arrival_matches_reference_stream_on_relabelled_kneser_rungs(n, k, cap, seed):
+    # a relabelling changes the face order, hence which rows are dead when
+    # each column arrives
+    c = neighborhood_complex(relabelled(kneser_graph(n, k), seed))
+    assert_arrival_matches_reference_stream(c, cap)
+
+
 def test_most_fan_columns_are_never_built():
-    # N(KG(9,3)) at cap 1 has 9,603 fan triangles, and the pass builds a
-    # column for 64 of them: the others are dropped or peeled against the
-    # dead rows without one, so a pass that builds every column fails here
+    # N(KG(9,3)) at cap 1 has 9,603 fan triangles, and the pass files none
+    # of them: each is dropped or peeled against the dead rows, so a pass
+    # that files every column fails here
     c = neighborhood_complex(kneser_graph(9, 3))
     topology, (elimination,) = recorded_pass(c, 1)
     assert topology.profile[1].is_trivial()
-    assert len(elimination.added) == 64
+    assert elimination.filed == {}
+
+
+@pytest.mark.parametrize(
+    "graph, cap, filed",
+    [
+        (lambda: kneser_graph(8, 3), 2, [509, 2544]),
+        (lambda: kneser_graph(7, 2), 3, [0, 54, 585]),
+        (lambda: build_corollary_graph(CorollaryParams(2, 2, 3, 5)).graph, 1, [198]),
+    ],
+    ids=["KG(8,3)", "KG(7,2)", "(2,2,3,5)"],
+)
+def test_filed_columns_per_degree(graph, cap, filed):
+    # only the fan columns with two live rows or more are filed, each as its
+    # face's boundary on the rows live when it arrives
+    c = neighborhood_complex(graph())
+    made = recorded_pass(c, cap)[1]
+    assert [len(e.filed) for e in made] == filed
+    for i, elimination in enumerate(made, start=1):
+        boundary_rows(c, i, elimination)
+
+
+def test_the_pass_never_calls_add(corpus, monkeypatch):
+    # the pass takes every arrival decision itself; ``add`` is left to
+    # ``snf.eliminate``
+    def add(self, c, column):
+        raise AssertionError(f"column {c} reached Elimination.add")
+
+    monkeypatch.setattr(Elimination, "add", add)
+    ladder = [
+        build_corollary_graph(CorollaryParams(2, 2, 3, q)).graph for q in range(3, 7)
+    ]
+    for g in [*corpus.values(), *ladder]:
+        c = neighborhood_complex(g)
+        for cap in (1, 2, 3):
+            homology_pass(c, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -881,24 +963,27 @@ def suspension(c: SimplicialComplex) -> SimplicialComplex:
 
 def boundary_rows(c, i, elimination) -> set:
     """The rows left in the boundary into degree i that the pass eliminated:
-    the codes of the i-faces less the dropped ones, after checking that each
-    column that reached ``add`` is the boundary of the fan face its code
-    names, over the full boundary's rows, and that each peel's row is a face
-    of its column's face."""
+    the codes of the i-faces less the dropped ones, after checking each
+    arrival against the boundary of the fan face its code names, over the
+    full boundary's rows: a filed column is that boundary on the rows live
+    when it was filed, two of them at least, and a peel's row is the one
+    live row there."""
     n = c.num_vertices
     faces = faces_by_dim(c, i + 1)
     rows = {face_code(f, n) for f in faces[i]}
     by_code = {face_code(f, n): f for f in faces[i + 1]}
     assert elimination.dropped <= rows
 
-    def column(code):
+    def live(code, killed):
         face = by_code[code]
-        return {face_code(face[:k] + face[k + 1 :], n): (-1) ** k for k in range(len(face))}
+        dead = elimination.dropped.union(elimination.killed[:killed])
+        column = {face_code(face[:k] + face[k + 1 :], n): (-1) ** k for k in range(len(face))}
+        return {r: s for r, s in column.items() if r not in dead}
 
-    for code, added in elimination.added.items():
-        assert added == column(code)
-    for code, r in elimination.peeled:
-        assert r in column(code)
+    for code, (entries, killed) in elimination.filed.items():
+        assert len(entries) > 1 and entries == live(code, killed)
+    for code, r, killed in elimination.peeled:
+        assert list(live(code, killed)) == [r]
     return rows - elimination.dropped
 
 
