@@ -10,9 +10,10 @@ the target, the clique number stays at the planted clique, the planted
 biclique is present, and the certified topological bound is stuck at 3.
 
 The batch suite runs one wedge check for each pair of four small
-graphs.  One ``run_suite`` call passes each part's complex once per cap:
-its cases share one dict, which holds the family graphs and the parts'
-passes and lives only for that call.  Nothing is cached across calls.
+graphs, and the conn = 0 certificate on five.  One ``run_suite`` call
+builds each of the six family graphs once and passes its complex once, at
+cap 3; the wedge and certificate cases read those passes, which live only
+for that call.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .homology import (
     DEFAULT_FACE_BUDGET,
     ConnectivityCertificate,
     HomologyGroup,
+    HomologyPass,
     homology_pass,
 )
 from .invariants import (
@@ -79,31 +81,34 @@ def verify_wedge_decomposition(
     spec: GadgetSpec,
     cap: int = 2,
     limit: int = DEFAULT_FACE_BUDGET,
-    parts: dict | None = None,
+    parts: tuple[HomologyPass, HomologyPass] | None = None,
 ) -> WedgeCheckReport:
     """Check that the gadget's neighborhood complex carries exactly the
     homology of the two parts' complexes plus one extra circle, and that
-    the conn = 0 certificate holds on it.  ``parts`` maps (part graph, cap,
-    limit) to that part's pass: equal parts share one pass, and a caller
-    that checks many gadgets passes one dict to pass each part once."""
-    parts = {} if parts is None else parts
-    keys = ((spec.h, cap, limit), (spec.k, cap, limit))
-    # a part with a pass in ``parts`` has met the hypotheses already
-    for key, which in zip(keys, ("first", "second")):
-        if key not in parts and not is_connected(key[0]):
+    the conn = 0 certificate holds on it.  ``parts`` are the first and the
+    second part's passes, each through degree ``cap`` or above, for a caller
+    that checks many gadgets on the same parts; a part pass below ``cap``
+    raises IndexError.  Without them, the gadget is passed, then the first
+    part, then the second unless it equals the first.  The parts'
+    hypotheses are checked either way."""
+    for g, which in ((spec.h, "first"), (spec.k, "second")):
+        if not is_connected(g):
             raise PreconditionError(f"{which} graph must be connected")
-        if key not in parts and is_bipartite(key[0])[0]:
+        if is_bipartite(g)[0]:
             raise PreconditionError(f"{which} graph must be non-bipartite")
     built = build_gadget(spec)
     gadget = homology_pass(neighborhood_complex(built.graph), cap, limit)
-    for key in keys:
-        if key not in parts:
-            parts[key] = homology_pass(neighborhood_complex(key[0]), cap, limit)
+    if parts is None:
+        first = homology_pass(neighborhood_complex(spec.h), cap, limit)
+        if spec.k == spec.h:
+            parts = first, first
+        else:
+            parts = first, homology_pass(neighborhood_complex(spec.k), cap, limit)
+    a, b = (part.profile for part in parts)
     # the expected group adds the extra circle, Z in degree 1
-    profiles = zip(gadget.profile, *(parts[key].profile for key in keys))
     rows = tuple(
-        WedgeCheckRow(g, a, b, a + b + HomologyGroup(i, int(i == 1), ()))
-        for i, (g, a, b) in enumerate(profiles)
+        WedgeCheckRow(g, a[i], b[i], a[i] + b[i] + HomologyGroup(i, int(i == 1), ()))
+        for i, g in enumerate(gadget.profile)
     )
     passed = all(r.ok for r in rows) and gadget.certificate.certified_conn_zero
     return WedgeCheckReport(rows, gadget.certificate, built.graph, passed)
@@ -411,21 +416,16 @@ def bounds_report_json(case: str, g: Graph, report: BoundReport) -> dict:
 
 SUITE_FAMILIES: tuple[str, ...] = ("K3", "K4", "C5", "C7")
 
-CERTIFICATE_CASES: tuple[tuple[str, str], ...] = (
-    ("K2", "certified-fails-disconnected"),
-    ("K3", "certified"),
-    ("K4", "certified-fails-trivial-h1"),
-    ("C4", "certified-fails-disconnected"),
-    ("C5", "certified"),
+# (family, expectation, the connectivity it expects); the connectivity
+# fixes the certificate's certified_conn_zero, connectedness and flags
+# (homology._connectivity)
+CERTIFICATE_CASES: tuple[tuple[str, str, int | str], ...] = (
+    ("K2", "certified-fails-disconnected", -1),
+    ("K3", "certified", 0),
+    ("K4", "certified-fails-trivial-h1", ">=1"),
+    ("C4", "certified-fails-disconnected", -1),
+    ("C5", "certified", 0),
 )
-
-# the connectivity a certificate case expects; it fixes the certificate's
-# certified_conn_zero, connectedness and flags (homology._connectivity)
-_EXPECTED_CONN = {
-    "certified": 0,
-    "certified-fails-disconnected": -1,
-    "certified-fails-trivial-h1": ">=1",
-}
 
 SUITE_COROLLARY_PARAMS: tuple[tuple[int, int, int, int], ...] = (
     (1, 2, 2, 3),
@@ -440,71 +440,36 @@ FULL_COROLLARY_PARAMS = SUITE_COROLLARY_PARAMS + (
 )
 
 
-def _suite_graph(name: str, run: dict) -> Graph:
-    """``K<p>`` is the complete graph on p vertices, ``C<n>`` the n-cycle;
-    each is built once per suite run and kept in ``run`` under its name."""
-    if name not in run:
-        build = complete_graph if name[0] == "K" else cycle_graph
-        run[name] = build(int(name[1:]))
-    return run[name]
-
-
-def suite_cases(*, full: bool = False) -> list[tuple]:
-    """Deterministic case descriptors, each once.  Each unordered pair of
-    families is wedged once, at vertex 0 on both sides: every family is
-    vertex-transitive, so another base point gives an isomorphic gadget."""
-    cases: list[tuple] = []
-    for i, name_h in enumerate(SUITE_FAMILIES):
-        for name_k in SUITE_FAMILIES[i:]:
-            cap = 3 if "K4" in (name_h, name_k) else 2
-            cases.append(("theorem2", name_h, 0, name_k, 0, cap))
-    for name, expectation in CERTIFICATE_CASES:
-        cases.append(("certificate", name, expectation))
-    for params in FULL_COROLLARY_PARAMS if full else SUITE_COROLLARY_PARAMS:
-        cases.append(("corollary",) + params)
-    return cases
-
-
-def run_suite_case(case: tuple, run: dict | None = None) -> dict:
-    """One case's report.  ``run`` holds what one suite run computes once:
-    each family graph by name, and each wedge part's pass keyed as
-    ``verify_wedge_decomposition`` keys it."""
-    run = {} if run is None else run
-    kind = case[0]
-    if kind == "theorem2":
-        _, name_h, x, name_k, y, cap = case
-        spec = GadgetSpec(_suite_graph(name_h, run), x, _suite_graph(name_k, run), y)
-        report = verify_wedge_decomposition(spec, cap=cap, parts=run)
-        return wedge_report_json(report, name_h, x, name_k, y, cap)
-    if kind == "certificate":
-        _, name, expectation = case
-        g = _suite_graph(name, run)
-        cert = homology_pass(neighborhood_complex(g), 1).certificate
-        ok = cert.homological_connectivity == _EXPECTED_CONN[expectation]
-        return _report_json(
-            f"certificate({name})",
-            {"graph": name, "expect": expectation},
-            g,
-            cert,
-            [cert.h1],
-            {},
-            ok,
-        )
-    if kind == "corollary":
-        _, l, m, p, q = case
-        report = verify_corollary(CorollaryParams(l, m, p, q))
-        return corollary_report_json(report)
-    raise ValueError(f"unknown case kind {kind!r}")
-
-
 def run_suite(seed: int = 0, full: bool = False) -> dict:
     """Run every suite case; the result dict is deterministic (cases sorted
-    by key, no wall-clock fields).  The cases share one ``run`` dict (see
-    ``run_suite_case``), which lives only for this call.  ``seed`` selects
-    nothing: the report echoes it under ``seed`` for the benchmark harness,
-    which runs ``run_suite(s)`` over several s and checks the echo."""
-    run: dict = {}
-    reports = [run_suite_case(case, run) for case in suite_cases(full=full)]
+    by key, no wall-clock fields).  Each family graph (``K<p>`` the complete
+    graph on p vertices, ``C<n>`` the n-cycle) is built once, and its
+    complex passed once, at cap 3, the highest degree a case reads; the
+    wedge and certificate cases read those passes, which live only for this
+    call.  Each unordered pair of wedge families is wedged once, at vertex 0
+    on both sides: every family is vertex-transitive, so another base point
+    gives an isomorphic gadget.  ``seed`` selects nothing: the report echoes
+    it under ``seed`` for the benchmark harness, which runs ``run_suite(s)``
+    over several s and checks the echo."""
+    names = dict.fromkeys(SUITE_FAMILIES + tuple(c[0] for c in CERTIFICATE_CASES))
+    graphs = {n: (complete_graph if n[0] == "K" else cycle_graph)(int(n[1:])) for n in names}
+    passes = {n: homology_pass(neighborhood_complex(g), 3) for n, g in graphs.items()}
+    reports = []
+    for i, h in enumerate(SUITE_FAMILIES):
+        for k in SUITE_FAMILIES[i:]:
+            cap = 3 if "K4" in (h, k) else 2
+            spec = GadgetSpec(graphs[h], 0, graphs[k], 0)
+            report = verify_wedge_decomposition(spec, cap, parts=(passes[h], passes[k]))
+            reports.append(wedge_report_json(report, h, 0, k, 0, cap))
+    for name, expectation, conn in CERTIFICATE_CASES:
+        cert = passes[name].certificate
+        params = {"graph": name, "expect": expectation}
+        ok = cert.homological_connectivity == conn
+        reports.append(
+            _report_json(f"certificate({name})", params, graphs[name], cert, [cert.h1], {}, ok)
+        )
+    for params in FULL_COROLLARY_PARAMS if full else SUITE_COROLLARY_PARAMS:
+        reports.append(corollary_report_json(verify_corollary(CorollaryParams(*params))))
     reports.sort(key=lambda r: r["case"])
     return {
         "seed": seed,

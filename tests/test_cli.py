@@ -548,15 +548,12 @@ def test_verify_theorem2_failure_writes_the_report_and_one_error(graph_files, mo
 
 
 def test_verify_suite_failure_names_the_failing_cases(monkeypatch, capsys):
-    real = lovaszgap.verify.run_suite_case
-
-    def broken(case, run):
-        report = real(case, run)
-        if report["case"] == "certificate(K3)":
-            report["pass"] = False
-        return report
-
-    monkeypatch.setattr(lovaszgap.verify, "run_suite_case", broken)
+    # K3's complex is a circle, conn = 0: expecting -1 fails that case alone
+    cases = [
+        (name, expect, -1 if name == "K3" else conn)
+        for name, expect, conn in lovaszgap.verify.CERTIFICATE_CASES
+    ]
+    monkeypatch.setattr(lovaszgap.verify, "CERTIFICATE_CASES", tuple(cases))
     assert main(["verify", "suite"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (

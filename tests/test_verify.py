@@ -27,6 +27,7 @@ from lovaszgap import (
     complete_graph,
     cycle_graph,
     greedy_dsatur_bound,
+    homology_pass,
     homology_profile,
     kneser_graph,
     neighborhood_complex,
@@ -37,10 +38,9 @@ from lovaszgap import (
 from lovaszgap.cli import main
 from lovaszgap.invariants import _induced
 from lovaszgap.verify import (
+    SUITE_FAMILIES,
     certified_bound,
     corollary_report_json,
-    run_suite_case,
-    suite_cases,
     wedge_report_json,
 )
 
@@ -150,19 +150,46 @@ def test_equal_wedge_parts_share_one_pass(monkeypatch, h, k, passed):
 
 @pytest.mark.parametrize(
     "runs, passes",
-    [([{}], 25), ([{"full": True}], 28), ([{}, {}], 50)],
+    [([{}], 19), ([{"full": True}], 22), ([{}, {}], 38)],
     ids=["suite", "full", "twice"],
 )
-def test_a_suite_run_passes_each_wedge_part_once(monkeypatch, runs, passes):
-    # per run: 10 gadgets + 7 distinct (part, cap) pairs + 5 certificates +
-    # 3 separation graphs (6 with full) = 25 (28); a second run repeats
-    # every pass, so no pass outlives the run that made it
+def test_a_suite_run_passes_each_family_complex_once(monkeypatch, runs, passes):
+    # per run: 6 family complexes + 10 gadgets + 3 separation graphs (6 with
+    # full) = 19 (22); a second run repeats every pass, so no pass outlives
+    # the run that made it
     ran = []
     for module in (lovaszgap.homology, lovaszgap.verify):
         monkeypatch.setattr(module, "homology_pass", recording(ran, module.homology_pass))
     for kwargs in runs:
         assert run_suite(0, **kwargs)["pass"]
     assert len(ran) == passes
+
+
+SUITE_PAIRS = [(h, k) for i, h in enumerate(SUITE_FAMILIES) for k in SUITE_FAMILIES[i:]]
+
+
+def family(name):
+    return (complete_graph if name[0] == "K" else cycle_graph)(int(name[1:]))
+
+
+@pytest.mark.parametrize("h, k", SUITE_PAIRS, ids=[f"{h}-{k}" for h, k in SUITE_PAIRS])
+def test_given_part_passes_match_the_wedge_checks_own(h, k):
+    # the suite hands the wedge check its cap-3 family passes, also for a
+    # cap-2 check: the report must be the one the check makes on its own
+    cap = 3 if "K4" in (h, k) else 2
+    gadget = spec(family(h), family(k))
+    parts = tuple(homology_pass(neighborhood_complex(g), 3) for g in (gadget.h, gadget.k))
+    given = verify_wedge_decomposition(gadget, cap, parts=parts)
+    own = verify_wedge_decomposition(gadget, cap)
+    assert len(given.rows) == cap + 1
+    assert (given.rows, given.certificate, given.passed) == (own.rows, own.certificate, own.passed)
+
+
+def test_a_part_pass_below_the_cap_raises():
+    k3 = complete_graph(3)
+    low = homology_pass(neighborhood_complex(k3), 1)
+    with pytest.raises(IndexError):
+        verify_wedge_decomposition(spec(k3, k3), 2, parts=(low, low))
 
 
 def test_wedge_base_point_independence():
@@ -386,9 +413,14 @@ def test_wedge_report_json_deterministic():
 
 
 def test_suite_cases_deterministic():
-    assert suite_cases() == suite_cases()
-    assert len([c for c in suite_cases() if c[0] == "theorem2"]) == 10
-    assert len(suite_cases(full=True)) == len(suite_cases()) + 3
+    cases = [c["case"] for c in run_suite()["cases"]]
+    assert cases == [c["case"] for c in run_suite()["cases"]]
+    assert len([c for c in cases if c.startswith("theorem2")]) == 10
+    full = [c["case"] for c in run_suite(full=True)["cases"]]
+    assert sorted(set(full) - set(cases)) == [
+        f"corollary(l=2,m=2,p=3,q={q})" for q in (5, 6, 7)
+    ]
+    assert len(full) == len(cases) + 3
 
 
 @pytest.mark.parametrize("seed", range(31))
@@ -412,11 +444,6 @@ def test_run_suite_seed_selects_nothing():
     reports = [run_suite(s, full=False) for s in (0, 7, 23)]
     assert [r["seed"] for r in reports] == [0, 7, 23]
     assert reports[0]["cases"] == reports[1]["cases"] == reports[2]["cases"]
-
-
-def test_run_suite_case_rejects_an_unknown_kind():
-    with pytest.raises(ValueError, match="unknown case kind 'wedge'"):
-        run_suite_case(("wedge", "K3", 0, "K3", 0, 2))
 
 
 def test_run_suite_passes_and_is_deterministic():
