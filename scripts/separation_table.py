@@ -5,9 +5,9 @@ topological bound, demonstrating that all three gaps grow independently.
 Every row is verified exactly: chi by a coloring plus a checkable
 lower-bound witness (a Mycielski chain on the triangle-free block), omega
 by exact clique search, and the bound by integer homology.  The whole
-default sweep, up to the 397-vertex q=8 row, runs in under a second
-(0.64-0.72 s wall for the script, 0.32-0.41 s of it the q=8 row, and
-27 MB peak RSS, with Python 3.11 on a 2-core Xeon).
+default sweep, up to the 397-vertex q=8 row, runs in under half a second
+(0.22-0.41 s wall for the script, 0.09-0.19 s of it the q=8 row, and
+25.7 MB peak RSS, over 12 runs with Python 3.11 on a 2-core Xeon).
 """
 
 import argparse

@@ -35,11 +35,12 @@ are all dead is skipped, one with a single live row is peeled on it, and
 only one with two live rows or more is filed, as its live entries with
 their signs in the order of its face's vertices, straight into the
 elimination's row and column index.  These are the decisions and the
-filing of ``Elimination.add``, in the same order, so the result is that
-of streaming every column whole (``snf.eliminate``), pivots and their
-order included; a triangle {a, u, v} is read on its rows au and av
-first, the ones the forest and the earlier peels at a tend to kill, then
-on uv, and each row of a higher face is decoded once.
+filing that ``snf.Elimination`` describes, in the column's order, so the
+result is that of deciding every column whole, as the reference arrival
+in ``tests/oracles.py`` does, pivots and their order included; a
+triangle {a, u, v} is read on its rows au and av first, the ones the
+forest and the earlier peels at a tend to kill, then on uv, and each row
+of a higher face is decoded once.
 
 Each boundary is also cleared of the rows that the one below it already
 accounts for (the "clearing" of persistent homology, carried over to the
@@ -264,15 +265,15 @@ def homology_pass(
     (counted against ``limit`` after those faces, one check per batch),
     each column the boundary of a face code over the codes of its faces,
     decided against the elimination's dead rows as its rows are read (see
-    the module docstring): skipped, peeled, or filed as its live entries;
-    ``Elimination.add`` is never called.  The fan
-    2-faces arrive during the walk over the facets, their boundaries coded
-    from their vertices, the higher ones, kept as codes, once the degree
-    below is done.  Each elimination is cleared first: boundary_2
-    loses the rows of a spanning forest of the 1-skeleton, and
-    boundary_{i+1} the rows of boundary_i's pivot columns whenever that
-    elimination finished on +-1 pivots alone; after any Euclid step nothing
-    is cleared.
+    the module docstring): skipped, peeled, or filed as its live entries,
+    the decisions that the tests' reference arrival takes on each whole
+    column.  The fan 2-faces arrive during the walk over the facets,
+    their boundaries coded from their vertices, the higher ones, kept as
+    codes, once the degree below is done.  Each elimination is cleared
+    first: boundary_2 loses the rows of a spanning forest of the
+    1-skeleton, and boundary_{i+1} the rows of boundary_i's pivot columns
+    whenever that elimination finished on +-1 pivots alone; after any
+    Euclid step nothing is cleared.
     The certificate's nontrivial loop is H_1 != 0 (the abelianization shadow
     of a nontrivial fundamental group)."""
     if cap < 0:

@@ -5,19 +5,17 @@ Invariant factors come from one streaming sparse elimination
 built first, in three steps:
 
 * peel as they arrive: rows can be dropped up front (the clearing of
-  ``homology``); then each arriving column (``add``) sheds its entries on
-  dropped or already peeled rows, and is dropped if nothing is left, peeled
-  at once (``peel``) if a single +-1 is left, and filed otherwise, its live
-  entries in the column's order, in the row -> column index ``rows`` and
-  the column -> rows index ``cols``.  The dropped and peeled rows are the
-  ``dead`` set, which a caller may read to take all three decisions itself
-  and file a column without building it; ``homology`` does that for every
-  fan column, and ``add`` serves ``eliminate``.  A peel takes its row out
-  of the filed columns through the row index, and those left with a
-  single +-1 are peeled in turn.  This is sound in any arrival
-  order: a peeled column is a unit vector on the rows still live, so
-  column operations against it clear its row from every other column,
-  earlier or later, and only its row and column change;
+  ``homology``); the dropped and peeled rows are the ``dead`` set, against
+  which the caller decides each column's arrival as ``Elimination``
+  describes: drop it, peel it at once (``peel``), or file its live entries
+  in the row -> column index ``rows`` and the column -> rows index
+  ``cols``.  ``homology`` does so for every fan column without building
+  it.  A peel takes its row out of the filed columns through the row
+  index, and those left with a single +-1 are peeled in turn.  This is
+  sound in any arrival order: a peeled column is a unit vector on the
+  rows still live, so column operations against it clear its row from
+  every other column, earlier or later, and only its row and column
+  change;
 * then (``result``) take row singletons: a stored row whose one entry is a
   +-1, in column c, is a pivot without fill.  Row operations against it
   clear the rest of column c, and since column c then holds the +-1 alone,
@@ -52,9 +50,6 @@ When every pivot was a unit pivot, the result also names the pivot
 columns: their images are independent and span the column lattice (every
 other column was reduced to zero against them), which is what
 ``homology`` needs to clear the next boundary.
-
-``eliminate`` runs the elimination over any stream of (id, column) pairs,
-each through ``add``.
 
 Everything is plain Python ints, so intermediate growth is exact.
 """
@@ -92,14 +87,14 @@ class SnfResult:
 class Elimination:
     """The streaming elimination: columns arrive one at a time, and
     ``result`` then takes the row singletons and the residual loop.
-    ``dead`` holds the rows dropped up front or peeled.  ``add`` takes a
-    whole column and decides its arrival against ``dead``.  A caller that
-    reads ``dead`` itself may take the same decisions without building the
-    column: skip it when every row is dead, ``peel`` it on its one live
-    +-1, or else file its live entries in the column's order, writing
-    rows[r][c] = value for each, then cols[c] = the set of those rows.  The
-    order matters: the order in which rows first arrive, and the sets'
-    order, fix the order in which the row singletons are taken, hence
+    ``dead`` holds the rows dropped up front or peeled.  The caller decides
+    each column's arrival against ``dead``, and need not build the column
+    to do so: it drops a column with no entry on a live row, writing
+    nothing; it peels one whose only live entry is a +-1 on that row
+    (``peel``); and it files any other as its live entries in the column's order,
+    writing rows[r][c] = value for each, then cols[c] = the set of those
+    rows.  The order matters: the order in which rows first arrive, and the
+    sets' order, fix the order in which the row singletons are taken, hence
     ``pivots``."""
 
     def __init__(self, dropped_rows: Iterable[int] = ()) -> None:
@@ -107,21 +102,6 @@ class Elimination:
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
         self.pivots: list[int] = []
-
-    def add(self, c: int, column: dict[int, int]) -> None:
-        """Column c arrives as {row id: value}, nonzero values: it sheds its
-        entries on dead rows, and is then dropped if nothing is left, peeled
-        at once if a single +-1 is left, and filed otherwise, its live rows
-        in the column's order."""
-        dead = self.dead
-        live = [r for r in column if r not in dead]
-        if len(live) == 1 and column[live[0]] in (1, -1):
-            self.peel(c, live[0])
-        elif live:
-            rows = self.rows
-            for r in live:
-                rows.setdefault(r, {})[c] = column[r]
-            self.cols[c] = set(live)
 
     def peel(self, c: int, r: int) -> None:
         """Peel column c, whose one live entry is a +-1 on row r: take row r
@@ -217,18 +197,6 @@ class Elimination:
         return SnfResult(
             rank, torsion_factors(diagonal), None if pivots is None else tuple(pivots)
         )
-
-
-def eliminate(
-    columns: Iterable[tuple[int, dict[int, int]]], dropped_rows: Iterable[int] = ()
-) -> SnfResult:
-    """SNF of the matrix whose columns arrive as (column id, {row id: value})
-    pairs, with distinct column ids and nonzero values, less the rows
-    ``dropped_rows``; the ids are any ints."""
-    elimination = Elimination(dropped_rows)
-    for c, column in columns:
-        elimination.add(c, column)
-    return elimination.result()
 
 
 def torsion_factors(diagonal: Iterable[int]) -> tuple[int, ...]:

@@ -11,16 +11,18 @@ library walks bitmasks on an explicit stack.
 The boundary oracles build their matrices from every face of a degree,
 or from fans at the largest vertex of each facet (the library's fans sit
 at the smallest), and never clear a row; their matrices are an explicit
-``IntegerMatrix``, whose Smith normal form streams the columns through the
-library's elimination.  The cone is built on the facets
-alone, and the Euler characteristic counts the oracle's own enumeration of
-faces.  Face codes are a sum of powers where the library runs Horner's
-rule.  The per-face walks add the faces, and the fan faces, one at a time
-and check the budget after each, where the library adds a (vertex, facet, size)
-batch at a time and checks the budget once per batch.  The reference fan
-stream builds every fan face's boundary column and hands each to
-``eliminate``, where the library's pass builds none and files only the
-live entries of the columns with two live rows or more.  The
+``IntegerMatrix``, whose Smith normal form streams the columns through
+``eliminate``, the reference arrival: it builds every column whole and
+decides its arrival itself, where the library's pass reads a fan column's
+rows one at a time and builds none; only the peel and the elimination
+after the last arrival are the library's ``Elimination``.  The cone is
+built on the facets alone, and the Euler characteristic counts the
+oracle's own enumeration of faces.  Face codes are a sum of powers where
+the library runs Horner's rule.  The per-face walks add the faces, and the
+fan faces, one at a time and check the budget after each, where the
+library adds a (vertex, facet, size) batch at a time and checks the budget
+once per batch.  The reference fan stream builds every fan face's boundary
+column and hands each to ``eliminate``.  The
 incidence-graph builder gives the wedge check parts whose neighborhood
 complexes carry a chosen complex's torsion, and the Schrijver graphs give
 complexes with a known sphere's homology.  The edge-list composite puts
@@ -47,7 +49,7 @@ from lovaszgap import (
     SnfResult,
 )
 from lovaszgap.dimacs import format_graph
-from lovaszgap.snf import eliminate
+from lovaszgap.snf import Elimination
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,29 @@ class IntegerMatrix:
         return len(self.entries)
 
 
+def eliminate(columns, dropped_rows=()) -> SnfResult:
+    """SNF of the matrix whose columns arrive as (column id, {row id: value})
+    pairs, with distinct column ids and nonzero values, less the rows
+    ``dropped_rows``; the ids are any ints.  Each whole column's arrival is
+    decided against the dead rows of a library ``Elimination``: it is
+    dropped when no entry is left on a live row, peeled when a single +-1 is
+    left, and otherwise filed as its live entries in the column's order."""
+    elimination = Elimination(dropped_rows)
+    dead, rows, cols = elimination.dead, elimination.rows, elimination.cols
+    for c, column in columns:
+        live = [r for r in column if r not in dead]
+        if len(live) == 1 and column[live[0]] in (1, -1):
+            elimination.peel(c, live[0])
+        elif live:
+            for r in live:
+                rows.setdefault(r, {})[c] = column[r]
+            cols[c] = set(live)
+    return elimination.result()
+
+
 def smith_normal_form(m: IntegerMatrix) -> SnfResult:
-    """The library's SNF of an explicit matrix: its columns, in index order,
-    streamed through ``eliminate``."""
+    """The SNF of an explicit matrix: its columns, in index order, streamed
+    through ``eliminate``."""
     columns: list[dict[int, int]] = [{} for _ in range(m.cols)]
     for r, c, val in m.entries:
         columns[c][r] = val

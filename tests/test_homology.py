@@ -933,22 +933,6 @@ def test_filed_columns_per_degree(graph, cap, filed):
         boundary_rows(c, i, elimination)
 
 
-def test_the_pass_never_calls_add(corpus, monkeypatch):
-    # the pass takes every arrival decision itself; ``add`` is left to
-    # ``snf.eliminate``
-    def add(self, c, column):
-        raise AssertionError(f"column {c} reached Elimination.add")
-
-    monkeypatch.setattr(Elimination, "add", add)
-    ladder = [
-        build_corollary_graph(CorollaryParams(2, 2, 3, q)).graph for q in range(3, 7)
-    ]
-    for g in [*corpus.values(), *ladder]:
-        c = neighborhood_complex(g)
-        for cap in (1, 2, 3):
-            homology_pass(c, cap)
-
-
 # ---------------------------------------------------------------------------
 # clearing: each boundary loses the rows that the one below already spans
 

@@ -1,11 +1,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lovaszgap.snf import eliminate
-
 from oracles import (
     IntegerMatrix,
     dense_snf,
+    eliminate,
     invariant_factors,
     minor_gcd_invariant_factors,
     smith_normal_form,
