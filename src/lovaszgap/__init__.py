@@ -41,14 +41,17 @@ from .invariants import (
     Chromatic,
     CliqueWitness,
     ColoringWitness,
+    ConnZeroWitness,
     LowerBound,
     MycielskiWitness,
     SearchWitness,
     chromatic_number,
+    find_conn_zero_witness,
     greedy_dsatur_bound,
     is_k_colorable,
     max_clique,
     mycielski_lower_bound,
+    neighborhood_components,
     verify_biclique_certificate,
 )
 from .snf import SnfResult

@@ -220,7 +220,7 @@ def skeleton_components(
 # the certificate's flags by its connectivity: connected with trivial H_1
 # means every reduced group vanishes through degree 1, so conn >= 1
 # homologically and is homotopically unknown
-_CERTIFICATE_FLAGS = {
+CERTIFICATE_FLAGS = {
     EMPTY_SENTINEL: (FLAG_EMPTY,),
     -1: (FLAG_NO_CERTIFICATE,),
     0: (),
@@ -393,7 +393,7 @@ def homology_pass(
         h1=groups[1],
         certified_conn_zero=conn == 0,
         homological_connectivity=conn,
-        flags=_CERTIFICATE_FLAGS[conn],
+        flags=CERTIFICATE_FLAGS[conn],
     )
     profile = groups[: cap + 1]
     return HomologyPass(profile, certificate, _connectivity(profile, nonempty))

@@ -155,6 +155,165 @@ class SearchWitness:
 LowerBound = CliqueWitness | MycielskiWitness | SearchWitness
 
 
+# ---------------------------------------------------------------------------
+# conn = 0 of the neighborhood complex, read off the graph
+
+
+def neighborhood_components(g: Graph) -> int:
+    """The number of components of the 1-skeleton of N(G), from G alone.
+    Two vertices span an edge of N(G) when they have a common neighbour, so
+    a component of G with an edge gives one component of N(G) when it holds
+    an odd cycle and two, its sides, when it is bipartite; an isolated
+    vertex lies in no face and gives none.  So N(G) is empty at 0,
+    connected at 1, and nonempty and disconnected (conn = -1 exactly) above."""
+    side = [-1] * g.n
+    count = 0
+    for start in range(g.n):
+        if side[start] != -1 or not g.adj[start]:
+            continue
+        side[start] = 0
+        queue = [start]
+        odd = False
+        for v in queue:  # BFS: the loop visits what it appends
+            for u in g.adj[v]:
+                if side[u] == -1:
+                    side[u] = 1 - side[v]
+                    queue.append(u)
+                elif side[u] == side[v]:
+                    odd = True
+        count += 1 if odd else 2
+    return count
+
+
+@dataclass(frozen=True)
+class ConnZeroWitness:
+    """Proves that N(G) has connectivity exactly 0, from G alone.
+
+    ``part`` is a part A of the neighbours of ``z``, neither empty nor all
+    of them.  Let S = N(A) - {z}; the 1-cochain phi is 1 on each edge
+    {z, u} of N(G) with u in S and 0 on every other edge.  Every triangle
+    of N(G) through z is {z, u, t} with a common neighbour w of z, u and t,
+    and phi is 0 off z, so phi is a cocycle iff for each neighbour w of z
+    the set N(w) - {z} lies wholly inside S or wholly outside it.  ``walk``
+    is a closed walk in the 1-skeleton of N(G), each step (a, w, b) with
+    a != b and w a common neighbour of a and b.  Its pairing with phi, the
+    steps that leave z for S less those that come back to z from S, is
+    nonzero, so phi is a nonzero class in H^1(N(G); Z) = Hom(H_1, Z): H_1
+    has a free summand and the fundamental group is nontrivial.  With the
+    1-skeleton connected (``neighborhood_components``), conn = 0 exactly.
+    No face of N(G) above its edges is read, and no prime or Smith normal
+    form is involved."""
+
+    z: int
+    part: tuple[int, ...]
+    walk: tuple[tuple[int, int, int], ...]
+
+    def validate(self, g: Graph) -> None:
+        if neighborhood_components(g) != 1:
+            raise CertificateError("the neighborhood complex is empty or disconnected")
+        z, part = self.z, self.part
+        if not (0 <= z < g.n):
+            raise CertificateError(f"star vertex {z} out of range")
+        around = g.adj[z]
+        if list(part) != sorted(set(part)) or not around.issuperset(part):
+            raise CertificateError(f"part not sorted, distinct and inside N({z})")
+        if not part or len(part) == len(around):
+            raise CertificateError(f"part is empty or all of N({z})")
+        inside = set().union(*(g.adj[a] for a in part)) - {z}
+        for w in around:
+            rest = g.adj[w] - {z}
+            if not (rest <= inside or rest.isdisjoint(inside)):
+                raise CertificateError(f"the cochain is no cocycle at common neighbour {w}")
+        if not self.walk:
+            raise CertificateError("the walk is empty")
+        pairing = 0
+        at = self.walk[-1][2]
+        for a, w, b in self.walk:
+            if a != at:
+                raise CertificateError(f"the walk breaks or does not close at {a}")
+            if a == b or not (0 <= w < g.n) or a not in g.adj[w] or b not in g.adj[w]:
+                raise CertificateError(f"step ({a},{w},{b}) is no edge of N(G)")
+            if a == z:
+                pairing += b in inside
+            elif b == z:
+                pairing -= a in inside
+            at = b
+        if not pairing:
+            raise CertificateError("the walk pairs to 0 with the cochain")
+
+
+def _skeleton_path(adj, z: int, start: int, targets: set[int]) -> list | None:
+    """The steps (x, w, y) of a shortest path in the 1-skeleton of N(G) - z
+    from ``start`` to a vertex in ``targets`` (``start`` not among them),
+    or None when there is none: breadth-first over (vertex, common
+    neighbour) pairs, each common neighbour expanded once, z included, in
+    increasing order."""
+    parent = {start: None}
+    expanded: set[int] = set()
+    queue = [start]
+    for x in queue:  # BFS: the loop visits what it appends
+        for w in sorted(adj[x] - expanded):
+            expanded.add(w)
+            for y in sorted(adj[w]):
+                if y == z or y in parent:
+                    continue
+                parent[y] = x, w
+                if y in targets:
+                    path = []
+                    while parent[y] is not None:
+                        x, w = parent[y]
+                        path.append((x, w, y))
+                        y = x
+                    return path[::-1]
+                queue.append(y)
+    return None
+
+
+def find_conn_zero_witness(g: Graph) -> ConnZeroWitness | None:
+    """A ``ConnZeroWitness`` for G, or None when N(G) is not connected or
+    no vertex gives one.  The vertices z are tried in order of (degree,
+    id).  The neighbours of z that share a neighbour other than z fall into
+    classes; A is the class of the least neighbour with a neighbour other
+    than z, grown by one search, and z is kept when a neighbour with a
+    neighbour other than z lies outside it.  The walk leaves z for S
+    through the least vertex of A, then follows one breadth-first search in
+    N(G) - z from there, over (vertex, common neighbour) pairs with each
+    common neighbour expanded once (z too, as a common neighbour), to the
+    first vertex reached that a neighbour of z outside A sees, and comes
+    back to z through that neighbour.  Each z costs O(n + m), and the
+    first usually serves."""
+    if neighborhood_components(g) != 1:
+        return None
+    adj = g.adj
+    for z in sorted(range(g.n), key=lambda v: (len(adj[v]), v)):
+        around = adj[z]
+        inner = sorted(u for u in around if len(adj[u]) > 1)
+        if len(inner) < 2:
+            continue
+        # A grows from inner[0] until it is closed, or until no neighbour
+        # is left outside it, which also bounds the work on dense graphs
+        outer, inside, stack = set(inner[1:]), set(), [inner[0]]
+        while stack and outer:
+            for t in adj[stack.pop()]:
+                if t != z and t not in inside:
+                    inside.add(t)
+                    grown = outer.intersection(adj[t])
+                    outer -= grown
+                    stack.extend(grown)
+        if not outer:
+            continue
+        targets = set().union(*(adj[u] for u in outer)) - {z}
+        start = min(adj[inner[0]] - {z})
+        path = _skeleton_path(adj, z, start, targets)
+        if path is None:
+            continue
+        end = path[-1][2]
+        steps = [(z, inner[0], start), *path, (end, min(adj[end] & outer), z)]
+        part = tuple(u for u in inner if u not in outer)
+        return ConnZeroWitness(z, part, tuple(steps))
+    return None
+
+
 def _induced(g: Graph, vertices: tuple[int, ...]) -> Graph:
     """The subgraph induced on ``vertices``, relabelled so that vertices[i]
     becomes i."""

@@ -9,6 +9,17 @@ composite graph and verifies, all exactly, that its chromatic number hits
 the target, the clique number stays at the planted clique, the planted
 biclique is present, and the certified topological bound is stuck at 3.
 
+A bound comparison, the separation check's included, takes the certified
+bound conn + 3 from the graph first: 3 from a conn = 0 witness that
+``invariants.find_conn_zero_witness`` reads off G and its ``validate``
+checks (a star cocycle of N(G) and a closed walk that pairs with it
+nontrivially), and 2 when G shows N(G) nonempty and disconnected
+(``invariants.neighborhood_components``).  Only when neither holds does it
+build N(G) and run the homology pass, for the pass's connectivity
+certificate; the report's ``homology`` is then the pass's profile, and
+null otherwise.  Every separation graph checked so far carries a witness,
+so the suite's separation cases build no complex.
+
 The batch suite runs one wedge check for each pair of four small
 graphs, and the conn = 0 certificate on five.  One ``run_suite`` call
 builds each of the six family graphs once and passes its complex once, at
@@ -21,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import neighborhood_complex
-from .errors import PreconditionError
+from .errors import ParameterError, PreconditionError
 from .graphs import (
     CorollaryParams,
     CorollaryResult,
@@ -35,6 +46,7 @@ from .graphs import (
     is_connected,
 )
 from .homology import (
+    CERTIFICATE_FLAGS,
     DEFAULT_FACE_BUDGET,
     ConnectivityCertificate,
     HomologyGroup,
@@ -44,8 +56,11 @@ from .homology import (
 from .invariants import (
     CliqueWitness,
     ColoringWitness,
+    ConnZeroWitness,
     LowerBound,
     chromatic_number,
+    find_conn_zero_witness,
+    neighborhood_components,
     verify_biclique_certificate,
 )
 
@@ -120,16 +135,22 @@ def verify_wedge_decomposition(
 
 @dataclass(frozen=True)
 class BoundReport:
+    """A bound comparison.  ``homology`` and ``certificate`` are None when
+    the graph settled conn and no homology pass ran: ``conn_zero`` is then
+    the validated conn = 0 witness, or None when N(G) is nonempty and
+    disconnected."""
+
     chi: int
     omega: int
     lovasz_certified: int | None
     greedy_upper: int
-    homology: tuple[HomologyGroup, ...]
-    certificate: ConnectivityCertificate
+    homology: tuple[HomologyGroup, ...] | None
+    certificate: ConnectivityCertificate | None
     homological_connectivity: int | str
     coloring: ColoringWitness
     chi_lower: LowerBound
     clique: CliqueWitness
+    conn_zero: ConnZeroWitness | None
 
     def validate(self) -> None:
         if not (self.omega <= self.chi <= self.greedy_upper):
@@ -150,35 +171,64 @@ class BoundReport:
             )
 
 
-def certified_bound(certificate: ConnectivityCertificate) -> int | None:
-    """Exact certified value of conn + 3 when the certificate pins conn:
-    3 for certified conn = 0, 2 for a nonempty disconnected complex (conn
-    is exactly -1 there), otherwise None."""
-    conn = certificate.homological_connectivity
+def certified_bound(
+    certificate: ConnectivityCertificate | None,
+    witness: ConnZeroWitness | None = None,
+    disconnected: bool = False,
+) -> int | None:
+    """Exact certified value of conn + 3, from the first evidence that pins
+    conn: 3 from ``witness``, a validated conn = 0 witness; 2 when
+    ``disconnected``, the graph-side test that N(G) is nonempty and
+    disconnected (conn is exactly -1 there); otherwise from the pass's
+    ``certificate``, 3 for certified conn = 0 and 2 for a nonempty
+    disconnected complex.  None when nothing pins conn."""
+    if witness is not None:
+        return 3
+    if disconnected:
+        return 2
+    conn = None if certificate is None else certificate.homological_connectivity
     return conn + 3 if conn in (0, -1) else None
 
 
 def compare_bounds(
     g: Graph, cap: int = 2, limit: int = DEFAULT_FACE_BUDGET
 ) -> BoundReport:
-    """Compute every invariant and the connectivity certificate; report
-    only, never assert.  omega and the greedy upper bound come from the
-    chromatic number's pass over the blocks, since every clique lies inside
-    one block and block colorings combine."""
-    nc = neighborhood_complex(g)
-    topology = homology_pass(nc, cap, limit)
+    """Compute every invariant and the certified bound; report only, never
+    assert.  The graph settles conn first: a validated conn = 0 witness
+    pins it at 0, and N(G) nonempty and disconnected (two components of its
+    1-skeleton or more, counted from G) at -1.  Only when neither holds
+    does the homology pass run, through ``cap`` under ``limit``, for its
+    certificate and profile.  omega and the greedy upper bound come from
+    the chromatic number's pass over the blocks, since every clique lies
+    inside one block and block colorings combine."""
+    if limit < 1:
+        raise ParameterError(f"face budget must be >= 1, got {limit}")
+    witness = find_conn_zero_witness(g)
+    if witness is not None:
+        witness.validate(g)
+        conn, disconnected = 0, False
+    else:
+        disconnected = neighborhood_components(g) > 1
+        conn = -1 if disconnected else None
+    homology = certificate = None
+    if conn is None:
+        nc = neighborhood_complex(g)
+        topology = homology_pass(nc, cap, limit)
+        homology = () if nc.is_empty() else topology.profile
+        certificate, conn = topology.certificate, topology.homological_connectivity
     chi, coloring, chi_lower, clique, upper = chromatic_number(g)
     report = BoundReport(
         chi=chi,
         omega=len(clique.vertices),
-        lovasz_certified=certified_bound(topology.certificate),
+        lovasz_certified=certified_bound(certificate, witness, disconnected),
         greedy_upper=upper,
-        homology=() if nc.is_empty() else topology.profile,
-        certificate=topology.certificate,
-        homological_connectivity=topology.homological_connectivity,
+        homology=homology,
+        certificate=certificate,
+        homological_connectivity=conn,
         coloring=coloring,
         chi_lower=chi_lower,
         clique=clique,
+        conn_zero=witness,
     )
     report.validate()
     return report
@@ -284,16 +334,39 @@ def _chi_lower_json(witness: LowerBound) -> dict:
     return payload
 
 
-def _lovasz_json(certificate: ConnectivityCertificate) -> dict:
-    value = certified_bound(certificate)
-    return {
-        "certified": value is not None,
-        "value": value,
-        "flags": list(certificate.flags),
-    }
+def _lovasz_json(value: int | None, flags: tuple[str, ...]) -> dict:
+    return {"certified": value is not None, "value": value, "flags": list(flags)}
 
 
 def _report_json(
+    case: str,
+    params: dict,
+    g: Graph,
+    lovasz: dict,
+    homology,
+    witnesses: dict,
+    passed: bool,
+) -> dict:
+    """The fields every report carries.  ``homology`` is None when no
+    homology pass ran, and is written as null ("not computed"), apart from
+    [] for the empty complex.  ``chi`` and ``omega`` stay None here: only a
+    bound comparison fills them.  ``wall_time_ms`` stays None too: only the
+    CLI, which times a whole command, fills it."""
+    return {
+        "case": case,
+        "params": params,
+        "graph_stats": {"n": g.n, "m": g.m},
+        "chi": None,
+        "omega": None,
+        "lovasz": lovasz,
+        "homology": None if homology is None else _homology_json(homology),
+        "witnesses": witnesses,
+        "pass": passed,
+        "wall_time_ms": None,
+    }
+
+
+def _pass_report_json(
     case: str,
     params: dict,
     g: Graph,
@@ -302,22 +375,11 @@ def _report_json(
     witnesses: dict,
     passed: bool,
 ) -> dict:
-    """The fields every report carries; ``witnesses`` gains the
-    connectivity certificate.  ``chi`` and ``omega`` stay None here: only
-    a bound comparison fills them.  ``wall_time_ms`` stays None too: only
-    the CLI, which times a whole command, fills it."""
-    return {
-        "case": case,
-        "params": params,
-        "graph_stats": {"n": g.n, "m": g.m},
-        "chi": None,
-        "omega": None,
-        "lovasz": _lovasz_json(certificate),
-        "homology": _homology_json(homology),
-        "witnesses": dict(witnesses, certificate=_certificate_json(certificate)),
-        "pass": passed,
-        "wall_time_ms": None,
-    }
+    """A report on a homology pass: the bound is read off its connectivity
+    certificate, which ``witnesses`` gains."""
+    lovasz = _lovasz_json(certified_bound(certificate), certificate.flags)
+    witnesses = dict(witnesses, certificate=_certificate_json(certificate))
+    return _report_json(case, params, g, lovasz, homology, witnesses, passed)
 
 
 def wedge_report_json(
@@ -338,7 +400,7 @@ def wedge_report_json(
         }
         for r in report.rows
     ]
-    return _report_json(
+    return _pass_report_json(
         f"theorem2(h={h},x={x},k={k},y={y})",
         {"h": h, "x": x, "k": k, "y": y, "max_dim": cap},
         report.gadget_graph,
@@ -366,21 +428,31 @@ def _bound_report_json(
     case: str, params: dict, g: Graph, bound: BoundReport, passed: bool, witnesses: dict
 ) -> dict:
     """A report on a bound comparison: ``chi``, ``omega`` and the coloring,
-    chi_lower and clique witnesses, besides the given ``witnesses``."""
-    payload = _report_json(
-        case,
-        params,
-        g,
-        bound.certificate,
-        bound.homology,
-        {
-            "coloring": list(bound.coloring.assignment),
-            "chi_lower": _chi_lower_json(bound.chi_lower),
-            "clique": list(bound.clique.vertices),
-            **witnesses,
-        },
-        passed,
-    )
+    chi_lower and clique witnesses, besides the given ``witnesses``, and
+    the evidence for the bound: the pass's certificate when a pass ran,
+    else ``conn_zero``, the witness ``{z, part, walk}`` (each step ``[a, w,
+    b]``), when it pins conn = 0, and nothing when the graph shows N(G)
+    nonempty and disconnected."""
+    witnesses = {
+        "coloring": list(bound.coloring.assignment),
+        "chi_lower": _chi_lower_json(bound.chi_lower),
+        "clique": list(bound.clique.vertices),
+        **witnesses,
+    }
+    if bound.certificate is not None:
+        flags = bound.certificate.flags
+        witnesses["certificate"] = _certificate_json(bound.certificate)
+    else:
+        flags = CERTIFICATE_FLAGS[bound.homological_connectivity]
+        if bound.conn_zero is not None:
+            w = bound.conn_zero
+            witnesses["conn_zero"] = {
+                "z": w.z,
+                "part": list(w.part),
+                "walk": [list(step) for step in w.walk],
+            }
+    lovasz = _lovasz_json(bound.lovasz_certified, flags)
+    payload = _report_json(case, params, g, lovasz, bound.homology, witnesses, passed)
     payload.update(chi=bound.chi, omega=bound.omega)
     return payload
 
@@ -466,7 +538,9 @@ def run_suite(seed: int = 0, full: bool = False) -> dict:
         params = {"graph": name, "expect": expectation}
         ok = cert.homological_connectivity == conn
         reports.append(
-            _report_json(f"certificate({name})", params, graphs[name], cert, [cert.h1], {}, ok)
+            _pass_report_json(
+                f"certificate({name})", params, graphs[name], cert, [cert.h1], {}, ok
+            )
         )
     for params in FULL_COROLLARY_PARAMS if full else SUITE_COROLLARY_PARAMS:
         reports.append(corollary_report_json(verify_corollary(CorollaryParams(*params))))

@@ -22,6 +22,7 @@ from lovaszgap.cli import main
 from lovaszgap.complexes import format_facets
 from lovaszgap.dimacs import read_graph
 
+from conftest import PASS_ONLY
 from oracles import write_graph
 
 
@@ -382,7 +383,7 @@ def test_suite_reports_byte_identical(tmp_path):
 
 # sha256 of `verify suite --json FILE`; a change to any report byte must
 # update this digest and say why
-SUITE_SHA256 = "c93e7f3ad9e27018b20eec4d3c0974a519c7bd1441b77e2ae8d95ef7a8371f96"
+SUITE_SHA256 = "9e0ab85f76f54118a0480439fca35aa08b9e91f877507aeb879cbc24be627d3c"
 
 
 def test_suite_report_matches_pinned_digest(tmp_path):
@@ -393,7 +394,7 @@ def test_suite_report_matches_pinned_digest(tmp_path):
 
 # sha256 of `verify suite --full --json FILE`, the only pinned report with
 # the Mycielski chains of q = 5..7
-SUITE_FULL_SHA256 = "d6c01a09dca4a28af2cecd208d190029c88bb864ccf0aa408fefa9190e838d13"
+SUITE_FULL_SHA256 = "26e90cbddd7b22e38746817bcc8d25f739fcb4f1271c775aa9de7d43e1a05daf"
 
 
 def test_full_suite_report_matches_pinned_digest(tmp_path):
@@ -413,8 +414,8 @@ def test_verify_suite_has_no_seed_option(capsys):
 # directory that holds its inputs so that the `case` string names them
 # relatively; a change to any report byte must update a digest and say why
 CLI_REPORT_SHA256 = {
-    "bounds-k3": "0453176fcbaaf441ee9a1be77c88b1ca3b57cb3139f2a3c746658134bd719acb",
-    "bounds-c5": "e98d4c59695e6bcfcf4b08f65c1073cecbc709ed4ad49609291699c288606bd5",
+    "bounds-k3": "99a3cd03d531ed22b05f8fe3dc495fb8896da37827a53e5b3b62103da23631ec",
+    "bounds-c5": "e192482b15f716acdebe4492d5ecbf0a3f0666b7b5c205a58b150ae2e8fc2399",
     "bounds-empty": "650f73dca52ca4ed2d140cb6b56fbf9f030e4939194379877fb8dad69e5493dd",
     "theorem2": "12722cb2fb1da51ba0e3d6f8c5e9c3942712e03ecbaae373f9ad9cf27d679d57",
     "homology": "c303d7529a43c0173abf3d6d60d7ccfd642a342292b4f370f2d8a5a7f1c63ee0",
@@ -519,11 +520,16 @@ def test_homology_json_uses_dim(graph_files, tmp_path):
     assert payload["certificate"]["certified_conn_zero"] is True
 
 
-def test_bounds_max_dim_zero_lists_one_degree(graph_files, capsys):
-    assert main(["bounds", graph_files["c5"], "--max-dim", "0", "--json", "-"]) == 0
+def test_bounds_max_dim_zero_lists_one_degree(tmp_path, capsys):
+    # the pass runs on PASS_ONLY, and certifies conn = 0 from degree 1 even
+    # when the report lists degree 0 alone
+    path = tmp_path / "g.col"
+    write_graph(PASS_ONLY, str(path))
+    assert main(["bounds", str(path), "--max-dim", "0", "--json", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [g["dim"] for g in payload["homology"]] == [0]
     assert payload["lovasz"]["value"] == 3
+    assert payload["witnesses"]["certificate"]["certified_conn_zero"] is True
 
 
 def test_verify_theorem2_failure_writes_the_report_and_one_error(graph_files, monkeypatch, capsys):

@@ -11,10 +11,12 @@ import lovaszgap.invariants as invariants
 import lovaszgap.verify
 from lovaszgap import (
     CliqueWitness,
+    ConnZeroWitness,
     CorollaryParams,
     GadgetSpec,
     Graph,
     HomologyGroup,
+    ParameterError,
     PreconditionError,
     SearchWitness,
     SimplicialComplex,
@@ -38,13 +40,14 @@ from lovaszgap import (
 from lovaszgap.cli import main
 from lovaszgap.invariants import _induced
 from lovaszgap.verify import (
+    FULL_COROLLARY_PARAMS,
     SUITE_FAMILIES,
     certified_bound,
     corollary_report_json,
     wedge_report_json,
 )
 
-from conftest import graphs
+from conftest import PASS_ONLY, graphs
 from oracles import incidence_graph_with_triangle, write_graph
 from test_homology import RP2
 
@@ -150,12 +153,13 @@ def test_equal_wedge_parts_share_one_pass(monkeypatch, h, k, passed):
 
 @pytest.mark.parametrize(
     "runs, passes",
-    [([{}], 19), ([{"full": True}], 22), ([{}, {}], 38)],
+    [([{}], 16), ([{"full": True}], 16), ([{}, {}], 32)],
     ids=["suite", "full", "twice"],
 )
 def test_a_suite_run_passes_each_family_complex_once(monkeypatch, runs, passes):
-    # per run: 6 family complexes + 10 gadgets + 3 separation graphs (6 with
-    # full) = 19 (22); a second run repeats every pass, so no pass outlives
+    # per run: 6 family complexes + 10 gadgets = 16, with or without full:
+    # a conn = 0 witness read off each separation graph certifies its bound
+    # without a pass; a second run repeats every pass, so no pass outlives
     # the run that made it
     ran = []
     for module in (lovaszgap.homology, lovaszgap.verify):
@@ -214,19 +218,53 @@ def test_compare_bounds_c5():
 
 
 def test_compare_bounds_petersen():
-    report = compare_bounds(kneser_graph(5, 2))
+    petersen = kneser_graph(5, 2)
+    report = compare_bounds(petersen)
     assert (report.chi, report.omega) == (3, 2)
-    # N(petersen) is connected with free H1 of rank 11 (pinned from the
-    # elimination engine after an Euler-characteristic cross-check)
+    # the bound comes from a conn = 0 witness, without a pass; the pass
+    # agrees: N(petersen) is connected with free H1 of rank 11 (pinned from
+    # the elimination engine after an Euler-characteristic cross-check)
     assert report.lovasz_certified == 3
-    assert report.certificate.h1.betti == 11
-    assert report.certificate.h1.torsion == ()
+    report.conn_zero.validate(petersen)
+    assert report.certificate is None and report.homology is None
+    certificate = homology_pass(neighborhood_complex(petersen), 1).certificate
+    assert certificate.certified_conn_zero
+    assert certificate.h1.betti == 11
+    assert certificate.h1.torsion == ()
 
 
 def test_compare_bounds_disconnected_complex_gives_two():
     report = compare_bounds(cycle_graph(4))
     assert report.lovasz_certified == 2
     assert report.chi == 2
+    # read off the graph: C4 is bipartite, so N(C4) is its two sides
+    assert report.certificate is None and report.conn_zero is None
+    assert report.homological_connectivity == -1
+
+
+def test_compare_bounds_falls_back_to_the_pass_without_a_witness():
+    report = compare_bounds(PASS_ONLY, cap=1)
+    assert report.conn_zero is None
+    assert report.certificate.certified_conn_zero and report.lovasz_certified == 3
+    assert [g.betti for g in report.homology] == [0, 1]
+
+
+def test_the_corollary_runs_no_pass_when_the_witness_validates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no complex or pass expected")
+
+    for name in ("neighborhood_complex", "homology_pass"):
+        monkeypatch.setattr(lovaszgap.verify, name, refuse)
+    report = verify_corollary(CorollaryParams(2, 2, 3, 5))
+    assert report.passed and report.bound.homology is None
+    report.bound.conn_zero.validate(report.built.graph)
+
+
+@pytest.mark.parametrize("g", [complete_graph(3), cycle_graph(4), Graph.from_edges(2, [])])
+def test_compare_bounds_refuses_a_zero_budget_on_every_graph(g):
+    # also where the graph settles conn and no pass would read the budget
+    with pytest.raises(ParameterError, match="face budget must be >= 1, got 0"):
+        compare_bounds(g, limit=0)
 
 
 def assert_greedy_upper_is_blockwise(g):
@@ -399,7 +437,13 @@ def test_corollary_report_json_shape():
     assert payload["pass"] is True
     assert payload["lovasz"] == {"certified": True, "value": 3, "flags": []}
     assert payload["wall_time_ms"] is None
-    assert all(isinstance(t, str) for row in payload["homology"] for t in row["torsion"])
+    # no pass ran: the bound's evidence is the conn = 0 witness
+    assert payload["homology"] is None
+    assert "certificate" not in payload["witnesses"]
+    w = payload["witnesses"]["conn_zero"]
+    ConnZeroWitness(w["z"], tuple(w["part"]), tuple(map(tuple, w["walk"]))).validate(
+        report.built.graph
+    )
     json.dumps(payload)  # must be serializable as-is
 
 
@@ -444,6 +488,16 @@ def test_run_suite_seed_selects_nothing():
     reports = [run_suite(s, full=False) for s in (0, 7, 23)]
     assert [r["seed"] for r in reports] == [0, 7, 23]
     assert reports[0]["cases"] == reports[1]["cases"] == reports[2]["cases"]
+
+
+def test_every_suite_corollary_case_carries_a_conn_zero_witness():
+    cases = [c for c in run_suite(full=True)["cases"] if c["case"].startswith("corollary")]
+    assert len(cases) == len(FULL_COROLLARY_PARAMS)
+    for case in cases:
+        g = build_corollary_graph(CorollaryParams(**case["params"])).graph
+        w = case["witnesses"]["conn_zero"]
+        ConnZeroWitness(w["z"], tuple(w["part"]), tuple(map(tuple, w["walk"]))).validate(g)
+        assert case["homology"] is None and case["lovasz"]["value"] == 3
 
 
 def test_run_suite_passes_and_is_deterministic():

@@ -1,9 +1,14 @@
 """Lower-bound witnesses for the chromatic number: the Mycielski chain and
 the clique are checked against the exhaustive search and the brute-force
 oracles, the validator is shown to reject broken witnesses, and blocks with
-no Mycielski structure are shown to fall back to the search."""
+no Mycielski structure are shown to fall back to the search.  The conn = 0
+witness read off the graph is checked against the homology pass, and its
+validator is shown to reject each broken part of it."""
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,20 +17,29 @@ from hypothesis import strategies as st
 from lovaszgap import (
     CertificateError,
     CliqueWitness,
+    ConnZeroWitness,
+    CorollaryParams,
     Graph,
     MycielskiWitness,
     SearchWitness,
+    build_corollary_graph,
     chromatic_number,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
+    find_conn_zero_witness,
+    homology_pass,
     is_k_colorable,
     kneser_graph,
     max_clique,
     mycielski_lower_bound,
     mycielskian,
+    neighborhood_complex,
+    neighborhood_components,
     triangle_free_chromatic,
 )
 
+from conftest import PASS_ONLY, graphs, skeleton_walk
 from oracles import brute_force_chromatic, brute_force_max_clique
 
 
@@ -246,3 +260,169 @@ def test_search_that_refutes_its_start_witnesses_chi_above_it():
     assert result.chi == brute_force_chromatic(g)
     assert result.chi_lower == SearchWitness(tuple(range(g.n)), 5)
     assert_witnesses_hold(g, result)
+
+
+# ---------------------------------------------------------------------------
+# the conn = 0 witness read off the graph
+
+
+def certified(g) -> bool:
+    return homology_pass(neighborhood_complex(g), 1).certificate.certified_conn_zero
+
+
+def assert_witness_is_sound(g):
+    """A witness the finder gives validates, and the pass certifies conn = 0
+    on the same graph; the converse is not claimed."""
+    witness = find_conn_zero_witness(g)
+    if witness is not None:
+        witness.validate(g)
+        assert certified(g)
+    return witness
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=300, deadline=None)
+def test_a_validated_witness_implies_the_pass_certifies(g):
+    assert_witness_is_sound(g)
+
+
+def test_a_validated_witness_implies_the_pass_certifies_on_corpus(corpus):
+    found = [name for name, g in corpus.items() if assert_witness_is_sound(g)]
+    # the star cocycle is found on every corpus graph the pass certifies
+    assert found == [name for name, g in corpus.items() if certified(g)]
+
+
+@given(graphs(max_n=8), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_the_graph_side_count_is_the_passs_component_count(g, k):
+    # the count of N(G)'s components read off G is the pass's, so N(G) is
+    # nonempty and disconnected on the graph side iff the pass gives
+    # conn = -1; isolated vertices change neither side
+    padded = Graph.from_edges(g.n + k, g.edges())
+    components = neighborhood_components(padded)
+    assert components == neighborhood_components(g)
+    c = neighborhood_complex(padded)
+    vertices, _, forest = skeleton_walk(c)
+    assert components == vertices - len(forest)
+    conn = homology_pass(c, 1).certificate.homological_connectivity
+    assert (components > 1) == (conn == -1)
+    assert conn == homology_pass(neighborhood_complex(g), 1).certificate.homological_connectivity
+
+
+def test_the_graph_side_count_matches_the_pass_on_corpus(corpus):
+    for name, g in corpus.items():
+        c = neighborhood_complex(g)
+        vertices, _, forest = skeleton_walk(c)
+        assert neighborhood_components(g) == vertices - len(forest), name
+        conn = homology_pass(c, 1).certificate.homological_connectivity
+        assert (neighborhood_components(g) > 1) == (conn == -1), name
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for q in range(3, 8) for p in range(2, min(q, 4) + 1)])
+def test_every_separation_graph_carries_a_witness(p, q):
+    g = build_corollary_graph(CorollaryParams(2, 2, p, q)).graph
+    find_conn_zero_witness(g).validate(g)
+
+
+@pytest.mark.parametrize("n", [4, 6, 40])
+def test_no_witness_on_a_complete_graph(n):
+    # N(K_n) is the boundary of an (n - 1)-simplex, a sphere of dimension
+    # n - 2 >= 2; every neighbour of z shares a neighbour with the others,
+    # so each star is given up once A holds them all
+    assert find_conn_zero_witness(complete_graph(n)) is None
+
+
+def test_the_finder_misses_what_only_the_pass_certifies():
+    assert find_conn_zero_witness(PASS_ONLY) is None
+    assert neighborhood_components(PASS_ONLY) == 1 and certified(PASS_ONLY)
+
+
+# K4 less the edge 23, with a pendant 4 at 2: the star at 0 splits its
+# neighbours into the classes {1} and {2, 3}, since 2 and 3 share 1
+STAR = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4)])
+STAR_WITNESS = ConnZeroWitness(0, (1,), ((0, 1, 2), (2, 0, 1), (1, 2, 0)))
+
+
+def test_the_finder_gives_the_star_witness():
+    assert find_conn_zero_witness(STAR) == STAR_WITNESS
+    STAR_WITNESS.validate(STAR)
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ((1, 2), "pairs to 0"),  # 2 moved into A: the walk returns from S
+        ((1, 3), "no cocycle at common neighbour 2"),  # 3 moved into A
+        ((), "empty or all"),  # 1 moved out of A
+        ((1, 2, 3), "empty or all"),
+        ((2, 1), "not sorted"),
+        ((1, 4), "inside N"),
+    ],
+)
+def test_the_conn_zero_validator_rejects_a_moved_or_bad_part(part, message):
+    with pytest.raises(CertificateError, match=message):
+        dataclasses.replace(STAR_WITNESS, part=part).validate(STAR)
+
+
+@pytest.mark.parametrize(
+    "walk, message",
+    [
+        # 4 is a neighbour of 2, not of 1
+        (((0, 1, 2), (2, 4, 1), (1, 2, 0)), r"step \(2,4,1\) is no edge"),
+        (((0, 1, 2), (2, 1, 2), (2, 0, 0)), r"step \(2,1,2\) is no edge"),
+        (((0, 1, 2), (2, 0, 1)), "does not close"),
+        (((0, 1, 2), (1, 2, 0)), "breaks or does not close"),
+        # there and back: every step an edge, and the pairing +1 - 1
+        (((0, 1, 2), (2, 1, 0)), "pairs to 0"),
+        ((), "empty"),
+    ],
+)
+def test_the_conn_zero_validator_rejects_a_broken_walk(walk, message):
+    with pytest.raises(CertificateError, match=message):
+        dataclasses.replace(STAR_WITNESS, walk=walk).validate(STAR)
+
+
+def test_the_conn_zero_validator_rejects_a_star_vertex_out_of_range():
+    with pytest.raises(CertificateError, match="out of range"):
+        dataclasses.replace(STAR_WITNESS, z=5).validate(STAR)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # bipartite: N(G) is its two sides
+        cycle_graph(6),
+        complete_bipartite(3, 3),
+        # STAR beside a triangle: each is non-bipartite, and N(G) has one
+        # component for each
+        Graph.from_edges(8, STAR.edges() + [(5, 6), (5, 7), (6, 7)]),
+    ],
+    ids=["C6", "K3,3", "two components"],
+)
+def test_the_conn_zero_validator_rejects_a_disconnected_complex(g):
+    assert neighborhood_components(g) == 2
+    assert find_conn_zero_witness(g) is None
+    with pytest.raises(CertificateError, match="empty or disconnected"):
+        STAR_WITNESS.validate(g)
+
+
+def test_the_conn_zero_validator_imports_neither_homology_nor_snf():
+    # the package's __init__ imports everything, so load the validator's
+    # module under a bare package and list what it pulled in
+    src = Path(__file__).resolve().parent.parent / "src" / "lovaszgap"
+    code = (
+        "import sys, types; "
+        "package = types.ModuleType('lovaszgap'); "
+        f"package.__path__ = [{str(src)!r}]; "
+        "sys.modules['lovaszgap'] = package; "
+        "from lovaszgap.graphs import cycle_graph; "
+        "from lovaszgap.invariants import find_conn_zero_witness; "
+        "g = cycle_graph(5); find_conn_zero_witness(g).validate(g); "
+        "print(sorted(m for m in sys.modules if m.startswith('lovaszgap.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == (
+        "['lovaszgap.errors', 'lovaszgap.graphs', 'lovaszgap.invariants']\n"
+    )
